@@ -1,8 +1,11 @@
 """Finite-dimensional basic algebras and their finite-dimensional modules.
 
-Algebras come from a quiver with monomial relations (basis = surviving
-paths) or from an explicit structure-constant table.  Conventions, fixed
-once here and relied on everywhere downstream:
+Algebras come from a quiver with monomial relations: the basis is the set
+of surviving paths, and corners eAe, quotients A/AeA and opposites inherit
+a basis of paths.  The product of two basis paths is another basis path or
+zero, so multiplication is the int table ``prod[i][j] = k`` for
+``b_i*b_j = b_k``, or ``-1`` for zero.  Conventions, fixed once here and
+relied on everywhere downstream:
 
 * paths compose left to right: ``a*b`` traverses the arrow ``a`` first,
   so ``a*b`` is defined when target(a) = source(b);
@@ -15,7 +18,6 @@ once here and relied on everywhere downstream:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -58,18 +60,18 @@ def linear_quiver(n: int) -> Quiver:
 
 
 class Algebra:
-    """Basic algebra with corner-homogeneous basis.
+    """Basic algebra with a corner-homogeneous multiplicative basis.
 
     basis element b satisfies e_{source[b]} * b = b = b * e_{target[b]};
     the first nvert basis elements are the primitive idempotents, the rest
-    span the radical.
+    span the radical.  prod[i][j] is the index of b_i * b_j, or -1 when the
+    product is zero.
     """
 
     def __init__(self, field: Field, vertex_labels: Sequence[str],
                  basis_labels: Sequence[str], source: Sequence[int],
-                 target: Sequence[int], mult: List[List[Vec]],
+                 target: Sequence[int], prod: Sequence[Sequence[int]],
                  quiver: Optional[Quiver] = None,
-                 path_arrows: Optional[List[Tuple[int, ...]]] = None,
                  validate: bool = True):
         self.field = field
         self.vertex_labels = tuple(vertex_labels)
@@ -78,14 +80,12 @@ class Algebra:
         self.dim = len(self.basis_labels)
         self.source = tuple(source)
         self.target = tuple(target)
-        self.mult = mult
+        self.prod = tuple(tuple(row) for row in prod)
         self.quiver = quiver
-        self.path_arrows = path_arrows  # arrow index tuples, when from a quiver
         self._label_index = {lab: i for i, lab in enumerate(self.basis_labels)}
         self._corner_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self._op: Optional[Algebra] = None
         self._module_cache: Dict[Tuple, "Module"] = {}
-        self._resolution_cache: Dict = {}
         if validate:
             self.validate()
 
@@ -101,10 +101,6 @@ class Algebra:
     def basis_vec(self, i: int) -> Vec:
         f = self.field
         return tuple(f.one if j == i else f.zero for j in range(self.dim))
-
-    def unit_vec(self) -> Vec:
-        f = self.field
-        return tuple(f.one if j < self.nvert else f.zero for j in range(self.dim))
 
     def add_vec(self, x: Vec, y: Vec) -> Vec:
         f = self.field
@@ -129,18 +125,15 @@ class Algebra:
     def mul_vec(self, x: Vec, y: Vec) -> Vec:
         f = self.field
         acc = [f.zero] * self.dim
+        ys = [(j, yj) for j, yj in enumerate(y) if yj != f.zero]
         for i, xi in enumerate(x):
             if xi == f.zero:
                 continue
-            row = self.mult[i]
-            for j, yj in enumerate(y):
-                if yj == f.zero:
-                    continue
-                prod = row[j]
-                c = f.mul(xi, yj)
-                for k, pk in enumerate(prod):
-                    if pk != f.zero:
-                        acc[k] = f.add(acc[k], f.mul(c, pk))
+            row = self.prod[i]
+            for j, yj in ys:
+                k = row[j]
+                if k >= 0:
+                    acc[k] = f.add(acc[k], f.mul(xi, yj))
         return tuple(acc)
 
     def lrow(self, x: Vec) -> Mat:
@@ -150,12 +143,9 @@ class Algebra:
         for i, xi in enumerate(x):
             if xi == f.zero:
                 continue
-            for b in range(self.dim):
-                prod = self.mult[i][b]
-                row = rows[b]
-                for k, pk in enumerate(prod):
-                    if pk != f.zero:
-                        row[k] = f.add(row[k], f.mul(xi, pk))
+            for b, k in enumerate(self.prod[i]):
+                if k >= 0:
+                    rows[b][k] = f.add(rows[b][k], xi)
         return Mat(f, rows, ncols=self.dim)
 
     def rrow(self, x: Vec) -> Mat:
@@ -165,12 +155,10 @@ class Algebra:
         for j, xj in enumerate(x):
             if xj == f.zero:
                 continue
-            for b in range(self.dim):
-                prod = self.mult[b][j]
-                row = rows[b]
-                for k, pk in enumerate(prod):
-                    if pk != f.zero:
-                        row[k] = f.add(row[k], f.mul(xj, pk))
+            for b, row in enumerate(self.prod):
+                k = row[j]
+                if k >= 0:
+                    rows[b][k] = f.add(rows[b][k], xj)
         return Mat(f, rows, ncols=self.dim)
 
     def corner_indices(self, i: int, j: int) -> Tuple[int, ...]:
@@ -185,10 +173,6 @@ class Algebra:
     def hom_corner(self, i: int, j: int) -> Tuple[int, ...]:
         """Basis indices parametrizing maps P_i -> P_j (= e_j A e_i)."""
         return self.corner_indices(j, i)
-
-    def scalar_coeff(self, x: Vec, vertex: int):
-        """Coefficient of e_vertex in x."""
-        return x[vertex]
 
     def is_radical_vec(self, x: Vec) -> bool:
         z = self.field.zero
@@ -264,76 +248,43 @@ class Algebra:
     # -- validation ----------------------------------------------------------
 
     def validate(self):
-        f = self.field
+        """Structural check of the product table in O(dim^2).
+
+        Associativity and nilpotence of the radical are not checked: the
+        table comes from concatenating paths of a finite path basis (see
+        from_quiver), which guarantees both, and corners, quotients and
+        opposites inherit them.
+        """
         if self.dim == 0:
             if self.nvert != 0:
                 raise InputError("zero algebra cannot have vertices")
             return
-        if not (len(self.source) == len(self.target) == self.dim):
-            raise InputError("source/target length mismatch")
+        if not (len(self.source) == len(self.target) == len(self.prod) == self.dim) \
+                or any(len(row) != self.dim for row in self.prod):
+            raise InputError("source/target/product table size mismatch")
+        if not set(self.source) | set(self.target) <= set(range(self.nvert)):
+            raise InputError("basis element outside the vertex corners")
         for i in range(self.nvert):
             if self.source[i] != i or self.target[i] != i:
                 raise InputError("idempotent e_i must sit in corner (i, i)")
-        # orthogonal idempotents summing to 1, corner homogeneity
-        for i in range(self.nvert):
             for j in range(self.nvert):
-                expect = self.basis_vec(i) if i == j else self.zero_vec()
-                if self.mult[i][j] != expect:
+                if self.prod[i][j] != (i if i == j else -1):
                     raise InputError("idempotents not orthogonal")
-        for b in range(self.dim):
-            ei = self.basis_vec(self.source[b])
-            left = self.mul_vec(ei, self.basis_vec(b))
-            if left != self.basis_vec(b):
+        for b, row in enumerate(self.prod):
+            if self.prod[self.source[b]][b] != b:
                 raise InputError(f"basis {b} not left-homogeneous")
-            ej = self.basis_vec(self.target[b])
-            right = self.mul_vec(self.basis_vec(b), ej)
-            if right != self.basis_vec(b):
+            if row[self.target[b]] != b:
                 raise InputError(f"basis {b} not right-homogeneous")
-        # unitality
-        one = self.unit_vec()
-        for b in range(self.dim):
-            bb = self.basis_vec(b)
-            if self.mul_vec(one, bb) != bb or self.mul_vec(bb, one) != bb:
-                raise InputError("unit fails")
-        # associativity on basis triples (sampled beyond desk scale)
-        triples = itertools.product(range(self.dim), repeat=3)
-        if self.dim > 24:
-            import random as _random
-            r = _random.Random(0)
-            triples = (tuple(r.randrange(self.dim) for _ in range(3)) for _ in range(5000))
-        for i, j, k in triples:
-            left = self.mul_vec(self.mult[i][j], self.basis_vec(k))
-            right = self.mul_vec(self.basis_vec(i), self.mult[j][k])
-            if left != right:
-                raise InputError(f"associativity fails at ({i},{j},{k})")
-        # radical spanned by the non-idempotent basis: closed under mult,
-        # nilpotent, and the corners e_i A e_i are local
-        z = f.zero
-        for b in self.radical_indices:
-            for c in range(self.dim):
-                for prod in (self.mult[b][c], self.mult[c][b]):
-                    if any(prod[v] != z for v in range(self.nvert)) and c >= self.nvert:
-                        raise InputError("radical not an ideal")
-        if not self._radical_nilpotent():
-            raise InputError("radical is not nilpotent")
-
-    def _radical_nilpotent(self) -> bool:
-        f = self.field
-        layer = [self.basis_vec(b) for b in self.radical_indices]
-        for _ in range(self.dim + 1):
-            if not layer:
-                return True
-            nxt = []
-            for x in layer:
-                for b in self.radical_indices:
-                    y = self.mul_vec(x, self.basis_vec(b))
-                    if not self.is_zero_vec(y):
-                        nxt.append(y)
-            if not nxt:
-                return True
-            basis = la.row_space_basis(Mat(f, [list(v) for v in nxt], ncols=self.dim))
-            layer = [tuple(r) for r in basis.rows]
-        return False
+            for c, k in enumerate(row):
+                if k == -1:
+                    continue
+                if not (0 <= k < self.dim and self.target[b] == self.source[c]
+                        and self.source[k] == self.source[b]
+                        and self.target[k] == self.target[c]):
+                    raise InputError(f"product of basis {b} and {c} is not "
+                                     "corner-homogeneous")
+                if k < self.nvert <= min(b, c):
+                    raise InputError("radical not an ideal")
 
     # -- constructions -------------------------------------------------------
 
@@ -373,7 +324,6 @@ class Algebra:
             return False
 
         paths: List[Tuple[int, ...]] = [() for _ in range(nv)]
-        trivial_vertex = list(range(nv))
         src = list(range(nv))
         tgt = list(range(nv))
         alive: List[Tuple[Tuple[int, ...], int, int]] = [
@@ -403,43 +353,41 @@ class Algebra:
 
         index_of = {}
         labels = []
+        starting_at: List[List[int]] = [[] for _ in range(nv)]
         for i, p in enumerate(paths):
-            if p == ():
-                lab = f"e_{quiver.vertices[trivial_vertex[i]]}" if i < nv else "?"
-            else:
-                lab = "*".join(quiver.arrows[a][0] for a in p)
-            labels.append(lab)
+            labels.append("*".join(quiver.arrows[a][0] for a in p) if p
+                          else f"e_{quiver.vertices[i]}")
             index_of[(p, src[i])] = i
+            starting_at[src[i]].append(i)
 
-        dimail = len(paths)
-        f = field
-        zero = tuple(f.zero for _ in range(dimail))
-        mult: List[List[Vec]] = [[zero] * dimail for _ in range(dimail)]
-        for i in range(dimail):
-            for j in range(dimail):
-                if tgt[i] != src[j]:
-                    continue
-                concat = paths[i] + paths[j]
-                key = (concat, src[i])
-                if key in index_of:
-                    k = index_of[key]
-                    mult[i][j] = tuple(
-                        f.one if m == k else f.zero for m in range(dimail))
-                # else: the concatenation hits a relation and the product is 0
-        return cls(field, quiver.vertices, labels, src, tgt, mult,
-                   quiver=quiver, path_arrows=paths)
+        # a concatenation missing from the basis hits a relation: product 0
+        prod = [[-1] * len(paths) for _ in paths]
+        for i, p in enumerate(paths):
+            row = prod[i]
+            for j in starting_at[tgt[i]]:
+                row[j] = index_of.get((p + paths[j], src[i]), -1)
+        return cls(field, quiver.vertices, labels, src, tgt, prod, quiver=quiver)
 
     def op(self) -> "Algebra":
         """Opposite algebra; shares the basis index set, op().op() is self."""
         if self._op is None:
-            mult_op = [[self.mult[j][i] for j in range(self.dim)]
-                       for i in range(self.dim)]
             opp = Algebra(self.field, self.vertex_labels, self.basis_labels,
-                          self.target, self.source, mult_op,
+                          self.target, self.source, zip(*self.prod),
                           validate=False)
             opp._op = self
             self._op = opp
         return self._op
+
+    def _restrict(self, vertices: Sequence[int], keep: Sequence[int]) -> "Algebra":
+        """The algebra on the basis subset keep, products outside it zero."""
+        vert_new = {v: k for k, v in enumerate(vertices)}
+        pos = {b: k for k, b in enumerate(keep)}
+        prod = [[pos.get(self.prod[b][c], -1) for c in keep] for b in keep]
+        return Algebra(self.field, [self.vertex_labels[v] for v in vertices],
+                       [self.basis_labels[b] for b in keep],
+                       [vert_new[self.source[b]] for b in keep],
+                       [vert_new[self.target[b]] for b in keep],
+                       prod, validate=False)
 
     def corner(self, subset: Sequence[int]) -> Tuple["Algebra", Tuple[int, ...]]:
         """eAe for e = sum of the selected idempotents, with basis embedding."""
@@ -451,28 +399,7 @@ class Algebra:
             return Algebra.zero_algebra(self.field), ()
         keep = [b for b in range(self.dim)
                 if self.source[b] in subset and self.target[b] in subset]
-        vert_new = {v: k for k, v in enumerate(subset)}
-        pos = {b: k for k, b in enumerate(keep)}
-        f = self.field
-        mult = []
-        for b in keep:
-            row = []
-            for c in keep:
-                prod = self.mult[b][c]
-                vec = [f.zero] * len(keep)
-                for m, pm in enumerate(prod):
-                    if pm != f.zero:
-                        if m not in pos:
-                            raise InputError("corner not closed; basis not aligned")
-                        vec[pos[m]] = pm
-                row.append(tuple(vec))
-            mult.append(row)
-        sub_alg = Algebra(f, [self.vertex_labels[v] for v in subset],
-                          [self.basis_labels[b] for b in keep],
-                          [vert_new[self.source[b]] for b in keep],
-                          [vert_new[self.target[b]] for b in keep],
-                          mult, validate=False)
-        return sub_alg, tuple(keep)
+        return self._restrict(subset, keep), tuple(keep)
 
     def quotient(self, subset: Sequence[int]) -> Tuple["Algebra", Tuple[Optional[int], ...]]:
         """A/AeA for e = sum of selected idempotents, with basis projection."""
@@ -482,52 +409,18 @@ class Algebra:
                 raise InputError(f"vertex index {i} out of range")
         if not subset:
             return self, tuple(range(self.dim))
-        f = self.field
-        # span of b * e_i * c over basis pairs and selected idempotents
-        gens = []
-        for i in subset:
-            ei = self.basis_vec(i)
-            for b in range(self.dim):
-                left = self.mul_vec(self.basis_vec(b), ei)
-                if self.is_zero_vec(left):
-                    continue
-                for c in range(self.dim):
-                    v = self.mul_vec(left, self.basis_vec(c))
-                    if not self.is_zero_vec(v):
-                        gens.append(list(v))
-        if not gens:
-            return self, tuple(range(self.dim))
-        basis = la.row_space_basis(Mat(f, gens, ncols=self.dim))
+        # AeA is spanned by the basis paths b * e_i * c through a selected vertex
         in_ideal = set()
-        for row in basis.rows:
-            support = [k for k, x in enumerate(row) if x != f.zero]
-            if len(support) != 1 or row[support[0]] != f.one:
-                raise InputError(
-                    "AeA is not spanned by basis elements; supply explicit "
-                    "structure constants for the quotient")
-            in_ideal.add(support[0])
+        for i in subset:
+            for b in range(self.dim):
+                left = self.prod[b][i]
+                if left >= 0:
+                    in_ideal.update(k for k in self.prod[left] if k >= 0)
         keep = [b for b in range(self.dim) if b not in in_ideal]
         vert_keep = [v for v in range(self.nvert) if v not in in_ideal]
-        vert_new = {v: k for k, v in enumerate(vert_keep)}
         pos = {b: k for k, b in enumerate(keep)}
         proj: List[Optional[int]] = [pos.get(b) for b in range(self.dim)]
-        mult = []
-        for b in keep:
-            row = []
-            for c in keep:
-                prod = self.mult[b][c]
-                vec = [f.zero] * len(keep)
-                for m, pm in enumerate(prod):
-                    if pm != f.zero and m in pos:
-                        vec[pos[m]] = pm
-                row.append(tuple(vec))
-            mult.append(row)
-        q_alg = Algebra(f, [self.vertex_labels[v] for v in vert_keep],
-                        [self.basis_labels[b] for b in keep],
-                        [vert_new[self.source[b]] for b in keep],
-                        [vert_new[self.target[b]] for b in keep],
-                        mult, validate=False)
-        return q_alg, tuple(proj)
+        return self._restrict(vert_keep, keep), tuple(proj)
 
     # -- distinguished modules ------------------------------------------------
 
@@ -541,11 +434,10 @@ class Algebra:
             for c in range(self.dim):
                 rows = []
                 for b in idx:
-                    prod = self.mult[b][c]
                     vec = [f.zero] * len(idx)
-                    for m, pm in enumerate(prod):
-                        if pm != f.zero:
-                            vec[pos[m]] = pm
+                    k = self.prod[b][c]
+                    if k >= 0:
+                        vec[pos[k]] = f.one
                     rows.append(vec)
                 action.append(Mat(f, rows, ncols=len(idx)))
             self._module_cache[key] = Module(self, len(idx), action,
@@ -607,15 +499,12 @@ class Module:
             one = one + self.action[i]
         if one != Mat.identity(f, self.dim):
             raise InputError("unit does not act as identity")
+        zero = Mat.zeros(f, self.dim, self.dim)
         for i in range(A.dim):
-            for j in range(A.dim):
-                lhs = self.action[i] @ self.action[j]
-                rhs = Mat.zeros(f, self.dim, self.dim)
-                for k, c in enumerate(A.mult[i][j]):
-                    if c != f.zero:
-                        rhs = rhs + self.action[k].scale(c)
-                if lhs != rhs:
-                    raise InputError(f"action violates structure constants at ({i},{j})")
+            for j, k in enumerate(A.prod[i]):
+                rhs = self.action[k] if k >= 0 else zero
+                if self.action[i] @ self.action[j] != rhs:
+                    raise InputError(f"action violates the product table at ({i},{j})")
 
     def act(self, v: Sequence, x: Vec) -> List:
         """Row vector v times the action of the algebra element x."""

@@ -475,28 +475,5 @@ def sum_prod(f: Field, xs, ys) -> Element:
     return acc
 
 
-# -- vectors (plain lists of field elements) --------------------------------
-
-
-def vec_add(f: Field, a, b):
-    return [f.add(x, y) for x, y in zip(a, b)]
-
-
-def vec_sub(f: Field, a, b):
-    return [f.sub(x, y) for x, y in zip(a, b)]
-
-
-def vec_scale(f: Field, c, a):
-    return [f.mul(c, x) for x in a]
-
-
-def vec_neg(f: Field, a):
-    return [f.neg(x) for x in a]
-
-
-def vec_is_zero(f: Field, a):
-    return all(x == f.zero for x in a)
-
-
 def random_matrix(field: Field, m: int, n: int, rng) -> Mat:
     return Mat(field, [[field.rand(rng) for _ in range(n)] for _ in range(m)], ncols=n)

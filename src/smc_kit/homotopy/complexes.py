@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .. import exactla as la
 from ..algebra import Algebra, Vec
 from ..config import InputError
-from ..exactla import Mat
 
 Entries = List[List[Vec]]  # rows = target summands, cols = source summands
 
@@ -96,7 +95,6 @@ class ProjComplex:
                 if d is None:
                     d = ent_zeros(algebra, len(self.terms[k + 1]), len(self.terms[k]))
                 self.diffs[k] = [[tuple(e) for e in row] for row in d]
-        self._lrow_cache: Dict[Tuple[int, int, int], Mat] = {}
         self._shift_cache: Dict[int, "ProjComplex"] = {}
         self._minimal_cache = None
         self._module_cache = None
@@ -186,15 +184,6 @@ class ProjComplex:
         out = ProjComplex(A, terms, diffs, validate=False)
         self._shift_cache[n] = out
         return out
-
-    # -- realization helpers (used by hom computations) ------------------------
-
-    def entry_lrow(self, k: int, t: int, s: int) -> Mat:
-        """Row-convention left-multiplication matrix of the (t,s) entry of d^k."""
-        key = (k, t, s)
-        if key not in self._lrow_cache:
-            self._lrow_cache[key] = self.algebra.lrow(self.diffs[k][t][s])
-        return self._lrow_cache[key]
 
     def __repr__(self):
         if self.is_zero():

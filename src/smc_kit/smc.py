@@ -178,9 +178,6 @@ def validate_smc(S: SMC) -> SmcReport:
         generation = "no evidence (Euler matrix not unimodular)"
     notes = ["negative-shift checks are exhaustive: Hom vanishes outside "
              "the recorded support windows"]
-    if S.algebra.quiver is None and S.algebra.dim:
-        notes.append("algebra was given by raw structure constants: Hom "
-                     "dimensions may depend on the ground field")
     return SmcReport(not a1_fail, not a3_fail, a1_fail, a3_fail,
                      unimodular, det_int, generation, windows, notes)
 
@@ -525,6 +522,24 @@ def compare(S: SMC, T: SMC, rng: Optional[_random.Random] = None) -> str:
     return "incomparable"
 
 
+def _has_perfect_matching(adj: Sequence[Sequence[bool]]) -> bool:
+    """Whether the n x n bipartite graph adj[a][b] has a perfect matching,
+    by augmenting paths (Kuhn's algorithm, O(n^3))."""
+    n = len(adj)
+    owner: List[Optional[int]] = [None] * n  # right vertex b -> matched a
+
+    def augment(a: int, seen: List[bool]) -> bool:
+        for b in range(n):
+            if adj[a][b] and not seen[b]:
+                seen[b] = True
+                if owner[b] is None or augment(owner[b], seen):
+                    owner[b] = a
+                    return True
+        return False
+
+    return all(augment(a, [False] * n) for a in range(n))
+
+
 def smc_iso(S: SMC, T: SMC, rng: Optional[_random.Random] = None,
             trials: int = 40, certify: bool = False) -> bool:
     """Objectwise isomorphism up to permutation."""
@@ -535,20 +550,7 @@ def smc_iso(S: SMC, T: SMC, rng: Optional[_random.Random] = None,
     adj = [[bool(is_iso(S.objects[a], T.objects[b], rng=rng, trials=trials,
                         certify=certify))
             for b in range(n)] for a in range(n)]
-    used = [False] * n
-
-    def match(a: int) -> bool:
-        if a == n:
-            return True
-        for b in range(n):
-            if adj[a][b] and not used[b]:
-                used[b] = True
-                if match(a + 1):
-                    return True
-                used[b] = False
-        return False
-
-    return match(0)
+    return _has_perfect_matching(adj)
 
 
 def smc_distinct_certified(S: SMC, T: SMC,
@@ -567,20 +569,7 @@ def smc_distinct_certified(S: SMC, T: SMC,
             r = is_iso(S.objects[a], T.objects[b], rng=rng)
             row.append(r.isomorphic or not r.certified)
         adj.append(row)
-    used = [False] * n
-
-    def match(a: int) -> bool:
-        if a == n:
-            return True
-        for b in range(n):
-            if adj[a][b] and not used[b]:
-                used[b] = True
-                if match(a + 1):
-                    return True
-                used[b] = False
-        return False
-
-    return not match(0)
+    return not _has_perfect_matching(adj)
 
 
 def is_rigid(S: SMC, i: int) -> bool:

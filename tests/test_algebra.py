@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -5,7 +7,8 @@ import hypothesis.strategies as st
 from smc_kit import algebra as alg
 from smc_kit import exactla as la
 from smc_kit.config import BoundExceeded, InputError
-from smc_kit.exactla import PrimeField, RationalField
+from smc_kit.exactla import Mat, PrimeField, RationalField
+from smc_kit.fixtures import random_monomial_linear_algebra
 
 FP = PrimeField(32003)
 QQ = RationalField()
@@ -237,3 +240,64 @@ def test_rationals_give_same_dimensions():
     S2 = A.simple_module(1)
     eA = A.projective_module(0)
     assert len(alg.module_hom_space(S2, eA)) == 1
+
+
+def _assert_associative(B):
+    P = B.prod
+    for i, j, k in itertools.product(range(B.dim), repeat=3):
+        left = P[P[i][j]][k] if P[i][j] >= 0 else -1
+        right = P[i][P[j][k]] if P[j][k] >= 0 else -1
+        assert left == right, (i, j, k)
+
+
+def _ideal_by_row_reduction(B, subset):
+    """Basis indices spanning BeB, from a row reduction of the span of the
+    products b * e_i * c (the route taken before the product table)."""
+    f = B.field
+    gens = []
+    for i in subset:
+        for b in range(B.dim):
+            left = B.mul_vec(B.basis_vec(b), B.basis_vec(i))
+            for c in range(B.dim):
+                v = B.mul_vec(left, B.basis_vec(c))
+                if not B.is_zero_vec(v):
+                    gens.append(list(v))
+    ideal = set()
+    for row in la.row_space_basis(Mat(f, gens, ncols=B.dim)).rows:
+        support = [k for k, x in enumerate(row) if x != f.zero]
+        assert len(support) == 1 and row[support[0]] == f.one
+        ideal.add(support[0])
+    return ideal
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.booleans(), st.randoms(use_true_random=False))
+def test_product_table_against_reference(use_two_cycle, rng):
+    A = two_cycle() if use_two_cycle else \
+        random_monomial_linear_algebra(FP, rng, max_vertices=5)
+    subset = rng.sample(range(A.nvert), rng.randint(1, A.nvert - 1))
+    corner, _ = A.corner(subset)
+    derived = [A, A.op(), corner, corner.op(), A.quotient(subset)[0],
+               A.op().quotient(subset)[0]]
+    for B in derived:
+        B.validate()
+        _assert_associative(B)
+        sub = rng.sample(range(B.nvert), rng.randint(1, B.nvert))
+        _, proj = B.quotient(sub)
+        kept = {b for b in range(B.dim) if proj[b] is not None}
+        assert kept == set(range(B.dim)) - _ideal_by_row_reduction(B, sub)
+
+
+def test_validate_rejects_malformed_tables():
+    for build, (i, j, k) in [(a2, (0, 1, 0)),    # e_1 * e_2 = e_1
+                             (a2, (2, 0, 2)),    # a * e_1 = a
+                             (a2, (2, 2, 0)),    # a * a = e_1
+                             (two_cycle, (2, 3, 1))]:  # alpha * beta = e_2
+        A = build()
+        alg.Algebra(FP, A.vertex_labels, A.basis_labels, A.source, A.target,
+                    A.prod)
+        bad = [list(row) for row in A.prod]
+        bad[i][j] = k
+        with pytest.raises(InputError):
+            alg.Algebra(FP, A.vertex_labels, A.basis_labels, A.source,
+                        A.target, bad)

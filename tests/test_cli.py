@@ -61,6 +61,13 @@ def test_validate_json_output(capsys):
     assert payload["report"]["passed"] is True
 
 
+def test_validate_corner_and_quotient_algebras_have_no_field_note(capsys):
+    for name in ("xstd", "ystd"):
+        assert main(["--json", "validate", TC_WS, name]) == 0
+        notes = json.loads(capsys.readouterr().out)["report"]["notes"]
+        assert not any("structure constants" in note for note in notes)
+
+
 def test_unknown_names_exit_2(capsys):
     assert main(["validate", TC_WS, "nosuch"]) == 2
     assert main(["glue", TC_WS, "nosuch", "xstd", "ystd"]) == 2

@@ -1,12 +1,16 @@
+import itertools
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from smc_kit.config import InputError, NotRigidError
 from smc_kit.fixtures import a2_fixture, two_cycle_fixture
 from smc_kit.homotopy import is_iso, shift
 from smc_kit.smc import (
     SMC,
+    _has_perfect_matching,
     Certificate,
     compare,
     dominates,
@@ -397,3 +401,13 @@ def test_mutation_inverse_on_glued():
             plus, _ = mutate(out, i, "left")
             back, _ = mutate(plus, i, "right")
             assert smc_iso(back, out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.lists(
+    st.lists(st.booleans(), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_perfect_matching_against_permutations(adj):
+    n = len(adj)
+    expected = any(all(adj[a][p[a]] for a in range(n))
+                   for p in itertools.permutations(range(n)))
+    assert _has_perfect_matching(adj) == expected
