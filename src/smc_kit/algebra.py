@@ -562,18 +562,15 @@ class Module:
             pos = self.e_weight_positions(i)
             if not pos:
                 continue
-            rad_i = la.vstack([rad @ self.action[i], Mat.zeros(f, 0, self.dim)]) \
-                if rad.nrows else Mat.zeros(f, 0, self.dim)
-            current = la.row_space_basis(rad_i) if rad_i.nrows else Mat.zeros(f, 0, self.dim)
-            rows = [list(current.rows[k]) for k in range(current.nrows)]
-            base_rank = len(rows)
-            for r in pos:
-                cand = [f.one if k == r else f.zero for k in range(self.dim)]
-                test = Mat(f, rows + [cand], ncols=self.dim)
-                if la.rank(test) > len(rows):
-                    gens.append((i, cand))
-                    rows.append(cand)
-            del base_rank
+            # A unit vector is picked iff it is outside the span of rad*e_i
+            # and the units picked before it, i.e. iff its column is a pivot
+            # column of [rad*e_i rows, unit candidates] taken as columns.
+            rad_i = (rad @ self.action[i]).rows
+            cands = [[f.one if k == r else f.zero for k in range(self.dim)] for r in pos]
+            stacked = Mat(f, rad_i + cands, ncols=self.dim).transpose()
+            pivots = set(la.rref(stacked).pivots)
+            gens.extend((i, cand) for j, cand in enumerate(cands, len(rad_i))
+                        if j in pivots)
         return gens
 
     def projective_cover(self) -> Tuple[List[int], Mat]:
@@ -617,17 +614,12 @@ def direct_sum_modules(A: Algebra, mods: Sequence[Module]) -> Tuple[Module, List
     for d in dims:
         slices.append((start, start + d))
         start += d
+    z = f.zero
     action = []
     for b in range(A.dim):
-        big = Mat.zeros(f, total, total)
-        for m, (s, _) in zip(mods, slices):
-            mat = m.action[b]
-            for r in range(m.dim):
-                row = big.rows[s + r]
-                src = mat.rows[r]
-                for c in range(m.dim):
-                    row[s + c] = src[c]
-        action.append(big)
+        rows = [[z] * s + src + [z] * (total - e)
+                for m, (s, e) in zip(mods, slices) for src in m.action[b].rows]
+        action.append(Mat(f, rows, ncols=total))
     return Module(A, total, action), slices
 
 
@@ -648,13 +640,13 @@ def submodule_from_rows(M: Module, rows: Mat) -> Tuple[Module, Mat]:
     """Module structure on a row space closed under the action."""
     A, f = M.algebra, M.algebra.field
     k = rows.nrows
-    action = []
-    for b in range(A.dim):
-        img = rows @ M.action[b]
-        coords = la.express_rows(rows, img)
-        if coords is None:
-            raise InputError("row space is not a submodule")
-        action.append(coords)
+    # One solve against `rows` for all A.dim images stacked: row block b of
+    # the coordinates is the action of the basis element b.
+    images = [img for b in range(A.dim) for img in (rows @ M.action[b]).rows]
+    coords = la.express_rows(rows, Mat(f, images, ncols=M.dim))
+    if coords is None:
+        raise InputError("row space is not a submodule")
+    action = [Mat(f, coords.rows[b * k:(b + 1) * k], ncols=k) for b in range(A.dim)]
     return Module(A, k, action), rows
 
 

@@ -3,8 +3,11 @@
 Every computation upstream (module homs, homotopy classes, truncation
 triangles) bottoms out in the row reductions here, so arithmetic is exact:
 ints reduced mod p, or Fractions.  For the prime field there is a vectorized
-numpy path (int64 is safe: p < 2^16, so pivoting products never overflow);
-the generic path handles the rationals.
+numpy int64 path, taken only where no intermediate can overflow: a matmul
+sums ncols products of residues, so it needs ncols*(p-1)^2 < 2^63, and a
+pivot step forms one product, so it needs (p-1)^2 < 2^63.  Larger primes
+take the exact element-wise path over Python ints, as the rationals do over
+Fractions.
 """
 
 from __future__ import annotations
@@ -22,15 +25,41 @@ DEFAULT_PRIME = 32003
 Element = Union[int, Fraction]
 
 
+# The first twelve primes: as Miller-Rabin bases they decide primality
+# exactly for every n < 3.18e23 (Sorenson and Webster, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_INT64_LIMIT = 1 << 63
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < 2^64; larger n is refused."""
+    if n >= 1 << 64:
+        raise InputError(f"{n} is too large: field sizes must be below 2^64")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
+
+
+def _int64_safe(p: int, terms: int) -> bool:
+    """Whether a sum of `terms` products of residues mod p fits in int64."""
+    return terms * (p - 1) ** 2 < _INT64_LIMIT
 
 
 class PrimeField:
@@ -187,7 +216,7 @@ class Mat:
         f = self.field
         if self.nrows == 0 or other.ncols == 0:
             return Mat.zeros(f, self.nrows, other.ncols)
-        if isinstance(f, PrimeField):
+        if isinstance(f, PrimeField) and _int64_safe(f.p, self.ncols):
             a = np.array(self.rows, dtype=np.int64).reshape(self.nrows, self.ncols)
             b = np.array(other.rows, dtype=np.int64).reshape(other.nrows, other.ncols)
             c = (a @ b) % f.p
@@ -359,7 +388,7 @@ def _rref_generic(m: Mat) -> RRef:
 
 
 def rref(m: Mat) -> RRef:
-    if isinstance(m.field, PrimeField) and m.nrows and m.ncols:
+    if isinstance(m.field, PrimeField) and m.nrows and m.ncols and _int64_safe(m.field.p, 1):
         return _rref_modp(m.field.p, m)
     return _rref_generic(m)
 

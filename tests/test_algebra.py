@@ -301,3 +301,144 @@ def test_validate_rejects_malformed_tables():
         with pytest.raises(InputError):
             alg.Algebra(FP, A.vertex_labels, A.basis_labels, A.source,
                         A.target, bad)
+
+
+# -- the stacked module-layer solves against their per-element loops ---------
+
+
+def _submodule_action_reference(M, rows):
+    """One express_rows solve per algebra basis element."""
+    action = []
+    for b in range(M.algebra.dim):
+        coords = la.express_rows(rows, rows @ M.action[b])
+        if coords is None:
+            raise InputError("row space is not a submodule")
+        action.append(coords)
+    return action
+
+
+def _top_generators_reference(M):
+    """Greedy choice by one rank computation per candidate unit vector."""
+    A, f = M.algebra, M.algebra.field
+    rad = M.radical_rows()
+    gens = []
+    for i in range(A.nvert):
+        pos = M.e_weight_positions(i)
+        if not pos:
+            continue
+        current = la.row_space_basis(rad @ M.action[i]) if rad.nrows else None
+        rows = [list(r) for r in current.rows] if current is not None else []
+        for r in pos:
+            cand = [f.one if k == r else f.zero for k in range(M.dim)]
+            if la.rank(Mat(f, rows + [cand], ncols=M.dim)) > len(rows):
+                gens.append((i, cand))
+                rows.append(cand)
+    return gens
+
+
+def _direct_sum_reference(A, mods):
+    """Block-diagonal action matrices filled entry by entry."""
+    total = sum(m.dim for m in mods)
+    action = []
+    for b in range(A.dim):
+        big = Mat.zeros(A.field, total, total)
+        s = 0
+        for m in mods:
+            for r in range(m.dim):
+                for c in range(m.dim):
+                    big.rows[s + r][s + c] = m.action[b].rows[r][c]
+            s += m.dim
+        action.append(big)
+    return action
+
+
+def _assert_identical(mats, refs):
+    # repr tells 0 from Fraction(0), so equal entries must also share a type
+    assert [(m.shape, repr(m.rows)) for m in mats] == \
+        [(m.shape, repr(m.rows)) for m in refs]
+
+
+def _random_combination(rng, f, vectors, ncols):
+    out = [f.zero] * ncols
+    for v in vectors:
+        c = f.rand(rng)
+        out = [f.add(x, f.mul(c, y)) for x, y in zip(out, v)]
+    return out
+
+
+def _random_map_from_projectives(A, rng, verts, N):
+    """A random module map P_{verts[0]} + ... -> N, stacked Yoneda maps."""
+    f = A.field
+    blocks = []
+    for i in verts:
+        units = [[f.one if k == r else f.zero for k in range(N.dim)]
+                 for r in N.e_weight_positions(i)]
+        v = _random_combination(rng, f, units, N.dim)
+        blocks.append(alg.yoneda_map(A, i, N, v))
+    return la.vstack(blocks)
+
+
+def _radical_module(P):
+    return alg.submodule_from_rows(P, P.radical_rows())[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.booleans(), st.randoms(use_true_random=False))
+def test_stacked_module_solves_against_reference(rationals, rng):
+    f = QQ if rationals else FP
+    A = random_monomial_linear_algebra(f, rng, max_vertices=4)
+    nv = A.nvert
+    P = [A.projective_module(i) for i in range(nv)]
+    targets = P + [A.simple_module(i) for i in range(nv)] + \
+        [_radical_module(Pi) for Pi in P if Pi.radical_rows().nrows] + \
+        [alg.projectives_module(A, [rng.randrange(nv) for _ in range(2)])[0]]
+    mods = list(targets)
+    for _ in range(3):
+        verts = [rng.randrange(nv) for _ in range(rng.randint(1, 2))]
+        src, _ = alg.projectives_module(A, verts)
+        N = rng.choice(targets)
+        F = _random_map_from_projectives(A, rng, verts, N)
+        rows = la.left_kernel_basis(F)
+        K = Mat(f, rows, ncols=src.dim) if rows else Mat.zeros(f, 0, src.dim)
+        sub, _ = alg.submodule_from_rows(src, K)
+        _assert_identical(sub.action, _submodule_action_reference(src, K))
+        mods.append(sub)
+    # a map out of a radical, found by solving the intertwiner equations
+    R = _radical_module(P[0])
+    N = rng.choice(targets)
+    homs = alg.module_hom_space(R, N)
+    if homs:
+        F = homs[0]
+        for H in homs[1:]:
+            F = F + H.scale(f.rand(rng))
+        rows = la.left_kernel_basis(F)
+        K = Mat(f, rows, ncols=R.dim) if rows else Mat.zeros(f, 0, R.dim)
+        sub, _ = alg.submodule_from_rows(R, K)
+        _assert_identical(sub.action, _submodule_action_reference(R, K))
+        mods.append(sub)
+    for M in mods:
+        M.validate()
+        assert M.top_generators() == _top_generators_reference(M)
+    picked = rng.sample(mods, 3)
+    total, _ = alg.direct_sum_modules(A, picked)
+    _assert_identical(total.action, _direct_sum_reference(A, picked))
+    # the zero submodule acts by 0x0 matrices
+    empty, _ = alg.submodule_from_rows(P[0], Mat.zeros(f, 0, P[0].dim))
+    assert empty.dim == 0
+    assert [m.shape for m in empty.action] == [(0, 0)] * A.dim
+    _assert_identical(empty.action,
+                      _submodule_action_reference(P[0], Mat.zeros(f, 0, P[0].dim)))
+
+
+def test_non_submodule_row_space_raises():
+    for field in (FP, QQ):
+        A = two_cycle(field)
+        P = A.projective_module(0)
+        # the generator e_1 alone: its images under the arrows leave its span
+        pos = P.e_weight_positions(0)[0]
+        rows = Mat(field, [[field.one if k == pos else field.zero
+                            for k in range(P.dim)]], ncols=P.dim)
+        with pytest.raises(InputError):
+            _submodule_action_reference(P, rows)
+        with pytest.raises(InputError):
+            alg.submodule_from_rows(P, rows)

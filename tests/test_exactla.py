@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -173,3 +174,100 @@ def test_empty_shapes():
     assert la.kernel_basis(m) == []
     prod = e @ Mat.zeros(f, 3, 2)
     assert prod.shape == (0, 2)
+
+
+# -- large primes: int64 guard and primality ---------------------------------
+
+LARGE_AND_SMALL_PRIMES = [2, 3, 32003, 2**31 - 1, 2**61 - 1]
+
+
+def _matmul_oracle(p, a, b):
+    return [[sum(x * b[k][j] for k, x in enumerate(row)) % p
+             for j in range(len(b[0]))] for row in a]
+
+
+def _rref_oracle(p, a):
+    """Gauss-Jordan over Python ints, pivoting on the first nonzero row."""
+    a = [list(r) for r in a]
+    nr, nc = len(a), len(a[0])
+    t = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    pivots = []
+    r = 0
+    for c in range(nc):
+        k = next((i for i in range(r, nr) if a[i][c]), None)
+        if k is None:
+            continue
+        a[r], a[k], t[r], t[k] = a[k], a[r], t[k], t[r]
+        inv = pow(a[r][c], p - 2, p)
+        a[r] = [x * inv % p for x in a[r]]
+        t[r] = [x * inv % p for x in t[r]]
+        for i in range(nr):
+            if i != r and a[i][c]:
+                g = a[i][c]
+                a[i] = [(x - g * y) % p for x, y in zip(a[i], a[r])]
+                t[i] = [(x - g * y) % p for x, y in zip(t[i], t[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return a, tuple(pivots), t
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(LARGE_AND_SMALL_PRIMES), st.integers(1, 16),
+       st.integers(1, 16), st.integers(1, 16), st.randoms(use_true_random=False))
+def test_matmul_and_rref_against_int_oracle(p, m, k, n, rng):
+    f = PrimeField(p)
+    a = [[rng.randrange(p) for _ in range(k)] for _ in range(m)]
+    b = [[rng.randrange(p) for _ in range(n)] for _ in range(k)]
+    # a rank-deficient input too, so that non-pivot columns are exercised
+    a_low = a[:max(1, m // 2)] * 2
+    assert (Mat(f, a) @ Mat(f, b)).rows == _matmul_oracle(p, a, b)
+    for rows in (a, a_low):
+        red = la.rref(Mat(f, rows))
+        reduced, pivots, transform = _rref_oracle(p, rows)
+        assert red.reduced.rows == reduced
+        assert red.pivots == pivots
+        assert red.transform.rows == transform
+
+
+def test_matmul_at_32_bit_primes_is_exact():
+    rng = random.Random(5)
+    for p in (2**31 - 1, 4294967291):
+        f = PrimeField(p)
+        a = [[rng.randrange(p) for _ in range(16)] for _ in range(16)]
+        b = [[rng.randrange(p) for _ in range(16)] for _ in range(16)]
+        assert (Mat(f, a) @ Mat(f, b)).rows == _matmul_oracle(p, a, b)
+
+
+def _primes_below(n):
+    sieve = bytearray([1]) * n
+    sieve[0:2] = b"\0\0"
+    for d in range(2, int(n ** 0.5) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = bytearray(len(sieve[d * d::d]))
+    return sieve
+
+
+def test_miller_rabin_matches_trial_division_below_1e5():
+    sieve = _primes_below(10**5)
+    assert [la._is_prime(n) for n in range(10**5)] == [bool(x) for x in sieve]
+
+
+def test_miller_rabin_rejects_pseudoprimes():
+    # Carmichael numbers, and a strong pseudoprime to bases 2, 3, 5 and 7
+    for n in (561, 41041, 3215031751):
+        assert not la._is_prime(n)
+        with pytest.raises(InputError):
+            PrimeField(n)
+
+
+def test_large_prime_fields_are_accepted_at_once():
+    start = time.perf_counter()
+    for p in (10**18 + 3, 2**61 - 1, 2**64 - 59):
+        assert PrimeField(p).p == p
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(InputError):
+        PrimeField(2**64 + 13)
+    with pytest.raises(InputError):
+        get_field(str(2**89 - 1))
