@@ -21,8 +21,10 @@ from .homs import (
     chain_maps_basis,
     coords_in_table,
     factor_through,
-    hom_dim,
+    hom_basis,
+    hom_dims,
     hom_table,
+    hom_window,
     homotopic,
     is_iso,
     is_nullhomotopic,

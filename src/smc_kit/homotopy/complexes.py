@@ -16,8 +16,10 @@ Krull-Schmidt comparisons computable.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .. import exactla as la
 from ..algebra import Algebra, Vec
@@ -85,19 +87,26 @@ class ProjComplex:
     def __init__(self, algebra: Algebra, terms: Dict[int, Sequence[int]],
                  diffs: Optional[Dict[int, Entries]] = None, validate: bool = True):
         self.algebra = algebra
-        self.terms: Dict[int, Tuple[int, ...]] = {
-            k: tuple(v) for k, v in terms.items() if len(v) > 0}
+        # Read-only views over tuples: the caches below (and the Hom rank memo
+        # of homotopy.homs) are sound only because a complex never changes.
+        self.terms: Mapping[int, Tuple[int, ...]] = MappingProxyType({
+            k: tuple(v) for k, v in terms.items() if len(v) > 0})
         diffs = diffs or {}
-        self.diffs: Dict[int, Entries] = {}
+        frozen = {}
         for k in self.terms:
             if k + 1 in self.terms:
                 d = diffs.get(k)
                 if d is None:
                     d = ent_zeros(algebra, len(self.terms[k + 1]), len(self.terms[k]))
-                self.diffs[k] = [[tuple(e) for e in row] for row in d]
+                frozen[k] = tuple(tuple(tuple(e) for e in row) for row in d)
+        self.diffs: Mapping[int, Tuple[Tuple[Vec, ...], ...]] = MappingProxyType(frozen)
         self._shift_cache: Dict[int, "ProjComplex"] = {}
         self._minimal_cache = None
         self._module_cache = None
+        # Y -> {n: (rank D^n, number of degree-n coordinates)} for Hom(X, Y[n]),
+        # made by the first Hom query out of X; ints only, so an entry dies
+        # with either complex.
+        self._hom_ranks: Optional[weakref.WeakKeyDictionary] = None
         if validate:
             self._validate()
 

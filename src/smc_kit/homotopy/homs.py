@@ -2,8 +2,11 @@
 
 Hom(X, Y[n]) is computed as cohomology of the total Hom complex: one
 coordinate block per (degree, target summand, source summand) triple, with
-coordinates running over the corner basis of e_j A e_i.  All shifts share
-the differential matrices, which amortizes the dominant eliminations.
+coordinates running over the corner basis of e_j A e_i.  The differential
+D^n is read straight off the algebra's product table.  A query computes
+only the degrees it asks for, and the rank of each D^n is memoized per
+ordered pair of complexes (complexes are immutable), so repeated queries
+on the same objects cost no elimination.
 
 The same coordinate bookkeeping powers the solvers: null-homotopy tests,
 factorization of maps through triangles, and chain maps constrained at the
@@ -14,8 +17,9 @@ from __future__ import annotations
 
 import itertools
 import random as _random
+import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import exactla as la
 from ..algebra import Algebra
@@ -102,11 +106,13 @@ class _MapCoords:
     blocks: List[Tuple[int, int, int, Tuple[int, ...]]]  # (k, t, s, corner)
     offsets: List[int]
     total: int
+    # (k, t, s) -> (offset, path -> position in the block)
+    index: Dict[Tuple[int, int, int], Tuple[int, Dict[int, int]]]
 
     @classmethod
     def build(cls, X: ProjComplex, Y: ProjComplex, n: int) -> "_MapCoords":
         A = X.algebra
-        blocks, offsets = [], []
+        blocks, offsets, index = [], [], {}
         total = 0
         for k in sorted(X.terms):
             yk = Y.term(k + n)
@@ -118,8 +124,9 @@ class _MapCoords:
                     if corner:
                         blocks.append((k, t, s, corner))
                         offsets.append(total)
+                        index[(k, t, s)] = (total, {b: p for p, b in enumerate(corner)})
                         total += len(corner)
-        return cls(blocks, offsets, total)
+        return cls(blocks, offsets, total, index)
 
     def to_entries(self, X: ProjComplex, Y: ProjComplex, n: int,
                    coords: Sequence) -> Dict[int, Entries]:
@@ -148,53 +155,51 @@ class _MapCoords:
         return out
 
 
+def _products(A: Algebra, ent, corner: Sequence[int], cpos: Dict[int, int],
+              left: bool):
+    """Triples (i, j, x): the coefficient x of the path a in ent sends the
+    path corner[i] to the path at position j of the target corner, as a*b
+    (left) or b*a (right), read straight off the product table."""
+    prod, z = A.prod, A.field.zero
+    for a, x in enumerate(ent):
+        if x == z:
+            continue
+        row = prod[a]
+        for i, b in enumerate(corner):
+            k = row[b] if left else prod[b][a]
+            if k >= 0:
+                j = cpos.get(k)
+                if j is not None:
+                    yield i, j, x
+
+
 def _hom_differential(X: ProjComplex, Y: ProjComplex, n: int,
                       dom: _MapCoords, cod: _MapCoords) -> Mat:
     """Matrix of D(f) = d_Y f - (-1)^n f d_X from degree-n to degree-n+1 maps."""
     A = X.algebra
     fld = A.field
-    mat = Mat.zeros(fld, cod.total, dom.total)
-    cod_index = {(k, t, s): (off, corner)
-                 for (k, t, s, corner), off in zip(cod.blocks, cod.offsets)}
+    rows = [[fld.zero] * dom.total for _ in range(cod.total)]
     sign = fld.from_int(-1 if n % 2 else 1)
     for (k, t, s, corner), off in zip(dom.blocks, dom.offsets):
         # postcompose with d_Y^{k+n}: lands in block (k, t', s)
         dY = Y.diff(k + n)
         if dY is not None:
-            for tp in range(len(Y.term(k + n + 1))):
-                ent = dY[tp][t]
-                if A.is_zero_vec(ent):
-                    continue
-                key = (k, tp, s)
-                if key not in cod_index:
-                    continue
-                coff, ccorner = cod_index[key]
-                block = A.lrow(ent).submatrix(corner, ccorner)
-                for i in range(block.nrows):
-                    for j in range(block.ncols):
-                        c = block.rows[i][j]
-                        if c != fld.zero:
-                            mat.rows[coff + j][off + i] = fld.add(
-                                mat.rows[coff + j][off + i], c)
+            for tp, drow in enumerate(dY):
+                hit = cod.index.get((k, tp, s))
+                if hit is not None:
+                    for i, j, x in _products(A, drow[t], corner, hit[1], True):
+                        r = rows[hit[0] + j]
+                        r[off + i] = fld.add(r[off + i], x)
         # precompose with d_X^{k-1}: block (k-1, t, s') from f^k
         dX = X.diff(k - 1)
-        if dX is not None and Y.term(k + n):
-            for sp in range(len(X.term(k - 1))):
-                ent = dX[s][sp]
-                if A.is_zero_vec(ent):
-                    continue
-                key = (k - 1, t, sp)
-                if key not in cod_index:
-                    continue
-                coff, ccorner = cod_index[key]
-                block = A.rrow(ent).submatrix(corner, ccorner)
-                for i in range(block.nrows):
-                    for j in range(block.ncols):
-                        c = block.rows[i][j]
-                        if c != fld.zero:
-                            mat.rows[coff + j][off + i] = fld.sub(
-                                mat.rows[coff + j][off + i], fld.mul(sign, c))
-    return mat
+        if dX is not None:
+            for sp, ent in enumerate(dX[s]):
+                hit = cod.index.get((k - 1, t, sp))
+                if hit is not None:
+                    for i, j, x in _products(A, ent, corner, hit[1], False):
+                        r = rows[hit[0] + j]
+                        r[off + i] = fld.sub(r[off + i], fld.mul(sign, x))
+    return Mat(fld, rows, ncols=dom.total)
 
 
 @dataclass
@@ -214,79 +219,74 @@ class HomTable:
         return sum(self.dims.values())
 
 
-def hom_table(X: ProjComplex, Y: ProjComplex,
-              window: Optional[Tuple[int, int]] = None,
-              with_basis: bool = True) -> HomTable:
+def hom_window(X: ProjComplex, Y: ProjComplex) -> Tuple[int, int]:
+    """Degrees n outside which Hom(X, Y[n]) vanishes, from the supports;
+    (0, 0) when either complex is zero."""
+    if X.is_zero() or Y.is_zero():
+        return (0, 0)
+    (ax, bx), (ay, by) = X.support, Y.support
+    return (ay - bx, by - ax)
+
+
+def _rank_and_size(X: ProjComplex, Y: ProjComplex, n: int) -> Tuple[int, int]:
+    """(rank of D^n, number of degree-n coordinates), memoized on X per Y."""
+    if X._hom_ranks is None:
+        X._hom_ranks = weakref.WeakKeyDictionary()
+    memo = X._hom_ranks.get(Y)
+    if memo is None:
+        memo = X._hom_ranks[Y] = {}
+    hit = memo.get(n)
+    if hit is None:
+        dom = _MapCoords.build(X, Y, n)
+        cod = _MapCoords.build(X, Y, n + 1)
+        r = la.rank(_hom_differential(X, Y, n, dom, cod)) \
+            if dom.total and cod.total else 0
+        hit = memo[n] = (r, dom.total)
+    return hit
+
+
+def hom_dims(X: ProjComplex, Y: ProjComplex, degrees: Iterable[int]) -> Dict[int, int]:
+    """dim Hom(X, Y[n]) for each requested n, from the two ranks it needs."""
     if X.algebra is not Y.algebra:
-        raise InputError("hom_table requires complexes over the same algebra")
-    if X.is_zero() or Y.is_zero():
-        w = window or (0, 0)
-        return HomTable(X, Y, w, {}, {})
-    ax, bx = X.support
-    ay, by = Y.support
-    lo, hi = ay - bx, by - ax
-    if window is not None:
-        lo, hi = min(lo, window[0]), max(hi, window[1])
-    coords = {n: _MapCoords.build(X, Y, n) for n in range(lo - 1, hi + 2)}
-    dmats = {n: _hom_differential(X, Y, n, coords[n], coords[n + 1])
-             for n in range(lo - 1, hi + 1)}
-    ranks = {n: la.rank(m) for n, m in dmats.items()}
-    dims: Dict[int, int] = {}
-    basis: Dict[int, List[ChainMap]] = {}
-    for n in range(lo, hi + 1):
-        ker_dim = coords[n].total - ranks[n]
-        h = ker_dim - ranks[n - 1]
+        raise InputError("Hom requires complexes over the same algebra")
+    lo, hi = hom_window(X, Y)
+    empty = X.is_zero() or Y.is_zero()
+    out: Dict[int, int] = {}
+    for n in degrees:
+        if empty or not lo <= n <= hi:
+            out[n] = 0
+            continue
+        r, size = _rank_and_size(X, Y, n)
+        h = size - r - (_rank_and_size(X, Y, n - 1)[0] if n > lo else 0)
         assert h >= 0
-        if h == 0:
-            continue
-        dims[n] = h
-        if not with_basis:
-            continue
-        fld = X.algebra.field
-        kern = la.kernel_basis(dmats[n])
-        prev = dmats[n - 1]
-        # image of D^{n-1} = column space of prev; kernel vectors independent
-        # of it represent the homotopy classes
-        stack = []
-        if prev.ncols:
-            img = la.row_space_basis(
-                Mat(fld, _columns(prev), ncols=coords[n].total))
-            stack = [list(r) for r in img.rows]
-        chosen = []
-        current = [list(r) for r in stack]
-        rank_now = len(current)
-        for v in kern:
-            trial = Mat(fld, current + [list(v)], ncols=coords[n].total)
-            if la.rank(trial) > rank_now:
-                chosen.append(v)
-                current.append(list(v))
-                rank_now += 1
-            if len(chosen) == h:
-                break
-        target = Y.shift(n)
-        maps = []
-        for v in chosen:
-            comps = coords[n].to_entries(X, Y, n, v)
-            maps.append(ChainMap(X, target, comps))
-        basis[n] = maps
+        out[n] = h
+    return out
+
+
+def hom_basis(X: ProjComplex, Y: ProjComplex, n: int) -> List[ChainMap]:
+    """Chain maps X -> Y[n] whose homotopy classes form a basis of Hom."""
+    if not hom_dims(X, Y, (n,))[n]:
+        return []
+    below, coords, above = (_MapCoords.build(X, Y, m) for m in (n - 1, n, n + 1))
+    kern = la.kernel_basis(_hom_differential(X, Y, n, coords, above))
+    prev = _hom_differential(X, Y, n - 1, below, coords)
+    # A kernel vector is picked iff it lies outside the image of D^{n-1} and
+    # the vectors picked before it, i.e. iff its column is a pivot column of
+    # [columns of D^{n-1} | kernel vectors].
+    stacked = Mat(X.algebra.field,
+                  [row + [v[r] for v in kern] for r, row in enumerate(prev.rows)],
+                  ncols=prev.ncols + len(kern))
+    target = Y.shift(n)
+    return [ChainMap(X, target, coords.to_entries(X, Y, n, kern[j - prev.ncols]))
+            for j in la.rref(stacked).pivots if j >= prev.ncols]
+
+
+def hom_table(X: ProjComplex, Y: ProjComplex, with_basis: bool = True) -> HomTable:
+    """Graded Hom dimensions over the support window, with basis maps."""
+    lo, hi = hom_window(X, Y)
+    dims = {n: d for n, d in hom_dims(X, Y, range(lo, hi + 1)).items() if d}
+    basis = {n: hom_basis(X, Y, n) for n in dims} if with_basis else {}
     return HomTable(X, Y, (lo, hi), dims, basis)
-
-
-def _columns(m: Mat):
-    return [[m.rows[i][j] for i in range(m.nrows)] for j in range(m.ncols)]
-
-
-def hom_dim(X: ProjComplex, Y: ProjComplex, n: int) -> int:
-    if X.is_zero() or Y.is_zero():
-        return 0
-    ax, bx = X.support
-    ay, by = Y.support
-    if n < ay - bx or n > by - ax:
-        return 0
-    coords = {m: _MapCoords.build(X, Y, m) for m in (n - 1, n, n + 1)}
-    d_n = _hom_differential(X, Y, n, coords[n], coords[n + 1])
-    d_prev = _hom_differential(X, Y, n - 1, coords[n - 1], coords[n])
-    return (coords[n].total - la.rank(d_n)) - la.rank(d_prev)
 
 
 def chain_maps_basis(X: ProjComplex, Y: ProjComplex, n: int = 0) -> List[ChainMap]:
@@ -342,7 +342,7 @@ def lift_through(p: ChainMap, g: ChainMap) -> Optional[ChainMap]:
     sys.add_block(eq_chain, v_psi, d_psi.transpose())
     # p o psi + D(h) = g : coordinates of p o psi are linear in psi
     eq_fac = sys.add_equations(coords_g.total)
-    comp_mat = _compose_coeff_left(coords_psi, coords_g, p, X, W, Y)
+    comp_mat = _compose_coeff_left(coords_psi, coords_g, p)
     sys.add_block(eq_fac, v_psi, comp_mat)
     sys.add_block(eq_fac, v_h, d_h.transpose())
     for i, val in enumerate(coords_g.from_map(g, 0)):
@@ -372,7 +372,7 @@ def factor_through(w: ChainMap, g: ChainMap) -> Optional[ChainMap]:
     eq_chain = sys.add_equations(d_chi.nrows)
     sys.add_block(eq_chain, v_chi, d_chi.transpose())
     eq_fac = sys.add_equations(coords_g.total)
-    comp_mat = _compose_coeff_right(coords_chi, coords_g, w, X, W, Z)
+    comp_mat = _compose_coeff_right(coords_chi, coords_g, w)
     sys.add_block(eq_fac, v_chi, comp_mat)
     sys.add_block(eq_fac, v_h, d_h.transpose())
     for i, val in enumerate(coords_g.from_map(g, 0)):
@@ -385,62 +385,40 @@ def factor_through(w: ChainMap, g: ChainMap) -> Optional[ChainMap]:
 
 
 def _compose_coeff_left(coords_psi: _MapCoords, coords_out: _MapCoords,
-                        p: ChainMap, X, W, Y) -> Mat:
+                        p: ChainMap) -> Mat:
     """Coordinates of p o psi as a linear map of the coordinates of psi."""
-    A = X.algebra
+    A = p.source.algebra
     fld = A.field
     out = Mat.zeros(fld, coords_psi.total, coords_out.total)
-    out_index = {(k, t, s): (off, corner)
-                 for (k, t, s, corner), off in zip(coords_out.blocks, coords_out.offsets)}
     for (k, t, s, corner), off in zip(coords_psi.blocks, coords_psi.offsets):
         pc = p.comps.get(k)
         if pc is None:
             continue
-        for tp in range(len(Y.term(k))):
-            ent = pc[tp][t]
-            if A.is_zero_vec(ent):
-                continue
-            key = (k, tp, s)
-            if key not in out_index:
-                continue
-            coff, ccorner = out_index[key]
-            block = A.lrow(ent).submatrix(corner, ccorner)
-            for i in range(block.nrows):
-                for j in range(block.ncols):
-                    c = block.rows[i][j]
-                    if c != fld.zero:
-                        out.rows[off + i][coff + j] = fld.add(
-                            out.rows[off + i][coff + j], c)
+        for tp, prow in enumerate(pc):
+            hit = coords_out.index.get((k, tp, s))
+            if hit is not None:
+                for i, j, x in _products(A, prow[t], corner, hit[1], True):
+                    r = out.rows[off + i]
+                    r[hit[0] + j] = fld.add(r[hit[0] + j], x)
     return out
 
 
 def _compose_coeff_right(coords_chi: _MapCoords, coords_out: _MapCoords,
-                         w: ChainMap, X, W, Z) -> Mat:
+                         w: ChainMap) -> Mat:
     """Coordinates of chi o w as a linear map of the coordinates of chi."""
-    A = X.algebra
+    A = w.source.algebra
     fld = A.field
     out = Mat.zeros(fld, coords_chi.total, coords_out.total)
-    out_index = {(k, t, s): (off, corner)
-                 for (k, t, s, corner), off in zip(coords_out.blocks, coords_out.offsets)}
     for (k, t, s, corner), off in zip(coords_chi.blocks, coords_chi.offsets):
         wc = w.comps.get(k)
         if wc is None:
             continue
-        for sp in range(len(X.term(k))):
-            ent = wc[s][sp]
-            if A.is_zero_vec(ent):
-                continue
-            key = (k, t, sp)
-            if key not in out_index:
-                continue
-            coff, ccorner = out_index[key]
-            block = A.rrow(ent).submatrix(corner, ccorner)
-            for i in range(block.nrows):
-                for j in range(block.ncols):
-                    c = block.rows[i][j]
-                    if c != fld.zero:
-                        out.rows[off + i][coff + j] = fld.add(
-                            out.rows[off + i][coff + j], c)
+        for sp, ent in enumerate(wc[s]):
+            hit = coords_out.index.get((k, t, sp))
+            if hit is not None:
+                for i, j, x in _products(A, ent, corner, hit[1], False):
+                    r = out.rows[off + i]
+                    r[hit[0] + j] = fld.add(r[hit[0] + j], x)
     return out
 
 

@@ -30,7 +30,9 @@ from .homotopy import (
     compose,
     direct_sum,
     factor_through,
-    hom_table,
+    hom_basis,
+    hom_dims,
+    hom_window,
     identity_map,
     is_contractible,
     is_iso,
@@ -152,13 +154,14 @@ def validate_smc(S: SMC) -> SmcReport:
     n_obj = len(S.objects)
     for i in range(n_obj):
         for j in range(n_obj):
-            t = hom_table(S.objects[i], S.objects[j], with_basis=False)
-            windows[(i, j)] = t.window
-            d0 = t.dim(0)
+            X, Y = S.objects[i], S.objects[j]
+            windows[(i, j)] = hom_window(X, Y)
+            dims = hom_dims(X, Y, range(windows[(i, j)][0], 1))
+            d0 = dims.get(0, 0)
             expected = 1 if i == j else 0
             if d0 != expected:
                 a1_fail.append((i, j, d0))
-            for n, d in t.dims.items():
+            for n, d in dims.items():
                 if n < 0 and d:
                     a3_fail.append((i, j, n, d))
     det_int: Optional[int] = None
@@ -185,29 +188,25 @@ def validate_smc(S: SMC) -> SmcReport:
 # -- Filt membership -------------------------------------------------------------
 
 
+def _homs_vanish_up_to(X: ProjComplex, Y: ProjComplex, top: int) -> bool:
+    """Hom(X, Y[n]) = 0 for every n <= top (exhaustive over the window)."""
+    lo, _ = hom_window(X, Y)
+    return not any(hom_dims(X, Y, range(lo, top + 1)).values())
+
+
 def member_filt_geq(T: ProjComplex, objects: Sequence[ProjComplex], m: int = 0) -> bool:
     """T in Filt S[>= m], tested as Hom(T, S_i[k]) = 0 for all k <= m - 1."""
     if T.is_zero():
         return True
-    for S_i in objects:
-        t = hom_table(T, S_i, with_basis=False)
-        for n, d in t.dims.items():
-            if n <= m - 1 and d:
-                return False
-    return True
+    return all(_homs_vanish_up_to(T, S_i, m - 1) for S_i in objects)
 
 
 def member_filt_leq(T: ProjComplex, objects: Sequence[ProjComplex], m: int = 0) -> bool:
     """T in Filt S[<= m], tested as Hom(S_i[k], T) = 0 for all k >= m + 1."""
     if T.is_zero():
         return True
-    for S_i in objects:
-        t = hom_table(S_i, T, with_basis=False)
-        for n, d in t.dims.items():
-            # Hom(S_i[k], T) = Hom(S_i, T[-k])
-            if -n >= m + 1 and d:
-                return False
-    return True
+    # Hom(S_i[k], T) = Hom(S_i, T[-k])
+    return all(_homs_vanish_up_to(S_i, T, -m - 1) for S_i in objects)
 
 
 def member_aisle(T: ProjComplex, S: SMC) -> bool:
@@ -248,15 +247,12 @@ def truncate(T: ProjComplex, objects: Sequence[ProjComplex], threshold: int = 1,
     log: List[Tuple[int, int]] = []
     steps = 0
     while True:
-        best: Optional[Tuple[int, int, ChainMap]] = None
+        best: Optional[Tuple[int, int]] = None
         for idx, S_i in enumerate(objects):
-            t = hom_table(current, S_i)
-            for n, d in t.dims.items():
-                if d == 0:
-                    continue
-                b = -n
-                if b >= threshold and (best is None or b > best[0]):
-                    best = (b, idx, t.basis[n][0])
+            lo, _ = hom_window(current, S_i)
+            for n, d in hom_dims(current, S_i, range(lo, 1 - threshold)).items():
+                if d and (best is None or -n > best[0]):
+                    best = (-n, idx)
         if best is None:
             break
         steps += 1
@@ -264,9 +260,9 @@ def truncate(T: ProjComplex, objects: Sequence[ProjComplex], threshold: int = 1,
             raise BoundExceeded(
                 f"strip cap {cap} exceeded: object may lie outside the span "
                 "or the collection violates the orthogonality axioms")
-        b, idx, f = best
+        b, idx = best
         log.append((idx, -b))
-        C, p, _ = cocone(f)
+        C, p, _ = cocone(hom_basis(current, objects[idx], -b)[0])
         Cm, _, c_from = minimalize(C)
         u_map = compose(compose(c_from, p), u_map)
         current = Cm
@@ -449,7 +445,7 @@ def mutate(S: SMC, i: int, direction: Literal["left", "right"],
     if not 0 <= i < len(S.objects):
         raise InputError(f"mutation index {i} out of range")
     S_i = S.objects[i]
-    rigid = hom_table(S_i, S_i, with_basis=False).dim(1) == 0
+    rigid = hom_dims(S_i, S_i, (1,))[1] == 0
     if not rigid and not force:
         raise NotRigidError(
             f"object {i} has self-extensions in degree 1; pass force to "
@@ -462,8 +458,7 @@ def mutate(S: SMC, i: int, direction: Literal["left", "right"],
             new_objects.append(shift(S_i, 1 if direction == "left" else -1))
             continue
         if direction == "left":
-            table = hom_table(shift(S_l, -1), S_i)
-            basis = table.basis.get(0, [])
+            basis = hom_basis(shift(S_l, -1), S_i, 0)
             mults[l] = len(basis)
             if not basis:
                 new_objects.append(S_l)
@@ -473,8 +468,7 @@ def mutate(S: SMC, i: int, direction: Literal["left", "right"],
             new_objects.append(minimalize(C)[0])
             triangles[l] = tri
         else:
-            table = hom_table(S_i, shift(S_l, 1))
-            basis = table.basis.get(0, [])
+            basis = hom_basis(S_i, shift(S_l, 1), 0)
             mults[l] = len(basis)
             if not basis:
                 new_objects.append(S_l)
@@ -495,12 +489,8 @@ def mutate(S: SMC, i: int, direction: Literal["left", "right"],
 
 def dominates(S: SMC, T: SMC) -> bool:
     """S >= T: Hom(T_i, S_j[s]) = 0 for all s < 0 (exhaustive windows)."""
-    for T_i in T.objects:
-        for S_j in S.objects:
-            t = hom_table(T_i, S_j, with_basis=False)
-            if any(n < 0 and d for n, d in t.dims.items()):
-                return False
-    return True
+    return all(_homs_vanish_up_to(T_i, S_j, -1)
+               for T_i in T.objects for S_j in S.objects)
 
 
 def compare(S: SMC, T: SMC, rng: Optional[_random.Random] = None) -> str:
@@ -573,7 +563,7 @@ def smc_distinct_certified(S: SMC, T: SMC,
 
 
 def is_rigid(S: SMC, i: int) -> bool:
-    return hom_table(S.objects[i], S.objects[i], with_basis=False).dim(1) == 0
+    return hom_dims(S.objects[i], S.objects[i], (1,))[1] == 0
 
 
 def is_glued_type_candidate(S: SMC, R: RecollementSpec) -> bool:

@@ -20,7 +20,7 @@ from typing import List, Literal
 from .config import SmcKitError
 from .fixtures import a2_fixture, two_cycle_fixture
 from .algebra import module_hom_space
-from .homotopy import hom_table, is_iso, shift
+from .homotopy import hom_dims, is_iso, shift
 from .recollement import RecollementSpec
 from .smc import (
     SMC,
@@ -125,8 +125,7 @@ def check_conditional_order(S: SMC, Sp: SMC, i: int, j: int) -> CheckReport:
             return "precondition-failed", "S >= S' fails"
         if not is_rigid(S, i) or not is_rigid(Sp, j):
             return "precondition-failed", "rigidity fails"
-        hyp1 = all(hom_table(Sp.objects[l], S.objects[i],
-                             with_basis=False).dim(0) == 0
+        hyp1 = all(hom_dims(Sp.objects[l], S.objects[i], (0,))[0] == 0
                    for l in range(len(Sp)))
         results = []
         if hyp1:
@@ -134,8 +133,7 @@ def check_conditional_order(S: SMC, Sp: SMC, i: int, j: int) -> CheckReport:
             mu_j, _ = mutate(Sp, j, "left")
             ok = _geq(mu_i, Sp) and _geq(Sp, mu_j)
             results.append(("left clause", ok))
-        hyp2 = all(hom_table(Sp.objects[j], S.objects[l],
-                             with_basis=False).dim(0) == 0
+        hyp2 = all(hom_dims(Sp.objects[j], S.objects[l], (0,))[0] == 0
                    for l in range(len(S)))
         if hyp2:
             mu_i, _ = mutate(S, i, "right")
@@ -167,9 +165,9 @@ def commute_condition(glued: SMC, m: int, j: int, direction: str) -> bool:
     W = glued.objects[m + j]
     for t in range(m):
         if direction == "left":
-            d = hom_table(glued.objects[t], W, with_basis=False).dim(1)
+            d = hom_dims(glued.objects[t], W, (1,))[1]
         else:
-            d = hom_table(W, glued.objects[t], with_basis=False).dim(1)
+            d = hom_dims(W, glued.objects[t], (1,))[1]
         if d:
             return False
     return True

@@ -1,11 +1,16 @@
+import gc
 import random
+import weakref
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import gen
 from smc_kit import exactla as la
 from smc_kit.algebra import module_hom_space
 from smc_kit.exactla import Mat, RationalField
+from smc_kit.fixtures import random_monomial_linear_algebra
 from smc_kit.homotopy import (
     ChainMap,
     ProjComplex,
@@ -14,8 +19,10 @@ from smc_kit.homotopy import (
     cone,
     compose,
     direct_sum,
-    hom_dim,
+    hom_basis,
+    hom_dims,
     hom_table,
+    hom_window,
     homotopic,
     identity_map,
     is_contractible,
@@ -29,6 +36,13 @@ from smc_kit.homotopy import (
     zero_complex,
 )
 from smc_kit.homotopy.complexes import stalk
+from smc_kit.homotopy.homs import (
+    chain_maps_basis,
+    _compose_coeff_left,
+    _compose_coeff_right,
+    _hom_differential,
+    _MapCoords,
+)
 
 A2 = gen.a2_algebra()
 TC = gen.two_cycle_algebra()
@@ -348,3 +362,193 @@ def test_zero_complex_operations():
     assert is_contractible(Z)
     t = hom_table(Z, s1_complex())
     assert t.dims == {}
+
+
+# -- degree-targeted Hom queries against the former dense full-window route ---
+
+
+def _dense_block(mat, block, coff, off, combine):
+    for i in range(block.nrows):
+        for j in range(block.ncols):
+            c = block.rows[i][j]
+            if c != mat.field.zero:
+                mat.rows[coff + j][off + i] = combine(mat.rows[coff + j][off + i], c)
+
+
+def _dense_differential(X, Y, n, dom, cod):
+    """D^n filled entry by entry from lrow/rrow submatrices."""
+    A = X.algebra
+    fld = A.field
+    mat = Mat.zeros(fld, cod.total, dom.total)
+    cod_index = {(k, t, s): (off, corner)
+                 for (k, t, s, corner), off in zip(cod.blocks, cod.offsets)}
+    sign = fld.from_int(-1 if n % 2 else 1)
+    for (k, t, s, corner), off in zip(dom.blocks, dom.offsets):
+        dY = Y.diff(k + n)
+        if dY is not None:
+            for tp in range(len(Y.term(k + n + 1))):
+                ent = dY[tp][t]
+                if not A.is_zero_vec(ent) and (k, tp, s) in cod_index:
+                    coff, ccorner = cod_index[(k, tp, s)]
+                    _dense_block(mat, A.lrow(ent).submatrix(corner, ccorner),
+                                 coff, off, fld.add)
+        dX = X.diff(k - 1)
+        if dX is not None:
+            for sp in range(len(X.term(k - 1))):
+                ent = dX[s][sp]
+                if not A.is_zero_vec(ent) and (k - 1, t, sp) in cod_index:
+                    coff, ccorner = cod_index[(k - 1, t, sp)]
+                    _dense_block(mat, A.rrow(ent).submatrix(corner, ccorner),
+                                 coff, off, lambda a, c: fld.sub(a, fld.mul(sign, c)))
+    return mat
+
+
+def _dense_compose(coords_in, coords_out, f, left):
+    """Coordinates of f o psi (left) or chi o f as a linear map, from lrow/rrow."""
+    A = f.source.algebra
+    out = Mat.zeros(A.field, coords_out.total, coords_in.total)
+    out_index = {(k, t, s): (off, corner)
+                 for (k, t, s, corner), off in zip(coords_out.blocks, coords_out.offsets)}
+    for (k, t, s, corner), off in zip(coords_in.blocks, coords_in.offsets):
+        fc = f.comps.get(k)
+        if fc is None:
+            continue
+        if left:
+            pairs = [((k, tp, s), fc[tp][t]) for tp in range(len(fc))]
+        else:
+            pairs = [((k, t, sp), fc[s][sp]) for sp in range(len(fc[s]))]
+        for key, ent in pairs:
+            if not A.is_zero_vec(ent) and key in out_index:
+                coff, ccorner = out_index[key]
+                mult = A.lrow(ent) if left else A.rrow(ent)
+                _dense_block(out, mult.submatrix(corner, ccorner), coff, off, A.field.add)
+    return out.transpose()
+
+
+def _dense_hom_dims(X, Y):
+    """Every degree of the support window from one dense pass."""
+    if X.is_zero() or Y.is_zero():
+        return {}
+    lo, hi = hom_window(X, Y)
+    coords = {n: _MapCoords.build(X, Y, n) for n in range(lo - 1, hi + 2)}
+    ranks = {n: la.rank(_dense_differential(X, Y, n, coords[n], coords[n + 1]))
+             for n in range(lo - 1, hi + 1)}
+    return {n: coords[n].total - ranks[n] - ranks[n - 1] for n in range(lo, hi + 1)}
+
+
+def _greedy_basis_coords(X, Y, n):
+    """Kernel vectors picked one rank computation at a time."""
+    fld = X.algebra.field
+    coords = {m: _MapCoords.build(X, Y, m) for m in (n - 1, n, n + 1)}
+    kern = la.kernel_basis(_dense_differential(X, Y, n, coords[n], coords[n + 1]))
+    prev = _dense_differential(X, Y, n - 1, coords[n - 1], coords[n])
+    current = []
+    if prev.ncols:
+        current = [list(r) for r in la.row_space_basis(prev.transpose()).rows]
+    chosen = []
+    for v in kern:
+        if la.rank(Mat(fld, current + [list(v)], ncols=coords[n].total)) > len(current):
+            chosen.append(v)
+            current.append(list(v))
+    return chosen
+
+
+def _random_pair(rationals, rng):
+    """Two complexes, zero about one time in ten, else an iterated cone of
+    random chain maps, left non-minimal so that D^{n-1} has a large image."""
+    field = RationalField() if rationals else gen.FP
+    A = rng.choice([gen.a2_algebra, gen.two_cycle_algebra,
+                    lambda f: random_monomial_linear_algebra(f, rng, max_vertices=4)])(field)
+
+    def draw():
+        if rng.random() < 0.1:
+            return zero_complex(A)
+        pool = [stalk(A, rng.randrange(A.nvert), rng.randrange(-1, 2)),
+                gen.resolved_simple(A, rng.randrange(A.nvert), rng.randrange(-1, 2))]
+        for _ in range(rng.randint(1, 3)):
+            x, y = rng.choice(pool), rng.choice(pool)
+            basis = chain_maps_basis(x, y.shift(rng.randrange(-1, 2)))
+            if basis:
+                f = basis[0].scale(field.rand(rng))
+                for g in basis[1:]:
+                    f = f + g.scale(field.rand(rng))
+                c, _ = cone(f)
+                if c.total_terms() <= 7:
+                    pool.append(c)
+        return pool[-1]
+
+    return draw(), draw()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.booleans(), st.randoms(use_true_random=False))
+def test_hom_dims_against_dense_window_and_oracle(rationals, rng):
+    X, Y = _random_pair(rationals, rng)
+    lo, hi = hom_window(X, Y)
+    degrees = list(range(lo - 2, hi + 3)) * 2
+    rng.shuffle(degrees)
+    got = {}
+    for chunk in (degrees[:len(degrees) // 2], degrees[len(degrees) // 2:]):
+        for n, d in hom_dims(X, Y, chunk).items():
+            assert got.setdefault(n, d) == d
+    dense = _dense_hom_dims(X, Y)
+    for n in range(lo - 2, hi + 3):
+        assert got[n] == dense.get(n, 0) == gen.hom_dim_oracle(X, Y, n), n
+    table = hom_table(X, Y)
+    assert table.window == (lo, hi)
+    assert table.dims == {n: d for n, d in dense.items() if d}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.booleans(), st.randoms(use_true_random=False))
+def test_sparse_differential_and_basis_match_dense_build(rationals, rng):
+    X, Y = _random_pair(rationals, rng)
+    lo, hi = hom_window(X, Y)
+    for n in range(lo - 2, hi + 2):
+        dom, cod = _MapCoords.build(X, Y, n), _MapCoords.build(X, Y, n + 1)
+        sparse = _hom_differential(X, Y, n, dom, cod)
+        dense = _dense_differential(X, Y, n, dom, cod)
+        # repr tells 0 from Fraction(0), so equal entries must share a type
+        assert (sparse.shape, repr(sparse.rows)) == (dense.shape, repr(dense.rows))
+        coords = _MapCoords.build(X, Y, n)
+        got = [coords.from_map(b, n) for b in hom_basis(X, Y, n)]
+        assert repr(got) == repr(_greedy_basis_coords(X, Y, n))
+    # the composition coefficients share the same product-table kernel
+    for f in hom_basis(X, Y, 0):
+        for Z in (X, Y):
+            c_in, c_out = _MapCoords.build(Z, X, 0), _MapCoords.build(Z, Y, 0)
+            sparse = _compose_coeff_left(c_in, c_out, f)
+            assert repr(sparse.rows) == repr(_dense_compose(c_in, c_out, f, True).rows)
+            c_in, c_out = _MapCoords.build(Y, Z, 0), _MapCoords.build(X, Z, 0)
+            sparse = _compose_coeff_right(c_in, c_out, f)
+            assert repr(sparse.rows) == repr(_dense_compose(c_in, c_out, f, False).rows)
+
+
+def test_hom_rank_memo_dies_with_either_complex():
+    for keep_source in (True, False):
+        X, Y = s1_complex(), gen.resolved_simple(A2, 1)
+        hom_table(X, Y)
+        hom_table(shift(X, 1), Y)
+        assert dict(X._hom_ranks[Y])
+        ref = weakref.ref(Y if keep_source else X)
+        if keep_source:
+            del Y
+        else:
+            del X
+        gc.collect()
+        assert ref() is None
+        if keep_source:
+            assert len(X._hom_ranks) == 0
+
+
+def test_complexes_are_read_only():
+    X = s1_complex()
+    k = next(iter(X.diffs))
+    with pytest.raises(TypeError):
+        X.terms[5] = (0,)
+    with pytest.raises(TypeError):
+        X.diffs[k] = X.diffs[k]
+    with pytest.raises(TypeError):
+        X.diffs[k][0][0] = A2.zero_vec()
+    with pytest.raises(TypeError):
+        del X.terms[k]
