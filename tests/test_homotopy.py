@@ -455,7 +455,8 @@ def _greedy_basis_coords(X, Y, n):
 
 def _random_pair(rationals, rng):
     """Two complexes, zero about one time in ten, else an iterated cone of
-    random chain maps, left non-minimal so that D^{n-1} has a large image."""
+    random chain maps, left non-minimal (sometimes with an added contractible
+    summand) so that D^{n-1} has a large image."""
     field = RationalField() if rationals else gen.FP
     A = rng.choice([gen.a2_algebra, gen.two_cycle_algebra,
                     lambda f: random_monomial_linear_algebra(f, rng, max_vertices=4)])(field)
@@ -475,6 +476,12 @@ def _random_pair(rationals, rng):
                 c, _ = cone(f)
                 if c.total_terms() <= 7:
                     pool.append(c)
+        if rng.random() < 0.3:
+            # a contractible summand first: its null-homotopic maps come
+            # first among the coordinates, where a basis pick can go wrong
+            trivial, _ = cone(identity_map(stalk(A, rng.randrange(A.nvert),
+                                                 rng.randrange(-1, 2))))
+            return direct_sum([trivial, pool[-1]])[0]
         return pool[-1]
 
     return draw(), draw()
@@ -514,14 +521,29 @@ def test_sparse_differential_and_basis_match_dense_build(rationals, rng):
         got = [coords.from_map(b, n) for b in hom_basis(X, Y, n)]
         assert repr(got) == repr(_greedy_basis_coords(X, Y, n))
     # the composition coefficients share the same product-table kernel
-    for f in hom_basis(X, Y, 0):
-        for Z in (X, Y):
-            c_in, c_out = _MapCoords.build(Z, X, 0), _MapCoords.build(Z, Y, 0)
-            sparse = _compose_coeff_left(c_in, c_out, f)
-            assert repr(sparse.rows) == repr(_dense_compose(c_in, c_out, f, True).rows)
-            c_in, c_out = _MapCoords.build(Y, Z, 0), _MapCoords.build(X, Z, 0)
-            sparse = _compose_coeff_right(c_in, c_out, f)
-            assert repr(sparse.rows) == repr(_dense_compose(c_in, c_out, f, False).rows)
+    for W in (Y.shift(-1), Y, Y.shift(1)):
+        for f in chain_maps_basis(X, W):
+            for Z in (X, Y, W):
+                c_in, c_out = _MapCoords.build(Z, X, 0), _MapCoords.build(Z, W, 0)
+                sparse = _compose_coeff_left(c_in, c_out, f)
+                assert repr(sparse.rows) == repr(_dense_compose(c_in, c_out, f, True).rows)
+                c_in, c_out = _MapCoords.build(W, Z, 0), _MapCoords.build(X, Z, 0)
+                sparse = _compose_coeff_right(c_in, c_out, f)
+                assert repr(sparse.rows) == repr(_dense_compose(c_in, c_out, f, False).rows)
+
+
+def test_hom_basis_skips_null_homotopic_kernel_vectors():
+    # Y's contractible summand puts null-homotopic chain maps first among
+    # the kernel vectors of D^0; the basis must pass over them.
+    X = s1_complex()
+    Y, _, _ = direct_sum([cone(identity_map(p_stalk(A2, 0)))[0], X])
+    coords = _MapCoords.build(X, Y, 0)
+    kern = la.kernel_basis(_hom_differential(X, Y, 0, coords, _MapCoords.build(X, Y, 1)))
+    assert is_nullhomotopic(ChainMap(X, Y, coords.to_entries(X, Y, 0, kern[0]))) is not None
+    basis = hom_basis(X, Y, 0)
+    assert len(basis) == hom_dims(X, Y, (0,))[0] == 1
+    assert all(is_nullhomotopic(f) is None for f in basis)
+    assert repr([coords.from_map(f, 0) for f in basis]) == repr(_greedy_basis_coords(X, Y, 0))
 
 
 def test_hom_rank_memo_dies_with_either_complex():
