@@ -364,7 +364,7 @@ def test_zero_complex_operations():
     assert t.dims == {}
 
 
-# -- degree-targeted Hom queries against the former dense full-window route ---
+# -- degree-targeted Hom queries against a dense full-window reference -------
 
 
 def _dense_block(mat, block, coff, off, combine):
