@@ -85,7 +85,6 @@ class Algebra:
         self._label_index = {lab: i for i, lab in enumerate(self.basis_labels)}
         self._corner_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self._op: Optional[Algebra] = None
-        self._arrows: Optional[Tuple[int, ...]] = None
         self._module_cache: Dict[Tuple, "Module"] = {}
         if validate:
             self.validate()
@@ -95,17 +94,6 @@ class Algebra:
     @property
     def radical_indices(self) -> range:
         return range(self.nvert, self.dim)
-
-    @property
-    def arrow_indices(self) -> Tuple[int, ...]:
-        """Radical basis elements that are no product of two radical ones: a
-        basis of rad/rad^2 (the arrows, for a path algebra).  They generate
-        the radical as an ideal, since the radical is nilpotent."""
-        if self._arrows is None:
-            rad = self.radical_indices
-            products = {self.prod[b][c] for b in rad for c in rad}
-            self._arrows = tuple(b for b in rad if b not in products)
-        return self._arrows
 
     def zero_vec(self) -> Vec:
         return (self.field.zero,) * self.dim
@@ -556,14 +544,10 @@ class Module:
         return pos
 
     def radical_rows(self) -> Mat:
-        """Basis of M * rad as rows, in reduced echelon form.
-
-        The arrows suffice: M * (b * c) lies in M * c, so every M * b with b
-        in the radical lies in M * a for some arrow a.
-        """
+        """Basis of M * rad as rows."""
         A, f = self.algebra, self.algebra.field
         rows = []
-        for b in A.arrow_indices:
+        for b in A.radical_indices:
             rows.extend(self.action[b].rows)
         if not rows:
             return Mat.zeros(f, 0, self.dim)

@@ -442,46 +442,3 @@ def test_non_submodule_row_space_raises():
             _submodule_action_reference(P, rows)
         with pytest.raises(InputError):
             alg.submodule_from_rows(P, rows)
-
-
-# -- M * rad from the arrows alone ------------------------------------------
-
-
-def _radical_rows_reference(M):
-    """Row space of the actions of every radical basis element."""
-    A, f = M.algebra, M.algebra.field
-    rows = [list(r) for b in A.radical_indices for r in M.action[b].rows]
-    if not rows:
-        return Mat.zeros(f, 0, M.dim)
-    return la.row_space_basis(Mat(f, rows, ncols=M.dim))
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.booleans(), st.booleans(), st.randoms(use_true_random=False))
-def test_radical_rows_over_arrows_match_all_radical_rows(use_two_cycle, rationals, rng):
-    f = QQ if rationals else FP
-    A = two_cycle(f) if use_two_cycle else \
-        random_monomial_linear_algebra(f, rng, max_vertices=5)
-    subset = rng.sample(range(A.nvert), rng.randint(1, A.nvert - 1))
-    corner, _ = A.corner(subset)
-    for B in (A, A.op(), corner, corner.op(), A.quotient(subset)[0],
-              A.op().quotient(subset)[0]):
-        # every radical path is a product of arrows
-        closure = set(B.arrow_indices)
-        frontier = set(closure)
-        while frontier:
-            frontier = {B.prod[b][a] for b in frontier for a in B.arrow_indices} \
-                - {-1} - closure
-            closure |= frontier
-        assert closure == set(B.radical_indices)
-        nv = B.nvert
-        P = [B.projective_module(i) for i in range(nv)]
-        mods = P + [B.simple_module(i) for i in range(nv)]
-        for _ in range(2):
-            verts = [rng.randrange(nv) for _ in range(rng.randint(1, 2))]
-            src, _ = alg.projectives_module(B, verts)
-            N = rng.choice(mods)
-            mods.append(alg.kernel_module(
-                src, _random_map_from_projectives(B, rng, verts, N), N)[0])
-        for M in mods:
-            _assert_identical([M.radical_rows()], [_radical_rows_reference(M)])
