@@ -136,30 +136,22 @@ class Algebra:
                     acc[k] = f.add(acc[k], f.mul(xi, yj))
         return tuple(acc)
 
-    def lrow(self, x: Vec) -> Mat:
-        """Row-convention left multiplication: row_b = coords of x * b."""
-        f = self.field
-        rows = [[f.zero] * self.dim for _ in range(self.dim)]
-        for i, xi in enumerate(x):
-            if xi == f.zero:
+    def products(self, x: Vec, basis: Sequence[int], pos: Dict[int, int],
+                 left: bool):
+        """Triples (i, j, c): the coefficient c of the path a in x sends the
+        path basis[i] to the path k with pos[k] = j, as a*b (left) or b*a
+        (right); products landing outside pos are dropped."""
+        prod, z = self.prod, self.field.zero
+        for a, c in enumerate(x):
+            if c == z:
                 continue
-            for b, k in enumerate(self.prod[i]):
+            row = prod[a]
+            for i, b in enumerate(basis):
+                k = row[b] if left else prod[b][a]
                 if k >= 0:
-                    rows[b][k] = f.add(rows[b][k], xi)
-        return Mat(f, rows, ncols=self.dim)
-
-    def rrow(self, x: Vec) -> Mat:
-        """Row-convention right multiplication: row_b = coords of b * x."""
-        f = self.field
-        rows = [[f.zero] * self.dim for _ in range(self.dim)]
-        for j, xj in enumerate(x):
-            if xj == f.zero:
-                continue
-            for b, row in enumerate(self.prod):
-                k = row[j]
-                if k >= 0:
-                    rows[b][k] = f.add(rows[b][k], xj)
-        return Mat(f, rows, ncols=self.dim)
+                    j = pos.get(k)
+                    if j is not None:
+                        yield i, j, c
 
     def corner_indices(self, i: int, j: int) -> Tuple[int, ...]:
         """Basis indices of e_i A e_j (source i, target j)."""
@@ -182,15 +174,17 @@ class Algebra:
         """Inverse of x in the local algebra e_v A e_v; x must be a unit."""
         f = self.field
         idx = self.corner_indices(vertex, vertex)
-        r = self.rrow(x)  # row_b = b*x
-        sub = r.submatrix(idx, idx)
-        e_local = [f.one if b == vertex else f.zero for b in idx]
-        sol = la.solve(sub.transpose(), e_local)  # y @ sub = e  <=>  sub^T y^T = e^T
-        if sol.solution is None:
+        # y*x = e_v reads y @ M = e with M[i][j] the coefficient of idx[j]
+        # in idx[i]*x; solve its transpose M^T y^T = e^T
+        mt = Mat.zeros(f, len(idx), len(idx))
+        for i, j, c in self.products(x, idx, {b: p for p, b in enumerate(idx)}, False):
+            mt.rows[j][i] = f.add(mt.rows[j][i], c)
+        sol = la.solve(mt, [f.one if b == vertex else f.zero for b in idx])
+        if sol is None:
             raise InputError("element is not invertible in its corner")
         y = list(self.zero_vec())
         for pos, b in enumerate(idx):
-            y[b] = sol.solution[pos]
+            y[b] = sol[pos]
         y = tuple(y)
         assert self.mul_vec(x, y)[vertex] == f.one
         return y

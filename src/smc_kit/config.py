@@ -23,18 +23,12 @@ class NotRigidError(SmcKitError):
 
 @dataclass(frozen=True)
 class Limits:
-    """Resource bounds; every knob here is surfaced as a CLI flag."""
+    """Defaults of the CLI's resource flags: --pd-bound, --strip-cap and
+    --iso-trials."""
 
-    prime: int = 32003
     pd_bound: int = 32
-    gldim_bound: int = 32
     strip_cap: int = 10_000
-    path_cap: int = 4096
     iso_trials: int = 40
-    certify: bool = False
-    # enumeration budget for the certified isomorphism search over the
-    # rationals; beyond this we fall back to random sampling
-    certify_points: int = 20_000
 
 
 DEFAULT_LIMITS = Limits()

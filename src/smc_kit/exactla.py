@@ -269,12 +269,6 @@ class Mat:
     def shape(self):
         return (self.nrows, self.ncols)
 
-    def row(self, i):
-        return list(self.rows[i])
-
-    def col(self, j):
-        return [self.rows[i][j] for i in range(self.nrows)]
-
     def is_zero(self):
         z = self.field.zero
         return all(x == z for r in self.rows for x in r)
@@ -420,14 +414,8 @@ def left_kernel_basis(m: Mat) -> List[List[Element]]:
     return kernel_basis(m.transpose())
 
 
-@dataclass
-class SolveResult:
-    solution: Optional[List[Element]]
-    kernel: List[List[Element]]
-
-
-def solve(m: Mat, b: Sequence[Element]) -> SolveResult:
-    """Solve m @ x = b; solution is None when the system is inconsistent."""
+def solve(m: Mat, b: Sequence[Element]) -> Optional[List[Element]]:
+    """One solution x of m @ x = b, or None when the system is inconsistent."""
     if len(b) != m.nrows:
         raise InputError(f"rhs length {len(b)} != nrows {m.nrows}")
     f = m.field
@@ -436,11 +424,11 @@ def solve(m: Mat, b: Sequence[Element]) -> SolveResult:
     nr_pivots = len(red.pivots)
     for i in range(nr_pivots, m.nrows):
         if tb[i] != f.zero:
-            return SolveResult(None, kernel_basis(m))
+            return None
     x = [f.zero] * m.ncols
     for i, pc in enumerate(red.pivots):
         x[pc] = tb[i]
-    return SolveResult(x, kernel_basis(m))
+    return x
 
 
 def solve_matrix(m: Mat, b: Mat) -> Optional[Mat]:

@@ -10,7 +10,8 @@ on the same objects cost no elimination.
 
 The same coordinate bookkeeping powers the solvers: null-homotopy tests,
 factorization of maps through triangles, and chain maps constrained at the
-level of the idempotent corner (used by the recollement unit/counit).
+level of the idempotent corner (used by the recollement unit/counit).  Each
+solver assembles its whole system as one dense ``Mat`` and solves it once.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import exactla as la
-from ..algebra import Algebra
+from ..algebra import Algebra, yoneda_map
 from ..config import InputError
 from ..exactla import Mat, PrimeField, RationalField
 from .complexes import (
@@ -40,60 +41,6 @@ from .resolve import (
     module_realization,
     realize_chain_map,
 )
-
-
-class LinearSystem:
-    """Sparse accumulator for exact linear systems A x = b."""
-
-    def __init__(self, field):
-        self.field = field
-        self.nvars = 0
-        self.rows: List[Dict[int, object]] = []
-        self.rhs: List[object] = []
-
-    def add_vars(self, count: int) -> int:
-        off = self.nvars
-        self.nvars += count
-        return off
-
-    def add_equations(self, count: int) -> int:
-        off = len(self.rows)
-        for _ in range(count):
-            self.rows.append({})
-            self.rhs.append(self.field.zero)
-        return off
-
-    def add_coeff(self, eq: int, var: int, c):
-        if c == self.field.zero:
-            return
-        row = self.rows[eq]
-        row[var] = self.field.add(row.get(var, self.field.zero), c)
-
-    def add_block(self, eq_off: int, var_off: int, coeffs: Mat, negate=False):
-        """coeffs[i][j]: contribution of var (var_off+i) to eq (eq_off+j)."""
-        f = self.field
-        for i in range(coeffs.nrows):
-            row = coeffs.rows[i]
-            for j in range(coeffs.ncols):
-                c = row[j]
-                if c != f.zero:
-                    self.add_coeff(eq_off + j, var_off + i, f.neg(c) if negate else c)
-
-    def set_rhs(self, eq: int, value):
-        self.rhs[eq] = value
-
-    def solve(self) -> Optional[List]:
-        f = self.field
-        if self.nvars == 0:
-            if any(v != f.zero for v in self.rhs):
-                return None
-            return []
-        mat = Mat.zeros(f, len(self.rows), self.nvars)
-        for i, row in enumerate(self.rows):
-            for j, c in row.items():
-                mat.rows[i][j] = c
-        res = la.solve(mat, self.rhs)
-        return res.solution
 
 
 # -- coordinates of chain maps ------------------------------------------------
@@ -155,24 +102,6 @@ class _MapCoords:
         return out
 
 
-def _products(A: Algebra, ent, corner: Sequence[int], cpos: Dict[int, int],
-              left: bool):
-    """Triples (i, j, x): the coefficient x of the path a in ent sends the
-    path corner[i] to the path at position j of the target corner, as a*b
-    (left) or b*a (right), read straight off the product table."""
-    prod, z = A.prod, A.field.zero
-    for a, x in enumerate(ent):
-        if x == z:
-            continue
-        row = prod[a]
-        for i, b in enumerate(corner):
-            k = row[b] if left else prod[b][a]
-            if k >= 0:
-                j = cpos.get(k)
-                if j is not None:
-                    yield i, j, x
-
-
 def _hom_differential(X: ProjComplex, Y: ProjComplex, n: int,
                       dom: _MapCoords, cod: _MapCoords) -> Mat:
     """Matrix of D(f) = d_Y f - (-1)^n f d_X from degree-n to degree-n+1 maps."""
@@ -187,7 +116,7 @@ def _hom_differential(X: ProjComplex, Y: ProjComplex, n: int,
             for tp, drow in enumerate(dY):
                 hit = cod.index.get((k, tp, s))
                 if hit is not None:
-                    for i, j, x in _products(A, drow[t], corner, hit[1], True):
+                    for i, j, x in A.products(drow[t], corner, hit[1], True):
                         r = rows[hit[0] + j]
                         r[off + i] = fld.add(r[off + i], x)
         # precompose with d_X^{k-1}: block (k-1, t, s') from f^k
@@ -196,7 +125,7 @@ def _hom_differential(X: ProjComplex, Y: ProjComplex, n: int,
             for sp, ent in enumerate(dX[s]):
                 hit = cod.index.get((k - 1, t, sp))
                 if hit is not None:
-                    for i, j, x in _products(A, ent, corner, hit[1], False):
+                    for i, j, x in A.products(ent, corner, hit[1], False):
                         r = rows[hit[0] + j]
                         r[off + i] = fld.sub(r[off + i], fld.mul(sign, x))
     return Mat(fld, rows, ncols=dom.total)
@@ -313,10 +242,10 @@ def is_nullhomotopic(f: ChainMap) -> Optional[Dict[int, Entries]]:
     coords_f = _MapCoords.build(X, Y, 0)
     d = _hom_differential(X, Y, -1, coords_h, coords_f)
     rhs = coords_f.from_map(f, 0)
-    res = la.solve(d, rhs)
-    if res.solution is None:
+    sol = la.solve(d, rhs)
+    if sol is None:
         return None
-    return coords_h.to_entries(X, Y, -1, res.solution)
+    return coords_h.to_entries(X, Y, -1, sol)
 
 
 def homotopic(f: ChainMap, g: ChainMap) -> bool:
@@ -325,63 +254,38 @@ def homotopic(f: ChainMap, g: ChainMap) -> bool:
 
 def lift_through(p: ChainMap, g: ChainMap) -> Optional[ChainMap]:
     """psi: X -> W with p . psi homotopic to g, for p: W -> Y, g: X -> Y."""
-    X, W, Y = g.source, p.source, p.target
     if not p.target.same_shape(g.target):
         raise InputError("lift_through: targets differ")
-    A = X.algebra
-    fld = A.field
-    coords_psi = _MapCoords.build(X, W, 0)
-    coords_g = _MapCoords.build(X, Y, 0)
-    coords_h = _MapCoords.build(X, Y, -1)
-    d_psi = _hom_differential(X, W, 0, coords_psi, _MapCoords.build(X, W, 1))
-    d_h = _hom_differential(X, Y, -1, coords_h, coords_g)
-    sys = LinearSystem(fld)
-    v_psi = sys.add_vars(coords_psi.total)
-    v_h = sys.add_vars(coords_h.total)
-    eq_chain = sys.add_equations(d_psi.nrows)
-    sys.add_block(eq_chain, v_psi, d_psi.transpose())
-    # p o psi + D(h) = g : coordinates of p o psi are linear in psi
-    eq_fac = sys.add_equations(coords_g.total)
-    comp_mat = _compose_coeff_left(coords_psi, coords_g, p)
-    sys.add_block(eq_fac, v_psi, comp_mat)
-    sys.add_block(eq_fac, v_h, d_h.transpose())
-    for i, val in enumerate(coords_g.from_map(g, 0)):
-        sys.set_rhs(eq_fac + i, val)
-    sol = sys.solve()
-    if sol is None:
-        return None
-    psi_coords = sol[v_psi:v_psi + coords_psi.total]
-    return ChainMap(X, W, coords_psi.to_entries(X, W, 0, psi_coords))
+    return _solve_up_to_homotopy(g.source, p.source, g, _compose_coeff_left, p)
 
 
 def factor_through(w: ChainMap, g: ChainMap) -> Optional[ChainMap]:
     """chi: W -> Z with chi . w homotopic to g, for w: X -> W, g: X -> Z."""
-    X, W, Z = w.source, w.target, g.target
     if not w.source.same_shape(g.source):
         raise InputError("factor_through: sources differ")
-    A = X.algebra
-    fld = A.field
-    coords_chi = _MapCoords.build(W, Z, 0)
-    coords_g = _MapCoords.build(X, Z, 0)
-    coords_h = _MapCoords.build(X, Z, -1)
-    d_chi = _hom_differential(W, Z, 0, coords_chi, _MapCoords.build(W, Z, 1))
-    d_h = _hom_differential(X, Z, -1, coords_h, coords_g)
-    sys = LinearSystem(fld)
-    v_chi = sys.add_vars(coords_chi.total)
-    v_h = sys.add_vars(coords_h.total)
-    eq_chain = sys.add_equations(d_chi.nrows)
-    sys.add_block(eq_chain, v_chi, d_chi.transpose())
-    eq_fac = sys.add_equations(coords_g.total)
-    comp_mat = _compose_coeff_right(coords_chi, coords_g, w)
-    sys.add_block(eq_fac, v_chi, comp_mat)
-    sys.add_block(eq_fac, v_h, d_h.transpose())
-    for i, val in enumerate(coords_g.from_map(g, 0)):
-        sys.set_rhs(eq_fac + i, val)
-    sol = sys.solve()
+    return _solve_up_to_homotopy(w.target, g.target, g, _compose_coeff_right, w)
+
+
+def _solve_up_to_homotopy(S: ProjComplex, T: ProjComplex, g: ChainMap,
+                          coeffs, fixed: ChainMap) -> Optional[ChainMap]:
+    """Chain map u: S -> T whose composite with the fixed map is homotopic
+    to g; coeffs(coords_u, coords_g, fixed) is that composite as a linear
+    map C of u (vars x eqs).  One solve of [[D_u, 0], [C^T, D_h]] (u, h)
+    = (0, g)."""
+    X, Y = g.source, g.target
+    fld = X.algebra.field
+    coords_u = _MapCoords.build(S, T, 0)
+    coords_g = _MapCoords.build(X, Y, 0)
+    coords_h = _MapCoords.build(X, Y, -1)
+    d_u = _hom_differential(S, T, 0, coords_u, _MapCoords.build(S, T, 1))
+    d_h = _hom_differential(X, Y, -1, coords_h, coords_g)
+    system = la.vstack([
+        la.hstack([d_u, Mat.zeros(fld, d_u.nrows, coords_h.total)]),
+        la.hstack([coeffs(coords_u, coords_g, fixed).transpose(), d_h])])
+    sol = la.solve(system, [fld.zero] * d_u.nrows + coords_g.from_map(g, 0))
     if sol is None:
         return None
-    chi_coords = sol[v_chi:v_chi + coords_chi.total]
-    return ChainMap(W, Z, coords_chi.to_entries(W, Z, 0, chi_coords))
+    return ChainMap(S, T, coords_u.to_entries(S, T, 0, sol[:coords_u.total]))
 
 
 def _compose_coeff_left(coords_psi: _MapCoords, coords_out: _MapCoords,
@@ -397,7 +301,7 @@ def _compose_coeff_left(coords_psi: _MapCoords, coords_out: _MapCoords,
         for tp, prow in enumerate(pc):
             hit = coords_out.index.get((k, tp, s))
             if hit is not None:
-                for i, j, x in _products(A, prow[t], corner, hit[1], True):
+                for i, j, x in A.products(prow[t], corner, hit[1], True):
                     r = out.rows[off + i]
                     r[hit[0] + j] = fld.add(r[hit[0] + j], x)
     return out
@@ -416,7 +320,7 @@ def _compose_coeff_right(coords_chi: _MapCoords, coords_out: _MapCoords,
         for sp, ent in enumerate(wc[s]):
             hit = coords_out.index.get((k, t, sp))
             if hit is not None:
-                for i, j, x in _products(A, ent, corner, hit[1], False):
+                for i, j, x in A.products(ent, corner, hit[1], False):
                     r = out.rows[off + i]
                     r[hit[0] + j] = fld.add(r[hit[0] + j], x)
     return out
@@ -540,25 +444,14 @@ def is_iso(X: ProjComplex, Y: ProjComplex, trials: int = 40,
 def coords_in_table(f: ChainMap, table: HomTable, n: int) -> Optional[List]:
     """Coordinates of [f] in the homotopy-class basis of Hom(X, Y[n])."""
     X, Y = table.x, table.y
-    fld = X.algebra.field
     coords_n = _MapCoords.build(X, Y, n)
     coords_h = _MapCoords.build(X, Y, n - 1)
     d_h = _hom_differential(X, Y, n - 1, coords_h, coords_n)
     reps = [coords_n.from_map(b, n) for b in table.basis.get(n, [])]
-    sys = LinearSystem(fld)
-    v_c = sys.add_vars(len(reps))
-    v_h = sys.add_vars(coords_h.total)
-    eq = sys.add_equations(coords_n.total)
-    for i, rep in enumerate(reps):
-        for j, val in enumerate(rep):
-            sys.add_coeff(eq + j, v_c + i, val)
-    sys.add_block(eq, v_h, d_h.transpose())
-    for j, val in enumerate(coords_n.from_map(f, n)):
-        sys.set_rhs(eq + j, val)
-    sol = sys.solve()
-    if sol is None:
-        return None
-    return sol[v_c:v_c + len(reps)]
+    # [reps | D_h] (c, h) = f, with the representatives as columns
+    system = la.hstack([Mat(X.algebra.field, reps, ncols=coords_n.total).transpose(), d_h])
+    sol = la.solve(system, coords_n.from_map(f, n))
+    return None if sol is None else sol[:len(reps)]
 
 
 # -- chain maps with a corner-level constraint ---------------------------------
@@ -581,164 +474,106 @@ def solve_corner_constrained(src: ProjComplex, tgt: ProjComplex,
     """
     A = src.algebra
     fld = A.field
-    B = W.algebra
+    zero = fld.zero
 
     coords_phi = _MapCoords.build(src, tgt, 0)
     d_phi = _hom_differential(src, tgt, 0, coords_phi, _MapCoords.build(src, tgt, 1))
 
-    src_block = {k: _corner_blocks(A, src.term(k), subset) for k in src.terms}
-    tgt_block = {k: _corner_blocks(A, tgt.term(k), subset) for k in tgt.terms}
+    src_corner = {k: _corner_rows(A, src.term(k), subset) for k in src.terms}
+    tgt_corner = {k: _corner_rows(A, tgt.term(k), subset) for k in tgt.terms}
 
-    sys = LinearSystem(fld)
-    v_phi = sys.add_vars(coords_phi.total)
-    eq_chain = sys.add_equations(d_phi.nrows)
-    sys.add_block(eq_chain, v_phi, d_phi.transpose())
-
-    # homotopy variables: Hom_B(Z^k, W^{k-1}) via generators of summands
-    h_vars: Dict[Tuple[int, int, int], Tuple[int, Mat]] = {}
+    # homotopy variables after those of phi: Hom_B(Z^k, W^{k-1}) through
+    # the generators of the summands of Z (Yoneda), one per unit of W^{k-1}
+    h_vars: List[Tuple[int, Tuple[int, int], Mat]] = []  # (k, rows in Z^k, map)
     _, zslices = module_realization(Z)
     for k, verts in Z.terms.items():
         Wk1 = W.module(k - 1)
-        if Wk1.dim == 0:
-            continue
         for s_idx, f_vert in enumerate(verts):
-            wpos = Wk1.e_weight_positions(f_vert)
-            for q in wpos:
-                hmat = _yoneda_matrix(B, f_vert, Wk1, q)
-                off = sys.add_vars(1)
-                h_vars[(k, s_idx, q)] = (off, hmat)
+            for q in Wk1.e_weight_positions(f_vert):
+                unit = [fld.one if i == q else zero for i in range(Wk1.dim)]
+                h_vars.append((k, zslices[k][s_idx], yoneda_map(W.algebra, f_vert, Wk1, unit)))
+    nphi = coords_phi.total
+    nvars = nphi + len(h_vars)
 
-    # constraint equations per degree with Z-term or Q-entry
+    # the chain-map equations D(phi) = 0, then per degree k one equation per
+    # entry of the Z^k x W^k constraint R corner(phi) P - (d h + h d) = Q
+    rows = [list(r) + [zero] * len(h_vars) for r in d_phi.rows]
+    rhs = [zero] * len(rows)
     eq_ids: Dict[int, int] = {}
     for k in sorted(set(Z.terms) | set(Q.keys())):
-        dimZ = Zreal.dim(k)
-        dimW = W.dim(k)
+        dimZ, dimW = Zreal.dim(k), W.dim(k)
         if dimZ == 0 or dimW == 0:
             continue
-        eq_ids[k] = sys.add_equations(dimZ * dimW)
+        eq_ids[k] = len(rows)
+        rows.extend([zero] * nvars for _ in range(dimZ * dimW))
         qk = Q.get(k)
-        if qk is not None:
-            for r in range(dimZ):
-                for c in range(dimW):
-                    sys.set_rhs(eq_ids[k] + r * dimW + c, qk.rows[r][c])
+        rhs.extend(qk.rows[r][c] if qk is not None else zero
+                   for r in range(dimZ) for c in range(dimW))
+
+    def add_block(k: int, r_off: int, c_off: int, block: Mat, var: int,
+                  negate: bool = False):
+        """Add +-block at (r_off, c_off) of the degree-k constraint, as the
+        coefficients of the variable var."""
+        eq0, dimW = eq_ids[k], W.dim(k)
+        for r, brow in enumerate(block.rows):
+            for c, v in enumerate(brow):
+                if v != zero:
+                    row = rows[eq0 + (r_off + r) * dimW + c_off + c]
+                    row[var] = fld.add(row[var], fld.neg(v) if negate else v)
 
     # phi contributions: R^k @ corner(phi)^k @ P^k
     for (k, t, s, corner), off in zip(coords_phi.blocks, coords_phi.offsets):
         if k not in eq_ids:
             continue
-        dimW = W.dim(k)
-        i_vert = src.term(k)[s]
-        j_vert = tgt.term(k)[t]
-        s_lo, s_hi = src_block[k][s]
-        t_lo, t_hi = tgt_block[k][t]
-        if s_hi == s_lo or t_hi == t_lo:
+        s_lo, src_rows = src_corner[k][s]
+        t_lo, tgt_rows = tgt_corner[k][t]
+        if not src_rows or not tgt_rows:
             continue
         r_mat = R.get(k) if R is not None else None
         if r_mat is not None:
-            r_cols = r_mat.submatrix(range(r_mat.nrows), range(s_lo, s_hi))
+            r_cols = r_mat.submatrix(range(r_mat.nrows), range(s_lo, s_lo + len(src_rows)))
         p_mat = P.get(k) if P is not None else None
-        # rows of the corner of P_i (basis elts with target in subset)
-        src_corner_rows = [b for b in A.projective_module(i_vert).basis_in_algebra
-                           if A.target[b] in subset]
-        tgt_corner_rows = [b for b in A.projective_module(j_vert).basis_in_algebra
-                           if A.target[b] in subset]
+        if p_mat is not None:
+            p_rows = p_mat.submatrix(range(t_lo, t_lo + len(tgt_rows)), range(p_mat.ncols))
+        tgt_pos = {b: c for c, b in enumerate(tgt_rows)}
         for pos, belt in enumerate(corner):
-            lsl = A.lrow(A.basis_vec(belt)).submatrix(src_corner_rows, tgt_corner_rows)
+            # left multiplication by the path belt on the corners: a 0/1 block
+            block = Mat.zeros(fld, len(src_rows), len(tgt_rows))
+            for i, j, x in A.products(A.basis_vec(belt), src_rows, tgt_pos, True):
+                block.rows[i][j] = fld.add(block.rows[i][j], x)
             if r_mat is not None:
-                left = r_cols @ lsl
-            else:
-                left = _expand_rows(fld, lsl, Zreal.dim(k), s_lo)
+                block = r_cols @ block
             if p_mat is not None:
-                p_rows = p_mat.submatrix(range(t_lo, t_hi), range(p_mat.ncols))
-                contrib = left @ p_rows
-            else:
-                contrib = _expand_cols(fld, left, dimW, t_lo)
-            eq0 = eq_ids[k]
-            for r in range(contrib.nrows):
-                for c in range(contrib.ncols):
-                    v = contrib.rows[r][c]
-                    if v != fld.zero:
-                        sys.add_coeff(eq0 + r * dimW + c, v_phi + off + pos, v)
-        # the constraint reads: R corner(phi) P - (d h + h d) = Q
+                block = block @ p_rows
+            # without R (P) the block sits at the summand's rows (columns)
+            add_block(k, s_lo if r_mat is None else 0, t_lo if p_mat is None else 0,
+                      block, off + pos)
 
-    # homotopy contributions: d_Z @ h^{k+1} + h^k @ d_W^{k-1}
-    for (k, s_idx, q), (off, hmat) in h_vars.items():
-        # h^k contributes to equations at degree k via h^k @ d_W^{k-1}
+    # homotopy contributions: -(h^k @ d_W^{k-1}) at degree k and
+    # -(d_Z^{k-1} @ h^k) at degree k-1, h^k nonzero on one summand's rows
+    for var, (k, (lo, hi), hmat) in enumerate(h_vars, nphi):
         dW = W.diff(k - 1)
         if dW is not None and k in eq_ids:
-            big = _h_full_matrix(fld, Zreal, zslices, k, s_idx, hmat)
-            contrib = big @ dW
-            dimW = W.dim(k)
-            eq0 = eq_ids[k]
-            for r in range(contrib.nrows):
-                for c in range(contrib.ncols):
-                    v = contrib.rows[r][c]
-                    if v != fld.zero:
-                        sys.add_coeff(eq0 + r * dimW + c, off, fld.neg(v))
-        # h^{k} contributes to equations at degree k-1 via d_Z^{k-1} @ h^{k}
+            add_block(k, lo, 0, hmat @ dW, var, negate=True)
         dZ = Zreal.diff(k - 1)
         if dZ is not None and (k - 1) in eq_ids:
-            big = _h_full_matrix(fld, Zreal, zslices, k, s_idx, hmat)
-            contrib = dZ @ big
-            dimW = W.dim(k - 1)
-            eq0 = eq_ids[k - 1]
-            for r in range(contrib.nrows):
-                for c in range(contrib.ncols):
-                    v = contrib.rows[r][c]
-                    if v != fld.zero:
-                        sys.add_coeff(eq0 + r * dimW + c, off, fld.neg(v))
+            add_block(k - 1, 0, 0, dZ.submatrix(range(dZ.nrows), range(lo, hi)) @ hmat,
+                      var, negate=True)
 
-    sol = sys.solve()
+    sol = la.solve(Mat(fld, rows, ncols=nvars), rhs)
     if sol is None:
         return None
-    phi_coords = sol[v_phi:v_phi + coords_phi.total]
-    return ChainMap(src, tgt, coords_phi.to_entries(src, tgt, 0, phi_coords))
+    return ChainMap(src, tgt, coords_phi.to_entries(src, tgt, 0, sol[:nphi]))
 
 
-def _corner_blocks(A: Algebra, verts: Sequence[int], subset) -> List[Tuple[int, int]]:
-    """(start, stop) of each summand's slice inside the corner realization."""
+def _corner_rows(A: Algebra, verts: Sequence[int], subset) -> List[Tuple[int, List[int]]]:
+    """For each summand P_i, its start inside the corner realization and its
+    corner paths (basis paths of P_i with target in the subset)."""
     sub = set(subset)
     out = []
     pos = 0
     for i in verts:
-        cnt = sum(1 for b in A.projective_module(i).basis_in_algebra
-                  if A.target[b] in sub)
-        out.append((pos, pos + cnt))
-        pos += cnt
-    return out
-
-
-def _yoneda_matrix(B: Algebra, vert: int, target, q: int) -> Mat:
-    """Matrix of the map P_vert -> target sending the generator to unit q."""
-    fld = B.field
-    basis = B.projective_module(vert).basis_in_algebra
-    rows = []
-    unit = [fld.one if i == q else fld.zero for i in range(target.dim)]
-    for b in basis:
-        rows.append(target.act(unit, B.basis_vec(b)))
-    return Mat(fld, rows, ncols=target.dim)
-
-
-def _h_full_matrix(fld, Zreal: ModComplex, zslices, k: int, s_idx: int,
-                   hmat: Mat) -> Mat:
-    """Embed a summand-level homotopy matrix into Hom(Z^k_real, W^{k-1})."""
-    big = Mat.zeros(fld, Zreal.dim(k), hmat.ncols)
-    lo, hi = zslices[k][s_idx]
-    for r in range(hi - lo):
-        big.rows[lo + r] = list(hmat.rows[r])
-    return big
-
-
-def _expand_rows(fld, m: Mat, total_rows: int, row_off: int) -> Mat:
-    out = Mat.zeros(fld, total_rows, m.ncols)
-    for r in range(m.nrows):
-        out.rows[row_off + r] = list(m.rows[r])
-    return out
-
-
-def _expand_cols(fld, m: Mat, total_cols: int, col_off: int) -> Mat:
-    out = Mat.zeros(fld, m.nrows, total_cols)
-    for r in range(m.nrows):
-        for c in range(m.ncols):
-            out.rows[r][col_off + c] = m.rows[r][c]
+        rows = [b for b in A.projective_module(i).basis_in_algebra if A.target[b] in sub]
+        out.append((pos, rows))
+        pos += len(rows)
     return out

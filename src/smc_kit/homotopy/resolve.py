@@ -112,24 +112,19 @@ def realize_entry_matrix(A: Algebra, src_verts: Sequence[int],
     """Scalar matrix of an entry matrix on the direct sums of projectives."""
     f = A.field
     src_bases = [A.projective_module(i).basis_in_algebra for i in src_verts]
-    tgt_bases = [A.projective_module(j).basis_in_algebra for j in tgt_verts]
-    nrows = sum(len(b) for b in src_bases)
-    ncols = sum(len(b) for b in tgt_bases)
-    out = Mat.zeros(f, nrows, ncols)
+    # the column of each path of each target summand
+    tgt_cols, ncols = [], 0
+    for j in tgt_verts:
+        tbasis = A.projective_module(j).basis_in_algebra
+        tgt_cols.append({b: ncols + c for c, b in enumerate(tbasis)})
+        ncols += len(tbasis)
+    out = Mat.zeros(f, sum(len(b) for b in src_bases), ncols)
     r0 = 0
     for s, sbasis in enumerate(src_bases):
-        c0 = 0
-        for t, tbasis in enumerate(tgt_bases):
-            e = entries[t][s]
-            if not A.is_zero_vec(e):
-                block = A.lrow(e).submatrix(sbasis, tbasis)
-                for r in range(len(sbasis)):
-                    row = out.rows[r0 + r]
-                    brow = block.rows[r]
-                    for c in range(len(tbasis)):
-                        if brow[c] != f.zero:
-                            row[c0 + c] = brow[c]
-            c0 += len(tbasis)
+        for t, cols in enumerate(tgt_cols):
+            for r, c, x in A.products(entries[t][s], sbasis, cols, True):
+                row = out.rows[r0 + r]
+                row[c] = f.add(row[c], x)
         r0 += len(sbasis)
     return out
 
@@ -220,9 +215,9 @@ def cohomology_dims(X: ProjComplex) -> Dict[int, int]:
     return real.cohomology_dims()
 
 
-def resolve_complex(C: ModComplex, pd_bound: int = 32,
-                    minimal: bool = True) -> Tuple[ProjComplex, Dict[int, Mat]]:
-    """Complex of projectives quasi-isomorphic to C, plus the comparison map.
+def resolve_complex(C: ModComplex, pd_bound: int = 32) -> Tuple[ProjComplex, Dict[int, Mat]]:
+    """Minimal complex of projectives quasi-isomorphic to C, plus the
+    comparison map.
 
     The second component maps the realization of the result onto C degreewise
     (a surjection onto cycles-and-lifts, quasi-iso overall).
@@ -290,8 +285,6 @@ def resolve_complex(C: ModComplex, pd_bound: int = 32,
     P = ProjComplex(A, {d: tuple(v) for d, v in verts.items()}, entries)
     aug = {d: eps[d] for d in verts if d in eps and C.dim(d)}
     _assert_quasi_iso(P, C, aug)
-    if not minimal:
-        return P, aug
     Pmin, _, from_min = minimalize(P)
     real_from = realize_chain_map(from_min)
     aug_min = {}

@@ -95,8 +95,7 @@ class RecollementSpec:
 
 
 def build_recollement(A: Algebra, subset: Sequence[int], *,
-                      gldim_bound: int = 32, pd_bound: int = 32,
-                      validate_samples: bool = True) -> RecollementSpec:
+                      gldim_bound: int = 32, pd_bound: int = 32) -> RecollementSpec:
     subset = tuple(sorted(set(subset)))
     for i in subset:
         if not 0 <= i < A.nvert:
@@ -131,11 +130,7 @@ def build_recollement(A: Algebra, subset: Sequence[int], *,
     report.notes.append(
         "validation is sample-based (simples of the outer algebras); a pass "
         "does not prove the recollement axioms in general")
-    if validate_samples:
-        _run_sample_checks(spec)
-    else:
-        report.validated = True
-        report.notes.append("sample checks skipped on request")
+    _run_sample_checks(spec)
     return spec
 
 

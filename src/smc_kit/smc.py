@@ -235,7 +235,7 @@ class TruncationTriangle:
 
 
 def truncate(T: ProjComplex, objects: Sequence[ProjComplex], threshold: int = 1,
-             cap: int = 10_000, check: bool = True) -> TruncationTriangle:
+             cap: int = 10_000) -> TruncationTriangle:
     """Strip topmost layers Hom(T, S_i[-b]) with b >= threshold.
 
     Always removes the largest b first; the output is unique up to
@@ -267,14 +267,11 @@ def truncate(T: ProjComplex, objects: Sequence[ProjComplex], threshold: int = 1,
         u_map = compose(compose(c_from, p), u_map)
         current = Cm
     V, tri = cone(u_map)
-    out = TruncationTriangle(current, T, V, u_map, tri.v, threshold, log, tri)
-    if check:
-        lo = 1 - threshold
-        if not member_filt_geq(current, objects, lo):
-            raise SmcKitError("truncation invariant failed: U outside the aisle")
-        if not member_filt_leq(V, objects, -threshold):
-            raise SmcKitError("truncation invariant failed: V outside the coaisle")
-    return out
+    if not member_filt_geq(current, objects, 1 - threshold):
+        raise SmcKitError("truncation invariant failed: U outside the aisle")
+    if not member_filt_leq(V, objects, -threshold):
+        raise SmcKitError("truncation invariant failed: V outside the coaisle")
+    return TruncationTriangle(current, T, V, u_map, tri.v, threshold, log, tri)
 
 
 # -- gluing ----------------------------------------------------------------------

@@ -72,16 +72,12 @@ def _timed(name: str, inputs: str, fn) -> CheckReport:
                        time.perf_counter() - t0)
 
 
-def _geq(S: SMC, T: SMC) -> bool:
-    return dominates(S, T)
-
-
 def check_order_preservation(S_X: SMC, Sp_X: SMC, S_Y: SMC, Sp_Y: SMC,
                              R: RecollementSpec) -> CheckReport:
     """Gluing four dominating pairs preserves the order on both routes."""
 
     def run():
-        if not _geq(S_X, Sp_X) or not _geq(S_Y, Sp_Y):
+        if not dominates(S_X, Sp_X) or not dominates(S_Y, Sp_Y):
             return "precondition-failed", "inputs are not ordered"
         g1, _ = glue(S_X, S_Y, R)
         g2, _ = glue(Sp_X, S_Y, R)
@@ -89,7 +85,7 @@ def check_order_preservation(S_X: SMC, Sp_X: SMC, S_Y: SMC, Sp_Y: SMC,
         g4, _ = glue(Sp_X, Sp_Y, R)
         for label, a, b in (("1>=2", g1, g2), ("2>=4", g2, g4),
                             ("1>=3", g1, g3), ("3>=4", g3, g4)):
-            if not _geq(a, b):
+            if not dominates(a, b):
                 return "fail", f"inequality {label} fails"
         return "pass", ""
 
@@ -110,7 +106,7 @@ def check_mutation_order_chain(S: SMC, i: int) -> CheckReport:
                  ("S >= mu^+", S, plus),
                  ("mu^+ >= S[1]", plus, S.shifted(1)))
         for label, a, b in chain:
-            if not _geq(a, b):
+            if not dominates(a, b):
                 return "fail", label
         return "pass", ""
 
@@ -121,7 +117,7 @@ def check_conditional_order(S: SMC, Sp: SMC, i: int, j: int) -> CheckReport:
     """Conditional comparison of one-step mutations of ordered collections."""
 
     def run():
-        if not _geq(S, Sp):
+        if not dominates(S, Sp):
             return "precondition-failed", "S >= S' fails"
         if not is_rigid(S, i) or not is_rigid(Sp, j):
             return "precondition-failed", "rigidity fails"
@@ -131,14 +127,14 @@ def check_conditional_order(S: SMC, Sp: SMC, i: int, j: int) -> CheckReport:
         if hyp1:
             mu_i, _ = mutate(S, i, "left")
             mu_j, _ = mutate(Sp, j, "left")
-            ok = _geq(mu_i, Sp) and _geq(Sp, mu_j)
+            ok = dominates(mu_i, Sp) and dominates(Sp, mu_j)
             results.append(("left clause", ok))
         hyp2 = all(hom_dims(Sp.objects[j], S.objects[l], (0,))[0] == 0
                    for l in range(len(S)))
         if hyp2:
             mu_i, _ = mutate(S, i, "right")
             mu_j, _ = mutate(Sp, j, "right")
-            ok = _geq(mu_i, S) and _geq(S, mu_j)
+            ok = dominates(mu_i, S) and dominates(S, mu_j)
             results.append(("right clause", ok))
         if not results:
             return "hypothesis-failed", "both vanishing hypotheses fail"
@@ -228,7 +224,7 @@ def check_intermediate_order(S_X: SMC, S_Y: SMC, R: RecollementSpec,
                             ("S_T >= S^+", glued, plus_side),
                             ("mu^+(S_T) >= S^+", mu_plus, plus_side),
                             ("S^- >= mu^-(S_T)", minus_side, mu_minus)):
-            if not _geq(a, b):
+            if not dominates(a, b):
                 return "fail", label
         return "pass", ""
 

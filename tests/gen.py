@@ -29,6 +29,33 @@ def two_cycle_algebra(field=FP):
     return Algebra.from_quiver(field, q, relations=[("beta", "alpha")])
 
 
+def lrow(A, x):
+    """Row-convention left multiplication: row_b = coords of x * b."""
+    f = A.field
+    rows = [[f.zero] * A.dim for _ in range(A.dim)]
+    for i, xi in enumerate(x):
+        if xi == f.zero:
+            continue
+        for b, k in enumerate(A.prod[i]):
+            if k >= 0:
+                rows[b][k] = f.add(rows[b][k], xi)
+    return Mat(f, rows, ncols=A.dim)
+
+
+def rrow(A, x):
+    """Row-convention right multiplication: row_b = coords of b * x."""
+    f = A.field
+    rows = [[f.zero] * A.dim for _ in range(A.dim)]
+    for j, xj in enumerate(x):
+        if xj == f.zero:
+            continue
+        for b, row in enumerate(A.prod):
+            k = row[j]
+            if k >= 0:
+                rows[b][k] = f.add(rows[b][k], xj)
+    return Mat(f, rows, ncols=A.dim)
+
+
 def resolved_simple(A, i, degree=0):
     P, _ = resolve_complex(stalk_complex(A.simple_module(i), degree))
     return P

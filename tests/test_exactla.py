@@ -55,19 +55,19 @@ def test_solve_identity_and_inconsistent():
     for f in FIELDS:
         b = [f.from_int(3), f.from_int(-1)]
         res = la.solve(Mat.identity(f, 2), b)
-        assert res.solution == b
+        assert res == b
         res = la.solve(Mat.zeros(f, 2, 2), [f.one, f.zero])
-        assert res.solution is None
+        assert res is None
 
 
 def test_solve_underdetermined():
     for f in FIELDS:
         m = Mat.from_int_rows(f, [[1, 1]])
         res = la.solve(m, [f.from_int(2)])
-        assert res.solution is not None
-        x = res.solution
+        assert res is not None
+        x = res
         assert f.add(x[0], x[1]) == f.from_int(2)
-        assert len(res.kernel) == 1
+        assert len(la.kernel_basis(m)) == 1
 
 
 def test_solve_dimension_mismatch():
@@ -91,10 +91,10 @@ def test_solve_is_exact(m, n, rng):
         x0 = [f.rand(rng) for _ in range(n)]
         b = [la.sum_prod(f, row, x0) for row in mat.rows]
         res = la.solve(mat, b)
-        assert res.solution is not None
-        check = [la.sum_prod(f, row, res.solution) for row in mat.rows]
+        assert res is not None
+        check = [la.sum_prod(f, row, res) for row in mat.rows]
         assert check == b
-        for v in res.kernel:
+        for v in la.kernel_basis(mat):
             assert all(la.sum_prod(f, row, v) == f.zero for row in mat.rows)
 
 

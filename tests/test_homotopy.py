@@ -390,7 +390,7 @@ def _dense_differential(X, Y, n, dom, cod):
                 ent = dY[tp][t]
                 if not A.is_zero_vec(ent) and (k, tp, s) in cod_index:
                     coff, ccorner = cod_index[(k, tp, s)]
-                    _dense_block(mat, A.lrow(ent).submatrix(corner, ccorner),
+                    _dense_block(mat, gen.lrow(A, ent).submatrix(corner, ccorner),
                                  coff, off, fld.add)
         dX = X.diff(k - 1)
         if dX is not None:
@@ -398,7 +398,7 @@ def _dense_differential(X, Y, n, dom, cod):
                 ent = dX[s][sp]
                 if not A.is_zero_vec(ent) and (k - 1, t, sp) in cod_index:
                     coff, ccorner = cod_index[(k - 1, t, sp)]
-                    _dense_block(mat, A.rrow(ent).submatrix(corner, ccorner),
+                    _dense_block(mat, gen.rrow(A, ent).submatrix(corner, ccorner),
                                  coff, off, lambda a, c: fld.sub(a, fld.mul(sign, c)))
     return mat
 
@@ -420,7 +420,7 @@ def _dense_compose(coords_in, coords_out, f, left):
         for key, ent in pairs:
             if not A.is_zero_vec(ent) and key in out_index:
                 coff, ccorner = out_index[key]
-                mult = A.lrow(ent) if left else A.rrow(ent)
+                mult = gen.lrow(A, ent) if left else gen.rrow(A, ent)
                 _dense_block(out, mult.submatrix(corner, ccorner), coff, off, A.field.add)
     return out.transpose()
 
