@@ -275,8 +275,7 @@ def cmd_glue(args) -> int:
     out, report = fn(S_X, S_Y, spec, deep=True)
     rep = validate_smc(out)
     other, _ = (glue if args.dual else glue_dual)(S_X, S_Y, spec)
-    iso_to_other = smc_iso(out, other, trials=args.iso_trials,
-                           certify=args.certify)
+    iso_to_other = smc_iso(out, other)
     payload = {
         "route": "dual" if args.dual else "primal",
         "objects": _smc_summary(ws, out),
@@ -395,9 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--pd-bound", type=int, default=DEFAULT_LIMITS.pd_bound)
     p.add_argument("--strip-cap", type=int, default=DEFAULT_LIMITS.strip_cap)
-    p.add_argument("--iso-trials", type=int, default=DEFAULT_LIMITS.iso_trials)
-    p.add_argument("--certify", action="store_true",
-                   help="prefer certified isomorphism decisions (rationals)")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("validate", help="validate a named collection")

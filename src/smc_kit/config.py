@@ -23,12 +23,10 @@ class NotRigidError(SmcKitError):
 
 @dataclass(frozen=True)
 class Limits:
-    """Defaults of the CLI's resource flags: --pd-bound, --strip-cap and
-    --iso-trials."""
+    """Defaults of the CLI's resource flags: --pd-bound and --strip-cap."""
 
     pd_bound: int = 32
     strip_cap: int = 10_000
-    iso_trials: int = 40
 
 
 DEFAULT_LIMITS = Limits()

@@ -301,7 +301,7 @@ def canonical_theta(spec: RecollementSpec, Y: ProjComplex) -> ChainMap:
     data = j_lower_star_full(spec, Y)
     y_real, _ = module_realization(Y)
     theta = solve_corner_constrained(src, data.cplx, spec.subset, Y, y_real,
-                                     None, data.P, data.W, data.Q, spec.y_embed)
+                                     None, data.P, data.W, data.Q)
     if theta is None:
         raise SmcKitError(
             "no chain map with the canonical corner behaviour: functor "
@@ -333,13 +333,13 @@ def canonical_triangles(spec: RecollementSpec, T: ProjComplex) -> CanonicalTrian
     else:
         jz = j_lower_shriek(spec, Z)
         counit = solve_corner_constrained(jz, T, spec.subset, Z, z_real,
-                                          None, None, corner_t, q_t, spec.y_embed)
+                                          None, None, corner_t, q_t)
         if counit is None:
             raise SmcKitError("counit system unsolvable: functor inconsistency")
         data = j_lower_star_full(spec, Z)
         star = data.cplx
         unit = solve_corner_constrained(T, star, spec.subset, Z, z_real,
-                                        q_t, data.P, data.W, data.Q, spec.y_embed)
+                                        q_t, data.P, data.W, data.Q)
         if unit is None:
             raise SmcKitError("unit system unsolvable: functor inconsistency")
     cone_counit, tri_lower = cone(counit)

@@ -527,36 +527,17 @@ def _has_perfect_matching(adj: Sequence[Sequence[bool]]) -> bool:
     return all(augment(a, [False] * n) for a in range(n))
 
 
-def smc_iso(S: SMC, T: SMC, rng: Optional[_random.Random] = None,
-            trials: int = 40, certify: bool = False) -> bool:
-    """Objectwise isomorphism up to permutation."""
+def smc_iso(S: SMC, T: SMC, rng: Optional[_random.Random] = None) -> bool:
+    """Objectwise isomorphism up to permutation.  Certified in both
+    directions when the objects are bricks, as in any collection that
+    passes axiom 1."""
     if S.algebra is not T.algebra or len(S) != len(T):
         return False
     rng = rng or _random.Random(0)
     n = len(S)
-    adj = [[bool(is_iso(S.objects[a], T.objects[b], rng=rng, trials=trials,
-                        certify=certify))
+    adj = [[bool(is_iso(S.objects[a], T.objects[b], rng=rng))
             for b in range(n)] for a in range(n)]
     return _has_perfect_matching(adj)
-
-
-def smc_distinct_certified(S: SMC, T: SMC,
-                           rng: Optional[_random.Random] = None) -> bool:
-    """True when the collections are provably non-isomorphic: even matching
-    objects optimistically (treating every uncertified NO as a YES) leaves
-    no bijection.  Used before asserting a genuine non-commutation."""
-    if len(S) != len(T):
-        return True
-    rng = rng or _random.Random(0)
-    n = len(S)
-    adj = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            r = is_iso(S.objects[a], T.objects[b], rng=rng)
-            row.append(r.isomorphic or not r.certified)
-        adj.append(row)
-    return not _has_perfect_matching(adj)
 
 
 def is_rigid(S: SMC, i: int) -> bool:

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 
 import gen
 from smc_kit import exactla as la
-from smc_kit.algebra import module_hom_space
-from smc_kit.exactla import Mat, RationalField
+from smc_kit.algebra import Algebra, Quiver, module_hom_space
+from smc_kit.exactla import Mat, PrimeField, RationalField
 from smc_kit.fixtures import random_monomial_linear_algebra
 from smc_kit.homotopy import (
     ChainMap,
@@ -315,12 +315,13 @@ def test_is_iso_cases():
 
 
 def test_is_iso_witnesses_verified():
+    # a non-minimal target, so the witnesses pass through both minimal models
     X = s1_complex()
-    Y = shift(X, 0)
-    r = is_iso(X, X, rng=random.Random(2), verify=True)
-    assert r.isomorphic
-    gf = compose(r.forward, r.backward)
-    assert homotopic(gf, identity_map(X))
+    Y, _, _ = direct_sum([X, cone(identity_map(p_stalk(A2, 1)))[0]])
+    r = is_iso(X, Y, rng=random.Random(2))
+    assert r.isomorphic and r.certified
+    assert homotopic(compose(r.forward, r.backward), identity_map(X))
+    assert homotopic(compose(r.backward, r.forward), identity_map(Y))
 
 
 def test_is_iso_cohomology_certificate():
@@ -332,14 +333,65 @@ def test_is_iso_cohomology_certificate():
     assert "cohomology" in r.note
 
 
-def test_is_iso_certify_over_rationals():
+def test_is_iso_certified_over_rationals():
     QQ = RationalField()
     A = gen.a2_algebra(QQ)
     S1 = gen.resolved_simple(A, 0)
-    r = is_iso(S1, S1, certify=True)
+    r = is_iso(S1, S1)
     assert r.isomorphic and r.certified
-    r = is_iso(S1, stalk(A, 0), certify=True)
+    r = is_iso(S1, stalk(A, 0))
     assert not r.isomorphic and r.certified
+
+
+def _kronecker_pair(field):
+    """X = [P2 -(a; b)-> P1^2], a brick, and Y = [P2 -(a; 0)-> P1^2], which
+    is not: same terms and cohomology dimensions, not isomorphic."""
+    K = Algebra.from_quiver(field, Quiver(("1", "2"), (("a", "1", "2"), ("b", "1", "2"))))
+    a, b = K.parse_element("a"), K.parse_element("b")
+    X = ProjComplex(K, {-1: (1,), 0: (0, 0)}, {-1: [[a], [b]]})
+    Y = ProjComplex(K, {-1: (1,), 0: (0, 0)}, {-1: [[a], [K.zero_vec()]]})
+    return K, X, Y
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), PrimeField(32003),
+                                   RationalField()], ids=str)
+def test_is_iso_brick_no_is_certified(field):
+    K, X, Y = _kronecker_pair(field)
+    assert hom_dims(X, X, (0,))[0] == 1 and hom_dims(Y, Y, (0,))[0] > 1
+    for P, Q in ((X, Y), (Y, X)):
+        r = is_iso(P, Q, rng=random.Random(0))
+        assert not r.isomorphic and r.certified, r.note
+    # adding P2 makes both sides non-bricks: the NO is sampled, and at a
+    # small prime it carries no error bound
+    Xp, _, _ = direct_sum([X, p_stalk(K, 1)])
+    Yp, _, _ = direct_sum([Y, p_stalk(K, 1)])
+    r = is_iso(Xp, Yp, rng=random.Random(0))
+    assert not r.isomorphic and not r.certified
+    small = isinstance(field, PrimeField) and field.p <= Xp.total_terms()
+    assert ("inconclusive" in r.note) == small, r.note
+
+
+class _CountingRandom(random.Random):
+    draws = 0
+
+    def randrange(self, *args, **kwargs):
+        self.draws += 1
+        return super().randrange(*args, **kwargs)
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(32003)], ids=str)
+def test_is_iso_samples_decomposable_self_iso(field):
+    # End(P1 + P2) has basis e_1, e_2 and the arrow, each singular on its
+    # own: only the random-combination fallback finds the identity
+    A = gen.a2_algebra(field)
+    D, _, _ = direct_sum([p_stalk(A, 0), p_stalk(A, 1)])
+    assert hom_dims(D, D, (0,))[0] == 3
+    rng = _CountingRandom(0)
+    r = is_iso(D, D, rng=rng)
+    assert rng.draws > 0
+    assert r.isomorphic and r.certified
+    assert homotopic(compose(r.forward, r.backward), identity_map(D))
+    assert homotopic(compose(r.backward, r.forward), identity_map(D))
 
 
 def test_resolve_complex_of_two_terms():

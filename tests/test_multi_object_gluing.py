@@ -61,7 +61,7 @@ def test_commutation_both_branches_arise():
             assert r.passed, r.line()
             if "condition holds" in r.witness:
                 held += 1
-            elif "certified" in r.witness or "not expected" in r.witness:
+            elif "certified" in r.witness:
                 failed += 1
             rf = check_first_m_terms(SX, SY, SPEC, j, direction)
             assert rf.passed, rf.line()

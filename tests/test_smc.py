@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 
 from smc_kit.config import InputError, NotRigidError
-from smc_kit.fixtures import a2_fixture, two_cycle_fixture
-from smc_kit.homotopy import is_iso, shift
+from smc_kit.exactla import PrimeField
+from smc_kit.fixtures import a2_fixture, random_recollement, two_cycle_fixture
+from smc_kit.homotopy import compose, homotopic, identity_map, is_iso, shift
 from smc_kit.smc import (
     SMC,
     _has_perfect_matching,
@@ -411,3 +412,31 @@ def test_perfect_matching_against_permutations(adj):
     expected = any(all(adj[a][p[a]] for a in range(n))
                    for p in itertools.permutations(range(n)))
     assert _has_perfect_matching(adj) == expected
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from([2, 32003]), st.randoms(use_true_random=False))
+def test_is_iso_on_collection_objects_is_certified(p, rng):
+    # every object of a collection is a brick, so every decision between
+    # them is certified, in either order, with witnesses on every YES
+    spec = random_recollement(PrimeField(p), rng, max_vertices=4)
+    if spec is None:
+        return
+    sx, sy = standard_smc(spec.x_algebra), standard_smc(spec.y_algebra)
+    g, _ = glue(sx, sy, spec, rng=rng)
+    d, _ = glue_dual(sx, sy, spec, rng=rng)
+    pool = list(standard_smc(spec.algebra).objects + g.objects + d.objects)
+    i = rng.randrange(len(g))
+    try:
+        pool += mutate(g, i, rng.choice(("left", "right")))[0].objects
+    except NotRigidError:
+        pass
+    pool = rng.sample(pool, min(len(pool), 6))
+    for X in pool:
+        for Y in pool:
+            r = is_iso(X, Y, rng=rng)
+            assert r.certified, r.note
+            assert is_iso(Y, X, rng=rng).isomorphic == r.isomorphic
+            if r.isomorphic:
+                assert homotopic(compose(r.forward, r.backward), identity_map(X))
+                assert homotopic(compose(r.backward, r.forward), identity_map(Y))
