@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import exactla as la
-from .config import BoundExceeded, InputError
+from .config import BoundExceeded, InputError, InvariantError
 from .exactla import Field, Mat
 
 Vec = Tuple  # coefficient tuple over the algebra basis
@@ -186,7 +186,8 @@ class Algebra:
         for pos, b in enumerate(idx):
             y[b] = sol[pos]
         y = tuple(y)
-        assert self.mul_vec(x, y)[vertex] == f.one
+        if self.mul_vec(x, y)[vertex] != f.one:
+            raise InvariantError("corner inverse does not invert")
         return y
 
     def parse_element(self, text: str) -> Vec:
@@ -578,7 +579,8 @@ class Module:
         if not blocks:
             return [], Mat.zeros(f, 0, self.dim)
         cover = la.vstack(blocks)
-        assert la.rank(cover) == self.dim, "cover is not surjective"
+        if la.rank(cover) != self.dim:
+            raise InvariantError("cover is not surjective")
         return verts, cover
 
     def __repr__(self):
@@ -740,7 +742,8 @@ def projective_resolution(M: Module, max_len: int = 32) -> Resolution:
         maps.append(step)
         target_mod, cur_map, current = current, step, Pn
     res = Resolution(M, verts, modules, maps, cover)
-    assert res.check_exact()
+    if not res.check_exact():
+        raise InvariantError("projective resolution is not exact")
     return res
 
 

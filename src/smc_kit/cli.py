@@ -8,7 +8,7 @@ objects are either complex names or the builtins simple:V / proj:V /
 inj:V, each with an optional shift suffix "[n]".
 
 Exit codes: 0 success, 1 mathematical check failed, 2 input error,
-3 resource bound exceeded.
+3 resource bound exceeded, 4 internal invariant failed (a bug).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .config import (
     DEFAULT_LIMITS,
     BoundExceeded,
     InputError,
+    InvariantError,
     NotRigidError,
     SmcKitError,
 )
@@ -457,6 +458,9 @@ def main(argv=None) -> int:
     except (NotRigidError, SmcKitError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
+    except InvariantError as exc:
+        print(f"internal invariant failed (a bug): {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

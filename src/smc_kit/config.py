@@ -21,6 +21,14 @@ class NotRigidError(SmcKitError):
     """Mutation requested at a non-rigid object without force."""
 
 
+class InvariantError(AssertionError):
+    """An internal invariant failed: a bug, not a verdict about the input.
+
+    Not a SmcKitError, so no handler that turns errors into a "fail" or
+    "unvalidated" result can absorb it; raised explicitly, so it survives
+    python -O."""
+
+
 @dataclass(frozen=True)
 class Limits:
     """Defaults of the CLI's resource flags: --pd-bound and --strip-cap."""

@@ -93,6 +93,11 @@ class PrimeField:
     def from_int(self, n: int):
         return n % self.p
 
+    @property
+    def sample_size(self) -> int:
+        """Size of the set rand draws from uniformly."""
+        return self.p
+
     def rand(self, rng):
         return rng.randrange(self.p)
 
@@ -135,8 +140,11 @@ class RationalField:
     def from_int(self, n: int):
         return Fraction(n)
 
+    RAND_MAX = 20  # rand draws uniformly from the integers -RAND_MAX..RAND_MAX
+    sample_size = 2 * RAND_MAX + 1
+
     def rand(self, rng):
-        return Fraction(rng.randrange(-20, 21))
+        return Fraction(rng.randrange(-self.RAND_MAX, self.RAND_MAX + 1))
 
     def rand_nonzero(self, rng):
         n = rng.randrange(1, 41)

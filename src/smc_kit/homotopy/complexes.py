@@ -23,7 +23,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .. import exactla as la
 from ..algebra import Algebra, Vec
-from ..config import InputError
+from ..config import InputError, InvariantError
 
 Entries = List[List[Vec]]  # rows = target summands, cols = source summands
 
@@ -535,7 +535,8 @@ def minimalize(X: ProjComplex) -> Tuple[ProjComplex, ChainMap, ChainMap]:
                                 if k in clean_terms and X.term(k)}, validate=False)
     from_min = ChainMap(Xmin, X, {k: m for k, m in from_comps.items()
                                   if k in clean_terms and X.term(k)}, validate=False)
-    assert Xmin.is_minimal()
+    if not Xmin.is_minimal():
+        raise InvariantError("minimal model has a non-radical differential entry")
     X._minimal_cache = (Xmin, to_min, from_min)
     Xmin._minimal_cache = (Xmin, identity_map(Xmin), identity_map(Xmin))
     return X._minimal_cache

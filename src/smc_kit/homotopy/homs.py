@@ -27,8 +27,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import exactla as la
 from ..algebra import Algebra, yoneda_map
-from ..config import InputError
-from ..exactla import Mat, PrimeField
+from ..config import InputError, InvariantError
+from ..exactla import Mat
 from .complexes import (
     ChainMap,
     Entries,
@@ -189,7 +189,8 @@ def hom_dims(X: ProjComplex, Y: ProjComplex, degrees: Iterable[int]) -> Dict[int
             continue
         r, size = _rank_and_size(X, Y, n)
         h = size - r - (_rank_and_size(X, Y, n - 1)[0] if n > lo else 0)
-        assert h >= 0
+        if h < 0:
+            raise InvariantError(f"negative Hom dimension {h} in degree {n}")
         out[n] = h
     return out
 
@@ -376,7 +377,8 @@ def is_iso(X: ProjComplex, Y: ProjComplex,
     singular chain maps form a proper subspace, so some basis chain map is
     an isomorphism whenever one exists.  Only for two non-bricks is a NO
     found by random combinations: it is Monte Carlo, with its error bound
-    in the note, or "inconclusive" when the field is too small for one.
+    in the note, or "inconclusive" when the field's sample set is too small
+    for one.
     """
     if X.algebra is not Y.algebra:
         raise InputError("is_iso requires complexes over the same algebra")
@@ -417,22 +419,25 @@ def is_iso(X: ProjComplex, Y: ProjComplex,
             if found:
                 break
     if found is None:
-        det_bound = Xm.total_terms()
-        if not isinstance(fld, PrimeField):
-            note = f"no invertible chain map in {ISO_TRIALS} rational samples"
-        elif det_bound >= fld.p:
+        # Schwartz-Zippel: the determinant of the scalar profiles has degree
+        # at most det_bound in the sampled coefficients
+        det_bound, size = Xm.total_terms(), fld.sample_size
+        if det_bound >= size:
             note = (f"inconclusive: no invertible chain map in {ISO_TRIALS} "
-                    f"samples; p = {fld.p} is too small for an error bound")
+                    f"samples; {size} sample values are too few for an "
+                    "error bound")
         else:
             note = (f"no invertible chain map in {ISO_TRIALS} samples; failure "
-                    f"probability <= ({det_bound}/{fld.p})^{ISO_TRIALS}")
+                    f"probability <= ({det_bound}/{size})^{ISO_TRIALS}")
         return IsoResult(False, False, note=note)
     # invert degreewise through the module realization
     inv_comps: Dict[int, Entries] = {}
     real_f = realize_chain_map(found)
     for k, m in real_f.items():
         inv = la.solve_matrix(m, Mat.identity(fld, m.nrows))
-        assert inv is not None
+        if inv is None:
+            raise InvariantError("chain map with invertible scalar profiles "
+                                 "has a singular component")
         inv_comps[k] = entries_from_realized(X.algebra, Ym.term(k), Xm.term(k), inv)
     back = ChainMap(Ym, Xm, inv_comps)
     forward = compose(compose(x_to, found), y_from)

@@ -26,7 +26,7 @@ from ..algebra import (
     submodule_from_rows,
     zero_module,
 )
-from ..config import BoundExceeded, InputError
+from ..config import BoundExceeded, InputError, InvariantError
 from ..exactla import Mat
 from .complexes import ChainMap, Entries, ProjComplex, minimalize, zero_complex
 
@@ -298,7 +298,8 @@ def _assert_quasi_iso(P: ProjComplex, C: ModComplex, aug: Dict[int, Mat]):
     real, _ = module_realization(P)
     hP = real.cohomology_dims()
     hC = C.cohomology_dims()
-    assert hP == hC, f"resolution changed cohomology: {hP} vs {hC}"
+    if hP != hC:
+        raise InvariantError(f"resolution changed cohomology: {hP} vs {hC}")
     # the comparison map is a chain map
     for k, a in aug.items():
         dP = real.diff(k)
@@ -312,4 +313,5 @@ def _assert_quasi_iso(P: ProjComplex, C: ModComplex, aug: Dict[int, Mat]):
             continue
         lhs = lhs if lhs is not None else Mat.zeros(a.field, *shape)
         rhs = rhs if rhs is not None else Mat.zeros(a.field, *shape)
-        assert lhs == rhs, f"comparison map fails to commute at degree {k}"
+        if lhs != rhs:
+            raise InvariantError(f"comparison map fails to commute at degree {k}")

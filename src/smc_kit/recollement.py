@@ -24,13 +24,12 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import Algebra, Module, global_dimension, projective_dimension
-from .config import BoundExceeded, InputError, SmcKitError
+from .config import BoundExceeded, InputError, InvariantError, SmcKitError
 from .exactla import Mat
 from .homotopy import (
     ChainMap,
     ModComplex,
     ProjComplex,
-    Triangle,
     cocone,
     cone,
     corner_of_proj_complex,
@@ -170,16 +169,22 @@ def j_lower_shriek(spec: RecollementSpec, Y: ProjComplex) -> ProjComplex:
         raise InputError("j_lower_shriek expects a complex over the corner algebra")
     if Y.is_zero():
         return zero_complex(spec.algebra)
-    A, B = spec.algebra, spec.y_algebra
+    return _embed_complex(spec, Y, spec.algebra)
+
+
+def _embed_complex(spec: RecollementSpec, Y: ProjComplex,
+                   algebra: Algebra) -> ProjComplex:
+    """A complex over eAe (or (eAe)^op = e A^op e) as one over A (or A^op):
+    each corner projective f(eAe) becomes fA, differentials keep their entries."""
     terms = {k: tuple(spec.subset[v] for v in verts) for k, verts in Y.terms.items()}
     diffs = {}
     for k, d in Y.diffs.items():
         diffs[k] = [[_embed_vec(spec, e) for e in row] for row in d]
-    return ProjComplex(A, terms, diffs)
+    return ProjComplex(algebra, terms, diffs)
 
 
 def _embed_vec(spec: RecollementSpec, vec) -> Tuple:
-    A, B = spec.algebra, spec.y_algebra
+    A = spec.algebra
     out = [A.field.zero] * A.dim
     for i, c in enumerate(vec):
         if c != A.field.zero:
@@ -215,7 +220,6 @@ class JStarData:
     W: ModComplex
     P: Dict[int, Mat]       # corner(realization of cplx) -> W
     Q: Dict[int, Mat]       # realization of the input -> W
-    corner_pos: Dict[int, List[int]]
 
 
 def j_lower_star_full(spec: RecollementSpec, Y: ProjComplex) -> JStarData:
@@ -226,72 +230,43 @@ def j_lower_star_full(spec: RecollementSpec, Y: ProjComplex) -> JStarData:
     A, B = spec.algebra, spec.y_algebra
     if Y.is_zero():
         return JStarData(zero_complex(A), ModComplex(B, {}, {}, validate=False),
-                         {}, {}, {})
+                         {}, {})
     y_real, _ = module_realization(Y)
     dy = dual_mod_complex(y_real)                      # over B^op
     r_b, q_b = resolve_complex(dy, pd_bound=spec.pd_bound)  # proj over B^op
-    j_op = _transport_op(spec, r_b)                     # proj over A^op
+    A_op = A.op()
+    j_op = _embed_complex(spec, r_b, A_op)              # proj over A^op
     j_real, _ = module_realization(j_op)
     inj = dual_mod_complex(j_real)                      # injectives over A
     res, q_i = resolve_complex(inj, pd_bound=spec.pd_bound)
     rb_real, _ = module_realization(r_b)
     W = dual_mod_complex(rb_real)                       # over B, the corner model
-    # the corner of the injective complex must be W on the nose (same
-    # coordinates, same differentials); everything downstream relies on it
+    # The dual basis of inj is indexed by the realization basis of the
+    # opposite projectives, so its e-corner sits at the A^op corner positions
+    # (target in A^op = source in A).  That corner must be W on the nose
+    # (same coordinates, same differentials); everything downstream relies on it.
     for k, d in W.diffs.items():
-        ipos_k = _injective_corner_positions(spec, j_op, -k)
-        ipos_k1 = _injective_corner_positions(spec, j_op, -k - 1)
-        sliced = inj.diff(k).submatrix(ipos_k, ipos_k1)
-        assert sliced == d, "corner of the injective complex drifted from W"
+        ipos_k = corner_positions(A_op, j_op.term(-k), spec.subset)
+        ipos_k1 = corner_positions(A_op, j_op.term(-k - 1), spec.subset)
+        if inj.diff(k).submatrix(ipos_k, ipos_k1) != d:
+            raise InvariantError("corner of the injective complex drifted from W")
     res_pos = {k: corner_positions(A, res.term(k), spec.subset) for k in res.terms}
     P: Dict[int, Mat] = {}
     for k, q in q_i.items():
-        ipos = _injective_corner_positions(spec, j_op, -k)
+        ipos = corner_positions(A_op, j_op.term(-k), spec.subset)
         P[k] = q.submatrix(res_pos.get(k, []), ipos)
-        assert W.dim(k) == len(ipos), "corner model misaligned with dual resolution"
+        if W.dim(k) != len(ipos):
+            raise InvariantError("corner model misaligned with dual resolution")
     Q: Dict[int, Mat] = {}
     for m in y_real.terms:
         qb = q_b.get(-m)
         if qb is not None:
             Q[m] = qb.transpose()
-    return JStarData(res, W, P, Q, res_pos)
+    return JStarData(res, W, P, Q)
 
 
 def j_lower_star(spec: RecollementSpec, Y: ProjComplex) -> ProjComplex:
     return j_lower_star_full(spec, Y).cplx
-
-
-def _transport_op(spec: RecollementSpec, R: ProjComplex) -> ProjComplex:
-    """A complex over (eAe)^op = e A^op e as a complex over A^op."""
-    A_op = spec.algebra.op()
-    terms = {k: tuple(spec.subset[v] for v in verts) for k, verts in R.terms.items()}
-    diffs = {}
-    for k, d in R.diffs.items():
-        diffs[k] = [[_embed_vec(spec, e) for e in row] for row in d]
-    return ProjComplex(A_op, terms, diffs)
-
-
-def _injective_corner_positions(spec: RecollementSpec, j_op: ProjComplex,
-                                op_degree: int) -> List[int]:
-    """Positions of the e-corner inside the dual of the A^op realization.
-
-    The dual basis is indexed by the realization basis of the opposite
-    projectives (elements of A e_f); the corner keeps those with source
-    in the subset, blockwise in algebra order, matching the coordinates
-    of the dual of the corner resolution on the nose.
-    """
-    A_op = spec.algebra.op()
-    sub = set(spec.subset)
-    pos = []
-    offset = 0
-    for f_vert in j_op.term(op_degree):
-        basis = A_op.projective_module(f_vert).basis_in_algebra
-        for r, b in enumerate(basis):
-            # source in A = target in A^op
-            if A_op.target[b] in sub:
-                pos.append(offset + r)
-        offset += len(basis)
-    return pos
 
 
 def canonical_theta(spec: RecollementSpec, Y: ProjComplex) -> ChainMap:
@@ -311,13 +286,8 @@ def canonical_theta(spec: RecollementSpec, Y: ProjComplex) -> ChainMap:
 
 @dataclass
 class CanonicalTriangles:
-    t: ProjComplex
-    i_shriek_part: ProjComplex   # i_* i^!(T), the cocone of the unit
-    i_star_part: ProjComplex     # i_* i^*(T), the cone of the counit
-    triangle_upper: Triangle     # i_*i^!(T) -> T -> j_*j^!(T) ->
-    triangle_lower: Triangle     # j_!j^!(T) -> T -> i_*i^*(T) ->
-    unit: ChainMap
-    counit: ChainMap
+    i_shriek_part: ProjComplex   # i_*i^!(T), cocone of the unit T -> j_*j^!(T)
+    i_star_part: ProjComplex     # i_*i^*(T), cone of the counit j_!j^!(T) -> T
 
 
 def canonical_triangles(spec: RecollementSpec, T: ProjComplex) -> CanonicalTriangles:
@@ -342,16 +312,16 @@ def canonical_triangles(spec: RecollementSpec, T: ProjComplex) -> CanonicalTrian
                                         q_t, data.P, data.W, data.Q)
         if unit is None:
             raise SmcKitError("unit system unsolvable: functor inconsistency")
-    cone_counit, tri_lower = cone(counit)
-    cocone_unit, p_map, tri_upper = cocone(unit)
-    return CanonicalTriangles(T, cocone_unit, cone_counit,
-                              tri_upper, tri_lower, unit, counit)
+    cone_counit, _ = cone(counit)
+    cocone_unit, _, _ = cocone(unit)
+    return CanonicalTriangles(cocone_unit, cone_counit)
 
 
 # -- validation ----------------------------------------------------------------
 
 
-def _resolved_simples(alg: Algebra) -> List[ProjComplex]:
+def resolved_simples(alg: Algebra) -> List[ProjComplex]:
+    """The simple modules of alg as minimal complexes of projectives."""
     out = []
     for i in range(alg.nvert):
         P, _ = resolve_complex(stalk_complex(alg.simple_module(i)))
@@ -364,8 +334,8 @@ def _run_sample_checks(spec: RecollementSpec):
     rng = random.Random(0)
     report = spec.report
     checks = report.checks
-    y_simples = _resolved_simples(spec.y_algebra)
-    x_simples = _resolved_simples(spec.x_algebra)
+    y_simples = resolved_simples(spec.y_algebra)
+    x_simples = resolved_simples(spec.x_algebra)
     for idx, Ys in enumerate(y_simples):
         r = is_iso(j_upper_shriek(spec, j_lower_shriek(spec, Ys)), Ys, rng=rng)
         checks.append(CheckItem(f"j^! j_! = id on corner simple {idx}",

@@ -19,12 +19,11 @@ from typing import Dict, List, Literal, Optional, Sequence, Tuple
 
 from . import exactla as la
 from .algebra import Algebra
-from .config import BoundExceeded, InputError, NotRigidError, SmcKitError
+from .config import BoundExceeded, InputError, InvariantError, NotRigidError, SmcKitError
 from .exactla import Mat, RationalField
 from .homotopy import (
     ChainMap,
     ProjComplex,
-    Triangle,
     cocone,
     cone,
     compose,
@@ -47,6 +46,7 @@ from .recollement import (
     i_star,
     j_lower_shriek,
     j_upper_shriek,
+    resolved_simples,
 )
 
 
@@ -87,17 +87,21 @@ class SMC:
         return [list(o.euler_class()) for o in self.objects]
 
     @property
-    def euler_unimodular(self) -> bool:
-        """Necessary condition for generation: as many objects as vertices
-        and the matrix of alternating dimension-vector classes has det +-1."""
+    def euler_det(self) -> Optional[int]:
+        """Determinant of the matrix of alternating dimension-vector classes;
+        None unless there are as many objects as vertices."""
         n = len(self.objects)
         if n != self.algebra.nvert:
-            return False
+            return None
         if n == 0:
-            return True
-        q = RationalField()
-        m = Mat.from_int_rows(q, self.euler_matrix(), ncols=n)
-        return abs(la.det(m)) == 1
+            return 1
+        m = Mat.from_int_rows(RationalField(), self.euler_matrix(), ncols=n)
+        return int(la.det(m))
+
+    @property
+    def euler_unimodular(self) -> bool:
+        """Necessary condition for generation: the Euler determinant is +-1."""
+        return self.euler_det in (1, -1)
 
     def name_of(self, i: int) -> str:
         if self.names and i < len(self.names):
@@ -106,12 +110,8 @@ class SMC:
 
 
 def standard_smc(A: Algebra) -> SMC:
-    from .homotopy import resolve_complex, stalk_complex
-    objs = []
-    for i in range(A.nvert):
-        P, _ = resolve_complex(stalk_complex(A.simple_module(i)))
-        objs.append(P)
-    return SMC(A, tuple(objs), Certificate("standard_simples", "heart simples"),
+    return SMC(A, tuple(resolved_simples(A)),
+               Certificate("standard_simples", "heart simples"),
                tuple(f"S{A.vertex_labels[i]}" for i in range(A.nvert)))
 
 
@@ -164,15 +164,8 @@ def validate_smc(S: SMC) -> SmcReport:
             for n, d in dims.items():
                 if n < 0 and d:
                     a3_fail.append((i, j, n, d))
-    det_int: Optional[int] = None
-    unimodular = False
-    if n_obj == S.algebra.nvert and n_obj > 0:
-        q = RationalField()
-        m = Mat.from_int_rows(q, S.euler_matrix(), ncols=n_obj)
-        det_int = int(la.det(m))
-        unimodular = abs(det_int) == 1
-    elif n_obj == 0 and S.algebra.nvert == 0:
-        det_int, unimodular = 1, True
+    det_int = S.euler_det
+    unimodular = det_int in (1, -1)
     if S.certificate.theorem_backed:
         generation = f"theorem-backed ({S.certificate.kind})"
     elif unimodular:
@@ -225,13 +218,10 @@ class TruncationTriangle:
     """U -> T -> V -> U[1] relative to the aisle generated by the collection."""
 
     u_part: ProjComplex
-    t: ProjComplex
     v_part: ProjComplex
     u_map: ChainMap                  # U -> T
     v_map: ChainMap                  # T -> V
-    threshold: int
     strip_log: List[Tuple[int, int]]  # (object index, shift stripped)
-    triangle: Triangle
 
 
 def truncate(T: ProjComplex, objects: Sequence[ProjComplex], threshold: int = 1,
@@ -271,7 +261,7 @@ def truncate(T: ProjComplex, objects: Sequence[ProjComplex], threshold: int = 1,
         raise SmcKitError("truncation invariant failed: U outside the aisle")
     if not member_filt_leq(V, objects, -threshold):
         raise SmcKitError("truncation invariant failed: V outside the coaisle")
-    return TruncationTriangle(current, T, V, u_map, tri.v, threshold, log, tri)
+    return TruncationTriangle(current, V, u_map, tri.v, log)
 
 
 # -- gluing ----------------------------------------------------------------------
@@ -283,16 +273,13 @@ class GluingItem:
     u_part: ProjComplex
     v_part: ProjComplex
     w: ProjComplex                      # minimal model of the new object
-    triangle_first: Triangle            # cone-certified defining triangle
     second_triangle_ok: Optional[bool]  # octahedron companion, up to iso
     image_identities: Dict[str, bool] = dc_field(default_factory=dict)
 
 
 @dataclass
 class GluingReport:
-    dual: bool
     items: List[GluingItem]
-    notes: List[str] = dc_field(default_factory=list)
 
     def all_verified(self) -> bool:
         return all(item.second_triangle_ok is not False and
@@ -312,44 +299,46 @@ def _check_side_inputs(S_X: SMC, S_Y: SMC, R: RecollementSpec):
                 f"{rep.axiom1_failures + rep.axiom3_failures}")
 
 
-def glue(S_X: SMC, S_Y: SMC, R: RecollementSpec, deep: bool = False,
-         rng: Optional[_random.Random] = None) -> Tuple[SMC, GluingReport]:
-    """New collection (i_*(X_1..m), W_1..n) via truncation of i_*i^! j_!(Y_j)."""
+def _quotient_images(R: RecollementSpec, S_X: SMC) -> List[ProjComplex]:
+    return [minimalize(i_star(R, X))[0] for X in S_X.objects]
+
+
+def _glue(S_X: SMC, S_Y: SMC, R: RecollementSpec, new_item, deep: bool,
+          rng: Optional[_random.Random], prefix: str,
+          detail: str) -> Tuple[SMC, GluingReport]:
+    """Both gluing routes: the quotient images, then one object per corner
+    object, built by new_item(R, j, Y, images, deep, rng)."""
     rng = rng or _random.Random(0)
     _check_side_inputs(S_X, S_Y, R)
-    images = [minimalize(i_star(R, X))[0] for X in S_X.objects]
-    items: List[GluingItem] = []
-    ws: List[ProjComplex] = []
-    for j, Y in enumerate(S_Y.objects):
-        theta = canonical_theta(R, Y)
-        C, p, _ = cocone(theta)
-        Cm, _, c_from = minimalize(C)
-        p_min = compose(c_from, p)          # Cm -> j_!(Y)
-        trunc = truncate(Cm, images, threshold=1)
-        into = compose(trunc.u_map, p_min)  # U -> j_!(Y)
-        W_full, tri = cone(into)
-        Wm, _, _ = minimalize(W_full)
-        item = GluingItem(j, trunc.u_part, minimalize(trunc.v_part)[0], Wm,
-                          tri, None)
-        if deep:
-            chi = factor_through(tri.v, theta)  # W -> j_*(Y) over the triangle
-            if chi is None:
-                item.second_triangle_ok = False
-            else:
-                cone_chi, _ = cone(chi)
-                item.second_triangle_ok = bool(
-                    is_iso(cone_chi, shift(item.v_part, 1), rng=rng))
-            item.image_identities = _image_identities(R, Wm, Y, trunc, rng)
-        ws.append(Wm)
-        items.append(item)
+    images = _quotient_images(R, S_X)
+    items = [new_item(R, j, Y, images, deep, rng)
+             for j, Y in enumerate(S_Y.objects)]
     names = tuple(f"i({S_X.name_of(i)})" for i in range(len(S_X.objects))) + \
-        tuple(f"W{j + 1}" for j in range(len(S_Y.objects)))
-    out = SMC(R.algebra, tuple(images) + tuple(ws),
-              Certificate("glued", "truncated corner route"), names)
-    report = GluingReport(False, items)
-    report.notes.append("first triangle is cone-certified; the companion "
-                        "triangle is checked up to isomorphism")
-    return out, report
+        tuple(f"{prefix}{j + 1}" for j in range(len(items)))
+    out = SMC(R.algebra, tuple(images) + tuple(item.w for item in items),
+              Certificate("glued", detail), names)
+    return out, GluingReport(items)
+
+
+def _w_item(R: RecollementSpec, j: int, Y: ProjComplex,
+            images: List[ProjComplex], deep: bool, rng) -> GluingItem:
+    """W_j = cone(U -> j_!(Y)), U the aisle part (threshold 1) of the
+    cocone of theta; deep mode checks the companion triangle through j_*."""
+    theta = canonical_theta(R, Y)
+    C, p, _ = cocone(theta)
+    Cm, _, c_from = minimalize(C)
+    p_min = compose(c_from, p)          # Cm -> j_!(Y)
+    trunc = truncate(Cm, images, threshold=1)
+    into = compose(trunc.u_map, p_min)  # U -> j_!(Y)
+    W_full, tri = cone(into)
+    Wm, _, _ = minimalize(W_full)
+    item = GluingItem(j, trunc.u_part, minimalize(trunc.v_part)[0], Wm, None)
+    if deep:
+        chi = factor_through(tri.v, theta)  # W -> j_*(Y) over the triangle
+        item.second_triangle_ok = chi is not None and bool(
+            is_iso(cone(chi)[0], shift(item.v_part, 1), rng=rng))
+        item.image_identities = _image_identities(R, Wm, Y, trunc, rng)
+    return item
 
 
 def _image_identities(R: RecollementSpec, Wm: ProjComplex, Y: ProjComplex,
@@ -364,41 +353,36 @@ def _image_identities(R: RecollementSpec, Wm: ProjComplex, Y: ProjComplex,
     return out
 
 
+def _p_item(R: RecollementSpec, j: int, Y: ProjComplex,
+            images: List[ProjComplex], deep: bool, rng) -> GluingItem:
+    """P_j = cocone(j_*(Y) -> N), N the coaisle part (threshold 0) of the
+    cone of theta; deep mode checks the companion triangle through j_!."""
+    theta = canonical_theta(R, Y)
+    D, tri_theta = cone(theta)          # D = i_* i^* j_*(Y)
+    Dm, d_to, _ = minimalize(D)
+    into_d = compose(tri_theta.v, d_to)  # j_*(Y) -> Dm
+    trunc = truncate(Dm, images, threshold=0)
+    to_n = compose(into_d, trunc.v_map)  # j_*(Y) -> N_j
+    P_full, pmap, _ = cocone(to_n)
+    Pm, _, _ = minimalize(P_full)
+    item = GluingItem(j, trunc.u_part, minimalize(trunc.v_part)[0], Pm, None)
+    if deep:
+        psi = lift_through(pmap, theta)  # j_!(Y) -> P over the cocone
+        item.second_triangle_ok = psi is not None and bool(
+            is_iso(cone(psi)[0], item.u_part, rng=rng))
+    return item
+
+
+def glue(S_X: SMC, S_Y: SMC, R: RecollementSpec, deep: bool = False,
+         rng: Optional[_random.Random] = None) -> Tuple[SMC, GluingReport]:
+    """New collection (i_*(X_1..m), W_1..n) via truncation of i_*i^! j_!(Y_j)."""
+    return _glue(S_X, S_Y, R, _w_item, deep, rng, "W", "truncated corner route")
+
+
 def glue_dual(S_X: SMC, S_Y: SMC, R: RecollementSpec, deep: bool = False,
               rng: Optional[_random.Random] = None) -> Tuple[SMC, GluingReport]:
     """Dual route through j_*: objects (i_*(X_1..m), P_1..n)."""
-    rng = rng or _random.Random(0)
-    _check_side_inputs(S_X, S_Y, R)
-    images = [minimalize(i_star(R, X))[0] for X in S_X.objects]
-    items: List[GluingItem] = []
-    ps: List[ProjComplex] = []
-    for j, Y in enumerate(S_Y.objects):
-        theta = canonical_theta(R, Y)
-        D, tri_theta = cone(theta)          # D = i_* i^* j_*(Y)
-        Dm, d_to, _ = minimalize(D)
-        into_d = compose(tri_theta.v, d_to)  # j_*(Y) -> Dm
-        trunc = truncate(Dm, images, threshold=0)
-        to_n = compose(into_d, trunc.v_map)  # j_*(Y) -> N_j
-        P_full, pmap, tri = cocone(to_n)
-        Pm, _, _ = minimalize(P_full)
-        item = GluingItem(j, trunc.u_part, minimalize(trunc.v_part)[0], Pm,
-                          tri, None)
-        if deep:
-            psi = lift_through(pmap, theta)  # j_!(Y) -> P over the cocone
-            if psi is None:
-                item.second_triangle_ok = False
-            else:
-                cone_psi, _ = cone(psi)
-                item.second_triangle_ok = bool(
-                    is_iso(cone_psi, item.u_part, rng=rng))
-        ps.append(Pm)
-        items.append(item)
-    names = tuple(f"i({S_X.name_of(i)})" for i in range(len(S_X.objects))) + \
-        tuple(f"P{j + 1}" for j in range(len(S_Y.objects)))
-    out = SMC(R.algebra, tuple(images) + tuple(ps),
-              Certificate("glued", "dual route through j_*"), names)
-    report = GluingReport(True, items)
-    return out, report
+    return _glue(S_X, S_Y, R, _p_item, deep, rng, "P", "dual route through j_*")
 
 
 # -- mutation --------------------------------------------------------------------
@@ -406,30 +390,7 @@ def glue_dual(S_X: SMC, S_Y: SMC, R: RecollementSpec, deep: bool = False,
 
 @dataclass
 class MutationStep:
-    index: int
-    direction: Literal["left", "right"]
     multiplicities: Dict[int, int]
-    triangles: Dict[int, Triangle]
-
-
-def _bundle_left(maps: List[ChainMap], target_copies: List[ProjComplex]
-                 ) -> Tuple[ChainMap, ProjComplex]:
-    total, injs, _ = direct_sum(target_copies)
-    acc = None
-    for f, inj in zip(maps, injs):
-        g = compose(f, inj)
-        acc = g if acc is None else acc + g
-    return acc, total
-
-
-def _bundle_right(maps: List[ChainMap], source_copies: List[ProjComplex]
-                  ) -> Tuple[ChainMap, ProjComplex]:
-    total, _, projs = direct_sum(source_copies)
-    acc = None
-    for f, proj in zip(maps, projs):
-        g = compose(proj, f)
-        acc = g if acc is None else acc + g
-    return acc, total
 
 
 def mutate(S: SMC, i: int, direction: Literal["left", "right"],
@@ -441,44 +402,36 @@ def mutate(S: SMC, i: int, direction: Literal["left", "right"],
         raise InputError(f"mutation direction must be left or right, got {direction!r}")
     if not 0 <= i < len(S.objects):
         raise InputError(f"mutation index {i} out of range")
-    S_i = S.objects[i]
-    rigid = hom_dims(S_i, S_i, (1,))[1] == 0
-    if not rigid and not force:
+    if not is_rigid(S, i) and not force:
         raise NotRigidError(
             f"object {i} has self-extensions in degree 1; pass force to "
             "mutate anyway (the result need not satisfy the axioms)")
+    left = direction == "left"
+    S_i = S.objects[i]
     new_objects: List[ProjComplex] = []
     mults: Dict[int, int] = {}
-    triangles: Dict[int, Triangle] = {}
     for l, S_l in enumerate(S.objects):
         if l == i:
-            new_objects.append(shift(S_i, 1 if direction == "left" else -1))
+            new_objects.append(shift(S_i, 1 if left else -1))
             continue
-        if direction == "left":
-            basis = hom_basis(shift(S_l, -1), S_i, 0)
-            mults[l] = len(basis)
-            if not basis:
-                new_objects.append(S_l)
-                continue
-            g, bundle = _bundle_left(basis, [S_i] * len(basis))
-            C, tri = cone(g)
-            new_objects.append(minimalize(C)[0])
-            triangles[l] = tri
-        else:
-            basis = hom_basis(S_i, shift(S_l, 1), 0)
-            mults[l] = len(basis)
-            if not basis:
-                new_objects.append(S_l)
-                continue
-            h, bundle = _bundle_right(basis, [S_i] * len(basis))
-            C, p, tri = cocone(h)
-            new_objects.append(minimalize(C)[0])
-            triangles[l] = tri
-    sign = "+" if direction == "left" else "-"
+        basis = (hom_basis(shift(S_l, -1), S_i, 0) if left
+                 else hom_basis(S_i, shift(S_l, 1), 0))
+        mults[l] = len(basis)
+        if not basis:
+            new_objects.append(S_l)
+            continue
+        # the approximation S_l[-1] -> S_i^d (left) or S_i^d -> S_l[1] (right)
+        _, injs, projs = direct_sum([S_i] * len(basis))
+        parts = [compose(f, inj) if left else compose(proj, f)
+                 for f, inj, proj in zip(basis, injs, projs)]
+        approx = sum(parts[1:], parts[0])
+        C = cone(approx)[0] if left else cocone(approx)[0]
+        new_objects.append(minimalize(C)[0])
+    sign = "+" if left else "-"
     out = SMC(S.algebra, tuple(new_objects),
               Certificate("mutated", f"mu{sign}_{i} of ({S.certificate.detail})"),
               S.names)
-    return out, MutationStep(i, direction, mults, triangles)
+    return out, MutationStep(mults)
 
 
 # -- partial order and iso -------------------------------------------------------
@@ -499,8 +452,8 @@ def compare(S: SMC, T: SMC, rng: Optional[_random.Random] = None) -> str:
     fwd = dominates(S, T)
     bwd = dominates(T, S)
     if fwd and bwd:
-        assert smc_iso(S, T, rng=rng), \
-            "mutually dominating collections must be isomorphic"
+        if not smc_iso(S, T, rng=rng):
+            raise InvariantError("mutually dominating collections must be isomorphic")
         return "equal"
     if fwd:
         return "geq"
@@ -559,7 +512,7 @@ def glued_t_structure_checks(S_T: SMC, S_X: SMC, S_Y: SMC, R: RecollementSpec,
                              shifts: int = 2) -> List[Tuple[str, bool]]:
     """Generator-level comparison of Filt S_T[>=0] with the glued aisle."""
     out = []
-    images = [minimalize(i_star(R, X))[0] for X in S_X.objects]
+    images = _quotient_images(R, S_X)
     for l, img in enumerate(images):
         for k in range(shifts + 1):
             ok = member_filt_geq(shift(img, k), S_T.objects, 0)

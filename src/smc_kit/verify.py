@@ -21,9 +21,10 @@ from .config import SmcKitError
 from .fixtures import a2_fixture, two_cycle_fixture
 from .algebra import module_hom_space
 from .homotopy import hom_dims, is_iso, shift
-from .recollement import RecollementSpec
+from .recollement import RecollementSpec, j_upper_shriek
 from .smc import (
     SMC,
+    Certificate,
     dominates,
     glue,
     glue_dual,
@@ -273,7 +274,6 @@ def run_paper_examples(field=32003) -> List[CheckReport]:
         h2 = len(module_hom_space(A.injective_module(0), A.simple_module(1)))
         if h1 < 1 or h2 < 1:
             return "fail", f"expected nonzero Hom spaces, got {h1}, {h2}"
-        from .smc import Certificate
         bad1 = SMC(A, (tc.complexes["S2"], tc.complexes["P1"]), Certificate("user"))
         bad2 = SMC(A, (tc.complexes["S2"], tc.complexes["I1"]), Certificate("user"))
         r1, r2 = validate_smc(bad1), validate_smc(bad2)
@@ -322,7 +322,6 @@ def run_paper_examples(field=32003) -> List[CheckReport]:
     def diagram1_values():
         glued, _ = glue(a2.x_smc, a2.y_smc, a2.spec)
         mu, _ = mutate(glued, 0, "left")
-        from .smc import Certificate
         expected = SMC(a2.algebra, (shift(a2.complexes["S2"], 1),
                                     a2.complexes["P1"]), Certificate("user"))
         if smc_iso(mu, expected, rng=rng):
@@ -343,7 +342,6 @@ def run_paper_examples(field=32003) -> List[CheckReport]:
         if not commute_condition(glued, 1, 0, "left"):
             return "fail", "condition unexpectedly fails"
         mu, _ = mutate(glued, 1, "left")
-        from .smc import Certificate
         expected = SMC(a2.algebra, (shift(a2.complexes["S2"], 1),
                                     shift(a2.complexes["S1"], 2)),
                        Certificate("user"))
@@ -363,7 +361,6 @@ def run_paper_examples(field=32003) -> List[CheckReport]:
         other, _ = glue(S_X, mutate(a2.y_smc, 0, "left")[0], a2.spec)
         if smc_iso(mu, other, rng=rng):
             return "fail", "the two routes agree"
-        from .smc import Certificate
         expected = SMC(a2.algebra, (a2.complexes["S1"],
                                     shift(a2.complexes["P1"], 1)),
                        Certificate("user"))
@@ -382,7 +379,6 @@ def run_paper_examples(field=32003) -> List[CheckReport]:
         other, _ = glue(S_X, mutate(a2.y_smc.shifted(1), 0, "right")[0], a2.spec)
         if smc_iso(mu, other, rng=rng):
             return "fail", "the two routes agree"
-        from .smc import Certificate
         expected = SMC(a2.algebra, (shift(a2.complexes["P1"], 1),
                                     a2.complexes["S1"]), Certificate("user"))
         if not smc_iso(mu, expected, rng=rng):
@@ -399,9 +395,6 @@ def run_paper_examples(field=32003) -> List[CheckReport]:
 
     # 7. the glued-type necessary condition
     def glued_type():
-        from .homotopy import is_iso
-        from .recollement import j_upper_shriek
-        from .smc import Certificate
         cand = SMC(a2.algebra, (shift(a2.complexes["P1"], 1),
                                 a2.complexes["S1"]), Certificate("user"))
         rep = validate_smc(cand)

@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 from smc_kit import cli
+from smc_kit.config import InvariantError
 from smc_kit.cli import (
     load_workspace,
     main,
@@ -98,6 +99,15 @@ def test_glue_command(capsys):
     assert payload["route"] == "dual"
     assert payload["validation"]["passed"] is True
     assert payload["iso_to_other_route"] is True
+
+
+def test_invariant_error_exits_4(monkeypatch, capsys):
+    def breach(S):
+        raise InvariantError("forced breach")
+
+    monkeypatch.setattr(cli, "validate_smc", breach)
+    assert main(["validate", TC_WS, "standard"]) == 4
+    assert "forced breach" in capsys.readouterr().err
 
 
 def test_mutate_command(capsys):

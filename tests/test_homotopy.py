@@ -1,6 +1,10 @@
 import gc
+import os
 import random
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -361,14 +365,18 @@ def test_is_iso_brick_no_is_certified(field):
     for P, Q in ((X, Y), (Y, X)):
         r = is_iso(P, Q, rng=random.Random(0))
         assert not r.isomorphic and r.certified, r.note
-    # adding P2 makes both sides non-bricks: the NO is sampled, and at a
-    # small prime it carries no error bound
+    # adding P2 makes both sides non-bricks: the NO is sampled, and its
+    # Schwartz-Zippel bound divides by the size of the sample set (all of
+    # F_p, or the 41 integers -20..20 over Q); a small prime gives no bound
     Xp, _, _ = direct_sum([X, p_stalk(K, 1)])
     Yp, _, _ = direct_sum([Y, p_stalk(K, 1)])
     r = is_iso(Xp, Yp, rng=random.Random(0))
     assert not r.isomorphic and not r.certified
-    small = isinstance(field, PrimeField) and field.p <= Xp.total_terms()
+    size = field.p if isinstance(field, PrimeField) else 41
+    small = size <= Xp.total_terms()
     assert ("inconclusive" in r.note) == small, r.note
+    if not small:
+        assert f"probability <= ({Xp.total_terms()}/{size})^40" in r.note, r.note
 
 
 class _CountingRandom(random.Random):
@@ -406,6 +414,33 @@ def test_resolve_complex_of_two_terms():
     P, aug = resolve_complex(C)
     real, _ = module_realization(P)
     assert real.cohomology_dims() == C.cohomology_dims()
+
+
+_BREACH = """
+from smc_kit.algebra import Algebra, Quiver
+from smc_kit.config import InvariantError
+from smc_kit.exactla import PrimeField
+from smc_kit.homotopy import ModComplex
+from smc_kit.homotopy.complexes import stalk
+from smc_kit.homotopy.resolve import _assert_quasi_iso
+
+A = Algebra.from_quiver(PrimeField(3), Quiver(("1", "2"), (("a", "1", "2"),)))
+try:
+    # P1 is not quasi-isomorphic to the zero complex
+    _assert_quasi_iso(stalk(A, 0), ModComplex(A, {}, {}, validate=False), {})
+except InvariantError:
+    print("raised", __debug__)
+"""
+
+
+def test_invariant_breach_raises_under_optimize():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-O", "-c", _BREACH], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "raised False"
 
 
 def test_zero_complex_operations():

@@ -1,10 +1,13 @@
 import itertools
 import random
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from smc_kit import smc
+from smc_kit.cli import main
 from smc_kit.config import InputError, NotRigidError
 from smc_kit.exactla import PrimeField
 from smc_kit.fixtures import a2_fixture, random_recollement, two_cycle_fixture
@@ -123,6 +126,20 @@ def test_glue_dual_matches_glue():
         assert dual_report.all_verified()
         assert smc_iso(out, out_dual)
         assert validate_smc(out_dual).passed
+
+
+def test_deep_check_failure_is_reported(monkeypatch):
+    # no factorization/lift found: the companion triangle is unverified
+    monkeypatch.setattr(smc, "factor_through", lambda *args: None)
+    monkeypatch.setattr(smc, "lift_through", lambda *args: None)
+    for route in (glue, glue_dual):
+        _, report = route(A2.x_smc, A2.y_smc, A2.spec, deep=True)
+        assert report.items
+        assert all(item.second_triangle_ok is False for item in report.items)
+        assert not report.all_verified()
+    ws = str(Path(__file__).resolve().parent.parent / "fixtures" / "a2.json")
+    assert main(["glue", ws, "R", "xstd", "ystd"]) == 1
+    assert main(["glue", ws, "R", "xstd", "ystd", "--dual"]) == 1
 
 
 def test_glue_rejects_bad_side():
