@@ -2,7 +2,7 @@
 categories of projectives over finite-dimensional quiver algebras:
 recollements from idempotents, gluing, mutation, and the partial order."""
 
-from .algebra import Algebra, Module, Quiver, global_dimension, projective_resolution
+from .algebra import Algebra, Module, Quiver, global_dimension
 from .config import BoundExceeded, InputError, Limits, NotRigidError, SmcKitError
 from .exactla import Mat, PrimeField, RationalField, get_field
 from .recollement import RecollementSpec, build_recollement

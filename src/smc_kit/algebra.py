@@ -610,6 +610,8 @@ def direct_sum_modules(A: Algebra, mods: Sequence[Module]) -> Tuple[Module, List
     for d in dims:
         slices.append((start, start + d))
         start += d
+    if len(mods) == 1:
+        return mods[0], slices  # a module is never changed in place
     z = f.zero
     action = []
     for b in range(A.dim):
@@ -646,16 +648,6 @@ def submodule_from_rows(M: Module, rows: Mat) -> Tuple[Module, Mat]:
     return Module(A, k, action), rows
 
 
-def kernel_module(M: Module, F: Mat, N: Module) -> Tuple[Module, Mat]:
-    """Kernel of the module map F: M -> N with its inclusion rows."""
-    f = M.algebra.field
-    if F.shape != (M.dim, N.dim):
-        raise InputError("map shape mismatch")
-    rows = la.left_kernel_basis(F)
-    mat = Mat(f, rows, ncols=M.dim) if rows else Mat.zeros(f, 0, M.dim)
-    return submodule_from_rows(M, mat)
-
-
 def module_hom_space(M: Module, N: Module) -> List[Mat]:
     """Basis of Hom_A(M, N): matrices F with action_M(b) @ F = F @ action_N(b)."""
     A, f = M.algebra, M.algebra.field
@@ -686,72 +678,13 @@ def module_hom_space(M: Module, N: Module) -> List[Mat]:
     return basis
 
 
-@dataclass
-class Resolution:
-    """Minimal projective resolution ... -> P_1 -> P_0 -> M -> 0.
-
-    maps[i] is the module map P_{i+1} -> P_i; aug maps P_0 onto M.
-    """
-
-    module: Module
-    verts: List[List[int]]          # vertices of each projective term
-    modules: List[Module]           # the projective terms as modules
-    maps: List[Mat]
-    aug: Mat
-
-    @property
-    def length(self) -> int:
-        return len(self.modules) - 1
-
-    def check_exact(self) -> bool:
-        ranks = [la.rank(m) for m in self.maps]
-        dims = [m.dim for m in self.modules]
-        # exactness at P_i: rank(d_{i+1}) + rank(d_i) = dim P_i, with
-        # d_0 = aug; at the far end the last map must be injective
-        aug_rank = la.rank(self.aug)
-        if aug_rank != self.module.dim:
-            return False
-        chain = [aug_rank] + ranks
-        for i in range(len(self.modules)):
-            incoming = chain[i + 1] if i + 1 < len(chain) else 0
-            if incoming + chain[i] != dims[i]:
-                return False
-        return True
-
-
-def projective_resolution(M: Module, max_len: int = 32) -> Resolution:
-    """Minimal resolution by iterated covers; raises when max_len is hit."""
-    A = M.algebra
-    verts0, cover = M.projective_cover()
-    P0, _ = projectives_module(A, verts0)
-    verts, modules, maps = [verts0], [P0], []
-    current, incl_target, target_mod = P0, cover, M
-    cur_map = cover
-    while True:
-        K, incl = kernel_module(current, cur_map, target_mod)
-        if K.dim == 0:
-            break
-        if len(modules) > max_len:
-            raise BoundExceeded(
-                f"resolution exceeds {max_len}: possibly infinite projective dimension")
-        kverts, kcover = K.projective_cover()
-        Pn, _ = projectives_module(A, kverts)
-        step = kcover @ incl  # P_n -> K -> current
-        verts.append(kverts)
-        modules.append(Pn)
-        maps.append(step)
-        target_mod, cur_map, current = current, step, Pn
-    res = Resolution(M, verts, modules, maps, cover)
-    if not res.check_exact():
-        raise InvariantError("projective resolution is not exact")
-    return res
-
-
 def projective_dimension(M: Module, bound: int = 32) -> Optional[int]:
+    """Length of the minimal projective resolution of M; None past bound."""
+    from .homotopy.resolve import resolve_module  # resolve imports this module
     if M.dim == 0:
         return 0
     try:
-        return projective_resolution(M, max_len=bound).length
+        return -min(resolve_module(M, bound).terms)
     except BoundExceeded:
         return None
 

@@ -30,7 +30,7 @@ from .config import (
     SmcKitError,
 )
 from .exactla import Field, get_field
-from .homotopy import ProjComplex, hom_table, resolve_complex, shift, stalk_complex
+from .homotopy import ProjComplex, hom_table, resolve_module, shift
 from .homotopy.complexes import stalk
 from .recollement import RecollementSpec, build_recollement
 from .smc import (
@@ -63,6 +63,8 @@ class Workspace:
     # optional free-form command list; documents can carry the invocations
     # they were built for, and round-tripping preserves them
     commands: List[List[str]] = None
+    # bound on the projective dimension of each module the builtins resolve
+    pd_bound: int = 32
 
     def resolve_algebra(self, name: str) -> Algebra:
         if name in self.algebras:
@@ -96,11 +98,9 @@ class Workspace:
             if kind == "proj":
                 return shift(stalk(A, idx), n)
             if kind == "simple":
-                P, _ = resolve_complex(stalk_complex(A.simple_module(idx)))
-                return shift(P, n)
+                return shift(resolve_module(A.simple_module(idx), self.pd_bound), n)
             if kind == "inj":
-                P, _ = resolve_complex(stalk_complex(A.injective_module(idx)))
-                return shift(P, n)
+                return shift(resolve_module(A.injective_module(idx), self.pd_bound), n)
             raise InputError(f"unknown builtin {kind!r} (simple/proj/inj)")
         raise InputError(f"unresolved object name {base!r}")
 
@@ -114,7 +114,7 @@ def parse_workspace(doc: dict, field_override=None, pd_bound: int = 32) -> Works
     field = get_field(field_override if field_override is not None
                       else doc.get("field", 32003))
     ws = Workspace(field, {}, {}, {}, {}, {}, {}, {},
-                   commands=doc.get("commands"))
+                   commands=doc.get("commands"), pd_bound=pd_bound)
     for name, adoc in doc.get("algebras", {}).items():
         ws.algebra_docs[name] = adoc
         try:
@@ -139,8 +139,7 @@ def parse_workspace(doc: dict, field_override=None, pd_bound: int = 32) -> Works
             except ValueError:
                 raise InputError(f"recollement {name!r}: unknown vertex {v!r}") \
                     from None
-        ws.recollements[name] = build_recollement(A, subset, pd_bound=pd_bound,
-                                                  gldim_bound=pd_bound)
+        ws.recollements[name] = build_recollement(A, subset, pd_bound=pd_bound)
     for name, cdoc in doc.get("complexes", {}).items():
         alg_name = cdoc.get("algebra")
         A = ws.resolve_algebra(alg_name) if alg_name else None

@@ -101,9 +101,6 @@ class PrimeField:
     def rand(self, rng):
         return rng.randrange(self.p)
 
-    def rand_nonzero(self, rng):
-        return rng.randrange(1, self.p)
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -145,10 +142,6 @@ class RationalField:
 
     def rand(self, rng):
         return Fraction(rng.randrange(-self.RAND_MAX, self.RAND_MAX + 1))
-
-    def rand_nonzero(self, rng):
-        n = rng.randrange(1, 41)
-        return Fraction(n if rng.random() < 0.5 else -n)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -498,7 +491,3 @@ def sum_prod(f: Field, xs, ys) -> Element:
         if x != f.zero and y != f.zero:
             acc = f.add(acc, f.mul(x, y))
     return acc
-
-
-def random_matrix(field: Field, m: int, n: int, rng) -> Mat:
-    return Mat(field, [[field.rand(rng) for _ in range(n)] for _ in range(m)], ncols=n)

@@ -18,7 +18,7 @@ from typing import Dict, Optional, Tuple
 from .algebra import Algebra, Quiver, linear_quiver
 from .config import BoundExceeded, SmcKitError
 from .exactla import Field, get_field
-from .homotopy import ProjComplex, resolve_complex, shift, stalk_complex
+from .homotopy import ProjComplex, resolve_module
 from .homotopy.complexes import stalk
 from .recollement import RecollementSpec, build_recollement
 from .smc import SMC, standard_smc
@@ -35,18 +35,13 @@ class Fixture:
     standard: SMC
 
 
-def _resolved(A: Algebra, module) -> ProjComplex:
-    P, _ = resolve_complex(stalk_complex(module))
-    return P
-
-
 def _named_objects(A: Algebra) -> Dict[str, ProjComplex]:
     out: Dict[str, ProjComplex] = {}
     for i in range(A.nvert):
         lab = A.vertex_labels[i]
-        out[f"S{lab}"] = _resolved(A, A.simple_module(i))
+        out[f"S{lab}"] = resolve_module(A.simple_module(i))
         out[f"P{lab}"] = stalk(A, i)
-        out[f"I{lab}"] = _resolved(A, A.injective_module(i))
+        out[f"I{lab}"] = resolve_module(A.injective_module(i))
     return out
 
 

@@ -38,6 +38,7 @@ from .resolve import (
     dual_mod_complex,
     module_realization,
     resolve_complex,
+    resolve_module,
     stalk_complex,
 )
 

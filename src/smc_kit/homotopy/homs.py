@@ -39,6 +39,7 @@ from .complexes import (
 )
 from .resolve import (
     ModComplex,
+    cohomology_dims,
     entries_from_realized,
     module_realization,
     realize_chain_map,
@@ -388,7 +389,6 @@ def is_iso(X: ProjComplex, Y: ProjComplex,
         return IsoResult(True, True, note="both contractible")
     if Xm.term_profile() != Ym.term_profile():
         return IsoResult(False, True, note="minimal term profiles differ")
-    from .resolve import cohomology_dims
     if cohomology_dims(Xm) != cohomology_dims(Ym):
         return IsoResult(False, True, note="cohomology dimensions differ")
     basis = chain_maps_basis(Xm, Ym, 0)

@@ -10,6 +10,10 @@ comparison map is surjective on cohomology) and liftable boundaries die
 (injective), giving a quasi-isomorphism without any higher-homotopy
 bookkeeping.  Termination below the support is the finiteness of the
 projective dimension of the last syzygy.
+
+This is the package's one resolver: a module is resolved as its stalk
+complex (resolve_module), and projective and global dimension are read off
+the degrees of the result.
 """
 
 from __future__ import annotations
@@ -28,7 +32,14 @@ from ..algebra import (
 )
 from ..config import BoundExceeded, InputError, InvariantError
 from ..exactla import Mat
-from .complexes import ChainMap, Entries, ProjComplex, minimalize, zero_complex
+from .complexes import (
+    ChainMap,
+    Entries,
+    ProjComplex,
+    identity_map,
+    minimalize,
+    zero_complex,
+)
 
 
 class ModComplex:
@@ -220,9 +231,12 @@ def resolve_complex(C: ModComplex, pd_bound: int = 32) -> Tuple[ProjComplex, Dic
     comparison map.
 
     The second component maps the realization of the result onto C degreewise
-    (a surjection onto cycles-and-lifts, quasi-iso overall).
+    (a surjection onto cycles-and-lifts, quasi-iso overall).  Raises
+    BoundExceeded when a term would be needed below degree lo - pd_bound,
+    lo the lowest degree of C.
     """
     A = C.algebra
+    f = A.field
     sup = C.support
     if sup is None:
         return zero_complex(A), {}
@@ -233,48 +247,49 @@ def resolve_complex(C: ModComplex, pd_bound: int = 32) -> Tuple[ProjComplex, Dic
     delta: Dict[int, Mat] = {}
     k = hi
     while True:
-        Mk = C.module(k)
-        Pk1 = pmods.get(k + 1) or zero_module(A)
-        sum_mod, _ = direct_sum_modules(A, [Mk, Pk1])
-        ncols = C.dim(k + 1) + (pmods[k + 2].dim if k + 2 in pmods else 0)
-        cond = Mat.zeros(A.field, Mk.dim + Pk1.dim, ncols)
-        dM = C.diff(k)
-        if dM is not None:
-            for r in range(Mk.dim):
-                for c in range(C.dim(k + 1)):
-                    cond.rows[r][c] = dM.rows[r][c]
-        if Pk1.dim:
-            ek1 = eps.get(k + 1)
-            if ek1 is not None and C.dim(k + 1):
-                f = A.field
-                for r in range(Pk1.dim):
-                    for c in range(C.dim(k + 1)):
-                        cond.rows[Mk.dim + r][c] = f.neg(ek1.rows[r][c])
-            dk1 = delta.get(k + 1)
-            if dk1 is not None:
-                off = C.dim(k + 1)
-                for r in range(Pk1.dim):
-                    for c in range(dk1.ncols):
-                        cond.rows[Mk.dim + r][off + c] = dk1.rows[r][c]
-        zrows = la.left_kernel_basis(cond)
-        zmat = Mat(A.field, zrows, ncols=sum_mod.dim) if zrows \
-            else Mat.zeros(A.field, 0, sum_mod.dim)
-        Z, _ = submodule_from_rows(sum_mod, zmat)
-        if Z.dim == 0 and k <= lo:
-            break
+        Mk, Pk1 = C.terms.get(k), pmods.get(k + 1)
+        mdim = C.dim(k)
+        pdim = Pk1.dim if Pk1 is not None else 0
+        mdim1 = C.dim(k + 1)
+        ncols = mdim1 + (pmods[k + 2].dim if k + 2 in pmods else 0)
+        parts = [m for m in (Mk, Pk1) if m is not None]
+        sum_mod = direct_sum_modules(A, parts)[0] if parts else None
+        zmat = None
+        if sum_mod is None or ncols == 0:
+            Z = sum_mod  # no condition: every element is compatible
+        else:
+            cond = Mat.zeros(f, mdim + pdim, ncols)
+            dM = C.diff(k)
+            if dM is not None:
+                for r in range(mdim):
+                    cond.rows[r][:mdim1] = dM.rows[r]
+            if k + 1 in eps:
+                ek1 = eps[k + 1]
+                for r in range(pdim):
+                    cond.rows[mdim + r][:mdim1] = [f.neg(x) for x in ek1.rows[r]]
+            if k + 1 in delta:
+                dk1 = delta[k + 1]
+                for r in range(pdim):
+                    cond.rows[mdim + r][mdim1:] = dk1.rows[r]
+            zrows = la.left_kernel_basis(cond)
+            zmat = Mat(f, zrows, ncols=sum_mod.dim) if zrows \
+                else Mat.zeros(f, 0, sum_mod.dim)
+            Z, _ = submodule_from_rows(sum_mod, zmat)
+        if Z is None or Z.dim == 0:
+            if k <= lo:
+                break
+            k -= 1
+            continue
         if k < lo - pd_bound:
             raise BoundExceeded(
                 f"hyperprojective resolution exceeds pd bound {pd_bound}")
-        if Z.dim == 0:
-            k -= 1
-            continue
         vlist, cover = Z.projective_cover()
         Pk, _ = projectives_module(A, vlist)
-        into_sum = cover @ zmat  # P_k -> M_k (+) P_{k+1}
-        eps[k] = into_sum.submatrix(range(Pk.dim), range(Mk.dim))
-        if Pk1.dim:
-            delta[k] = into_sum.submatrix(range(Pk.dim),
-                                          range(Mk.dim, Mk.dim + Pk1.dim))
+        into_sum = cover if zmat is None else cover @ zmat  # P_k -> M_k (+) P_{k+1}
+        if mdim:
+            eps[k] = into_sum.submatrix(range(Pk.dim), range(mdim))
+        if pdim:
+            delta[k] = into_sum.submatrix(range(Pk.dim), range(mdim, mdim + pdim))
         verts[k] = vlist
         pmods[k] = Pk
         k -= 1
@@ -283,15 +298,27 @@ def resolve_complex(C: ModComplex, pd_bound: int = 32) -> Tuple[ProjComplex, Dic
     for deg, dmat in delta.items():
         entries[deg] = entries_from_realized(A, verts[deg], verts[deg + 1], dmat)
     P = ProjComplex(A, {d: tuple(v) for d, v in verts.items()}, entries)
-    aug = {d: eps[d] for d in verts if d in eps and C.dim(d)}
-    _assert_quasi_iso(P, C, aug)
+    _assert_quasi_iso(P, C, eps)
+    if lo == hi:
+        # Covers of the syzygies of one module: the differentials already
+        # land in the radical.
+        if not P.is_minimal():
+            raise InvariantError("resolution of a module is not minimal")
+        P._minimal_cache = (P, identity_map(P), identity_map(P))
+        return P, eps
     Pmin, _, from_min = minimalize(P)
     real_from = realize_chain_map(from_min)
     aug_min = {}
     for d in Pmin.terms:
-        if d in aug and d in real_from:
-            aug_min[d] = real_from[d] @ aug[d]
+        if d in eps and d in real_from:
+            aug_min[d] = real_from[d] @ eps[d]
     return Pmin, aug_min
+
+
+def resolve_module(M: Module, pd_bound: int = 32) -> ProjComplex:
+    """The minimal projective resolution of M, in degrees -pd M .. 0."""
+    P, _ = resolve_complex(stalk_complex(M), pd_bound)
+    return P
 
 
 def _assert_quasi_iso(P: ProjComplex, C: ModComplex, aug: Dict[int, Mat]):

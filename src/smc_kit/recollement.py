@@ -39,7 +39,7 @@ from .homotopy import (
     is_iso,
     module_realization,
     resolve_complex,
-    stalk_complex,
+    resolve_module,
     zero_complex,
 )
 from .homotopy.complexes import stalk
@@ -94,7 +94,14 @@ class RecollementSpec:
 
 
 def build_recollement(A: Algebra, subset: Sequence[int], *,
-                      gldim_bound: int = 32, pd_bound: int = 32) -> RecollementSpec:
+                      pd_bound: int = 32) -> RecollementSpec:
+    """The recollement of A at the idempotent of subset, sample-validated.
+
+    pd_bound bounds every projective dimension resolved: the global
+    dimensions of A, A/AeA, eAe and (eAe)^op, the dimension of A/AeA over
+    A, and each resolution the six functors take; exceeding it raises
+    BoundExceeded.
+    """
     subset = tuple(sorted(set(subset)))
     for i in subset:
         if not 0 <= i < A.nvert:
@@ -102,10 +109,10 @@ def build_recollement(A: Algebra, subset: Sequence[int], *,
     y_alg, y_embed = A.corner(subset)
     x_alg, x_proj = A.quotient(subset)
     report = RecollementReport()
-    report.gldim_middle = global_dimension(A, gldim_bound)
-    report.gldim_quotient = global_dimension(x_alg, gldim_bound)
-    report.gldim_corner = global_dimension(y_alg, gldim_bound)
-    report.gldim_corner_op = global_dimension(y_alg.op(), gldim_bound) \
+    report.gldim_middle = global_dimension(A, pd_bound)
+    x_simples, report.gldim_quotient = _simples_and_gldim(x_alg, pd_bound)
+    y_simples, report.gldim_corner = _simples_and_gldim(y_alg, pd_bound)
+    report.gldim_corner_op = global_dimension(y_alg.op(), pd_bound) \
         if y_alg.dim else 0
     for label, value in (("middle", report.gldim_middle),
                          ("quotient", report.gldim_quotient),
@@ -113,7 +120,7 @@ def build_recollement(A: Algebra, subset: Sequence[int], *,
                          ("corner op", report.gldim_corner_op)):
         if value is None:
             raise BoundExceeded(
-                f"global dimension of the {label} algebra exceeds {gldim_bound}")
+                f"global dimension of the {label} algebra exceeds {pd_bound}")
     spec = RecollementSpec(A, subset, x_alg, x_proj, y_alg, y_embed,
                            report, pd_bound=pd_bound)
     if x_alg.dim:
@@ -129,8 +136,19 @@ def build_recollement(A: Algebra, subset: Sequence[int], *,
     report.notes.append(
         "validation is sample-based (simples of the outer algebras); a pass "
         "does not prove the recollement axioms in general")
-    _run_sample_checks(spec)
+    _run_sample_checks(spec, x_simples, y_simples)
     return spec
+
+
+def _simples_and_gldim(alg: Algebra, pd_bound: int
+                       ) -> Tuple[Optional[List[ProjComplex]], Optional[int]]:
+    """The resolved simples of alg and its global dimension, or
+    (None, None) when a simple has projective dimension above pd_bound."""
+    try:
+        simples = resolved_simples(alg, pd_bound)
+    except BoundExceeded:
+        return None, None
+    return simples, max((-min(P.terms) for P in simples), default=0)
 
 
 def _quotient_module_over_middle(spec: RecollementSpec, M: Module) -> Module:
@@ -320,22 +338,18 @@ def canonical_triangles(spec: RecollementSpec, T: ProjComplex) -> CanonicalTrian
 # -- validation ----------------------------------------------------------------
 
 
-def resolved_simples(alg: Algebra) -> List[ProjComplex]:
+def resolved_simples(alg: Algebra, pd_bound: int = 32) -> List[ProjComplex]:
     """The simple modules of alg as minimal complexes of projectives."""
-    out = []
-    for i in range(alg.nvert):
-        P, _ = resolve_complex(stalk_complex(alg.simple_module(i)))
-        out.append(P)
-    return out
+    return [resolve_module(alg.simple_module(i), pd_bound)
+            for i in range(alg.nvert)]
 
 
-def _run_sample_checks(spec: RecollementSpec):
+def _run_sample_checks(spec: RecollementSpec, x_simples: List[ProjComplex],
+                       y_simples: List[ProjComplex]):
     import random
     rng = random.Random(0)
     report = spec.report
     checks = report.checks
-    y_simples = resolved_simples(spec.y_algebra)
-    x_simples = resolved_simples(spec.x_algebra)
     for idx, Ys in enumerate(y_simples):
         r = is_iso(j_upper_shriek(spec, j_lower_shriek(spec, Ys)), Ys, rng=rng)
         checks.append(CheckItem(f"j^! j_! = id on corner simple {idx}",

@@ -1,10 +1,18 @@
-"""Shared builders for the test suite: small algebras, random complexes,
-and an independent oracle for graded Hom dimensions."""
+"""Shared builders for the test suite: small algebras, random matrices and
+complexes, and independent oracles for graded Hom dimensions and minimal
+projective resolutions."""
 
 import random
+from fractions import Fraction
 
 from smc_kit import exactla as la
-from smc_kit.algebra import Algebra, Quiver, module_hom_space
+from smc_kit.algebra import (
+    Algebra,
+    Quiver,
+    module_hom_space,
+    projectives_module,
+    submodule_from_rows,
+)
 from smc_kit.exactla import Mat, PrimeField
 from smc_kit.homotopy import (
     ProjComplex,
@@ -27,6 +35,25 @@ def a2_algebra(field=FP):
 def two_cycle_algebra(field=FP):
     q = Quiver(("1", "2"), (("alpha", "2", "1"), ("beta", "1", "2")))
     return Algebra.from_quiver(field, q, relations=[("beta", "alpha")])
+
+
+def self_injective_cycle_algebra(field=FP):
+    # both length-2 cycles vanish: finite-dimensional but of infinite
+    # global dimension
+    q = Quiver(("1", "2"), (("alpha", "2", "1"), ("beta", "1", "2")))
+    return Algebra.from_quiver(field, q, relations=[("beta", "alpha"),
+                                                   ("alpha", "beta")])
+
+
+def random_matrix(field, m, n, rng):
+    return Mat(field, [[field.rand(rng) for _ in range(n)] for _ in range(m)], ncols=n)
+
+
+def rand_nonzero(field, rng):
+    if isinstance(field, PrimeField):
+        return rng.randrange(1, field.p)
+    n = rng.randrange(1, 41)
+    return Fraction(n if rng.random() < 0.5 else -n)
 
 
 def lrow(A, x):
@@ -54,6 +81,29 @@ def rrow(A, x):
             if k >= 0:
                 rows[b][k] = f.add(rows[b][k], xj)
     return Mat(f, rows, ncols=A.dim)
+
+
+def kernel_cover_resolution(M, bound):
+    """Vertices of the terms P_0, P_1, ... of the minimal projective
+    resolution of M, by iterated kernels and covers; None when it is longer
+    than bound.  An independent reference for the stalk-complex resolver."""
+    if M.dim == 0:
+        return []
+    A, f = M.algebra, M.algebra.field
+    verts, cur_map = M.projective_cover()
+    current, _ = projectives_module(A, verts)
+    out = [verts]
+    while True:
+        rows = la.left_kernel_basis(cur_map)
+        if not rows:
+            return out
+        if len(out) > bound:
+            return None
+        K, incl = submodule_from_rows(current, Mat(f, rows, ncols=current.dim))
+        kverts, kcover = K.projective_cover()
+        cur_map = kcover @ incl  # P_n -> K -> P_{n-1}
+        current, _ = projectives_module(A, kverts)
+        out.append(kverts)
 
 
 def resolved_simple(A, i, degree=0):

@@ -6,33 +6,25 @@ from pathlib import Path
 
 import pytest
 
-from smc_kit.algebra import Algebra, Quiver, global_dimension, projective_resolution
+import gen
+from smc_kit.algebra import global_dimension, projective_dimension
 from smc_kit.cli import main
 from smc_kit.config import BoundExceeded
-from smc_kit.exactla import PrimeField
+from smc_kit.homotopy import resolve_module
 from smc_kit.recollement import build_recollement
-
-FP = PrimeField(32003)
-
-
-def self_injective_cycle():
-    # both length-2 cycles vanish: finite-dimensional but infinite
-    # global dimension
-    q = Quiver(("1", "2"), (("alpha", "2", "1"), ("beta", "1", "2")))
-    return Algebra.from_quiver(FP, q, relations=[("beta", "alpha"),
-                                                 ("alpha", "beta")])
 
 
 def test_infinite_projective_dimension_detected():
-    A = self_injective_cycle()
+    A = gen.self_injective_cycle_algebra()
     assert A.dim == 4
     with pytest.raises(BoundExceeded):
-        projective_resolution(A.simple_module(0), max_len=16)
+        resolve_module(A.simple_module(0), pd_bound=16)
+    assert projective_dimension(A.simple_module(0), 16) is None
     assert global_dimension(A, bound=16) is None
 
 
 def test_recollement_rejects_infinite_gldim():
-    A = self_injective_cycle()
+    A = gen.self_injective_cycle_algebra()
     with pytest.raises(BoundExceeded):
         build_recollement(A, [0])
 

@@ -157,6 +157,18 @@ def test_hom_command(capsys):
     assert payload["dims"].get("0") == 1
 
 
+def test_pd_bound_reaches_builtin_objects(tmp_path, capsys):
+    # no recollement, so only the builtin simple:1 (pd 2) meets the bound
+    doc = json.loads(Path(TC_WS).read_text())
+    for key in ("recollements", "smcs"):
+        del doc[key]
+    p = tmp_path / "no_recollement.json"
+    p.write_text(json.dumps(doc))
+    assert main(["--pd-bound", "1", "hom", str(p), "A", "simple:1", "proj:1"]) == 3
+    assert "resource bound" in capsys.readouterr().err
+    assert main(["--pd-bound", "2", "hom", str(p), "A", "simple:1", "proj:1"]) == 0
+
+
 def test_degenerate_workspace_glue_passthrough(tmp_path, capsys):
     doc = json.loads(Path(A2_WS).read_text())
     doc["recollements"]["full"] = {"algebra": "A", "idempotents": ["1", "2"]}

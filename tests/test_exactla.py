@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import gen
 from smc_kit import exactla as la
 from smc_kit.config import InputError
 from smc_kit.exactla import Mat, PrimeField, RationalField, get_field
@@ -79,7 +80,7 @@ def test_solve_dimension_mismatch():
 @given(st.integers(0, 5), st.integers(0, 5), st.randoms(use_true_random=False))
 def test_rank_nullity(m, n, rng):
     for f in (FP, QQ):
-        mat = la.random_matrix(f, m, n, rng)
+        mat = gen.random_matrix(f, m, n, rng)
         assert la.rank(mat) + len(la.kernel_basis(mat)) == n
 
 
@@ -87,7 +88,7 @@ def test_rank_nullity(m, n, rng):
 @given(st.integers(1, 5), st.integers(1, 5), st.randoms(use_true_random=False))
 def test_solve_is_exact(m, n, rng):
     for f in (FP, QQ):
-        mat = la.random_matrix(f, m, n, rng)
+        mat = gen.random_matrix(f, m, n, rng)
         x0 = [f.rand(rng) for _ in range(n)]
         b = [la.sum_prod(f, row, x0) for row in mat.rows]
         res = la.solve(mat, b)
@@ -119,14 +120,14 @@ def test_prime_and_generic_rref_agree(m, n, rng):
 def test_rref_transform_invariant():
     rng = random.Random(7)
     for f in (FP, QQ):
-        m = la.random_matrix(f, 4, 6, rng)
+        m = gen.random_matrix(f, 4, 6, rng)
         red = la.rref(m)
         assert red.transform @ m == red.reduced
 
 
 def test_determinism():
     rng = random.Random(1)
-    m = la.random_matrix(QQ, 5, 5, rng)
+    m = gen.random_matrix(QQ, 5, 5, rng)
     assert la.rref(m).reduced == la.rref(m.copy()).reduced
     assert la.det(m) == la.det(m.copy())
 

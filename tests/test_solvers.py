@@ -88,7 +88,7 @@ def test_products_match_dense_multiplication(rationals, use_two_cycle, rng):
         for v in range(B.nvert):
             radical = set(B.corner_indices(v, v)) - {v}
             x = list(_sparse_vec(B, rng, radical))
-            x[v] = f.rand_nonzero(rng)
+            x[v] = gen.rand_nonzero(f, rng)
             y = B.invert_in_corner(tuple(x), v)
             assert repr(y) == repr(_dense_inverse(B, tuple(x), v))
             assert B.mul_vec(tuple(x), y) == B.mul_vec(y, tuple(x)) == B.basis_vec(v)
