@@ -28,15 +28,26 @@ from .exactla import Field, Mat
 Vec = Tuple  # coefficient tuple over the algebra basis
 
 
+# Characters of the element and object grammars; a label containing one
+# would be read as a different element or object.
+LABEL_FORBIDDEN = "+-*/[]:"
+
+
 @dataclass(frozen=True)
 class Quiver:
     vertices: Tuple[str, ...]
     arrows: Tuple[Tuple[str, str, str], ...]  # (label, source, target)
 
     def __post_init__(self):
+        for lab in self.vertices + tuple(a[0] for a in self.arrows):
+            if not lab or any(ch in LABEL_FORBIDDEN or ch.isspace() for ch in lab):
+                raise InputError(f"label {lab!r} is empty or contains one of "
+                                 f"{LABEL_FORBIDDEN!r} or whitespace")
         if len(set(self.vertices)) != len(self.vertices):
             raise InputError("duplicate vertex labels")
         labels = [a[0] for a in self.arrows]
+        for lab in filter(_is_number, labels):
+            raise InputError(f"arrow label {lab!r} reads as a number")
         if len(set(labels)) != len(labels):
             raise InputError("duplicate arrow labels")
         for lab, s, t in self.arrows:
@@ -71,7 +82,6 @@ class Algebra:
     def __init__(self, field: Field, vertex_labels: Sequence[str],
                  basis_labels: Sequence[str], source: Sequence[int],
                  target: Sequence[int], prod: Sequence[Sequence[int]],
-                 quiver: Optional[Quiver] = None,
                  validate: bool = True):
         self.field = field
         self.vertex_labels = tuple(vertex_labels)
@@ -81,7 +91,6 @@ class Algebra:
         self.source = tuple(source)
         self.target = tuple(target)
         self.prod = tuple(tuple(row) for row in prod)
-        self.quiver = quiver
         self._label_index = {lab: i for i, lab in enumerate(self.basis_labels)}
         self._corner_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self._op: Optional[Algebra] = None
@@ -162,10 +171,6 @@ class Algebra:
                 if self.source[b] == i and self.target[b] == j)
         return self._corner_cache[key]
 
-    def hom_corner(self, i: int, j: int) -> Tuple[int, ...]:
-        """Basis indices parametrizing maps P_i -> P_j (= e_j A e_i)."""
-        return self.corner_indices(j, i)
-
     def is_radical_vec(self, x: Vec) -> bool:
         z = self.field.zero
         return all(x[i] == z for i in range(self.nvert))
@@ -217,7 +222,10 @@ class Algebra:
                 num = parts[0]
                 if "/" in num:
                     a, b = num.split("/")
-                    coeff = f.mul(coeff, f.mul(f.from_int(int(a)), f.inv(f.from_int(int(b)))))
+                    den = f.from_int(int(b))
+                    if den == f.zero:
+                        raise InputError(f"zero denominator in {term!r} over {f}")
+                    coeff = f.mul(coeff, f.mul(f.from_int(int(a)), f.inv(den)))
                 else:
                     coeff = f.mul(coeff, f.from_int(int(num)))
                 start = 1
@@ -361,7 +369,10 @@ class Algebra:
             row = prod[i]
             for j in starting_at[tgt[i]]:
                 row[j] = index_of.get((p + paths[j], src[i]), -1)
-        return cls(field, quiver.vertices, labels, src, tgt, prod, quiver=quiver)
+        if len(set(labels)) != len(labels):
+            dup = next(lab for lab in labels if labels.count(lab) > 1)
+            raise InputError(f"basis label {dup!r} names two basis paths")
+        return cls(field, quiver.vertices, labels, src, tgt, prod)
 
     def op(self) -> "Algebra":
         """Opposite algebra; shares the basis index set, op().op() is self."""
@@ -462,11 +473,11 @@ class Algebra:
 
 
 def _is_number(s: str) -> bool:
+    """Whether s is an integer or a fraction p/q that int() can read."""
     s = s.strip()
-    if not s:
-        return False
-    body = s[1:] if s[0] in "+-" else s
-    return body.replace("/", "", 1).isdigit()
+    body = s[1:] if s[:1] in ("+", "-") else s
+    parts = body.split("/")
+    return len(parts) <= 2 and all(p.isdecimal() for p in parts)
 
 
 class Module:

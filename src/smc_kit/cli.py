@@ -358,7 +358,7 @@ def cmd_hom(args) -> int:
     ws = load_workspace(args.workspace, args.field, args.pd_bound)
     X = ws.resolve_object(args.algebra, args.x)
     Y = ws.resolve_object(args.algebra, args.y)
-    t = hom_table(X, Y, with_basis=False)
+    t = hom_table(X, Y)
     payload = {"window": list(t.window), "dims": {str(n): d for n, d
                                                   in sorted(t.dims.items())}}
     lines = [f"graded Hom dimensions over window {t.window}:"]

@@ -4,7 +4,6 @@ minimal representatives, and hyperprojective resolution of module complexes."""
 from .complexes import (
     ChainMap,
     ProjComplex,
-    Triangle,
     cocone,
     cone,
     compose,
@@ -19,7 +18,6 @@ from .homs import (
     HomTable,
     IsoResult,
     chain_maps_basis,
-    coords_in_table,
     factor_through,
     hom_basis,
     hom_dims,

@@ -17,7 +17,6 @@ Krull-Schmidt comparisons computable.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -308,21 +307,9 @@ def compose(f: ChainMap, g: ChainMap) -> ChainMap:
     return ChainMap(f.source, g.target, comps, validate=False)
 
 
-@dataclass
-class Triangle:
-    """x --u--> y --v--> z --w--> x[1]; z is the cone of u or certified so."""
-
-    x: ProjComplex
-    y: ProjComplex
-    z: ProjComplex
-    u: ChainMap
-    v: ChainMap
-    w: ChainMap
-    certificate: str = "cone"
-
-
-def cone(f: ChainMap) -> Tuple[ProjComplex, Triangle]:
-    """Mapping cone with its standard triangle X -> Y -> C -> X[1]."""
+def cone(f: ChainMap) -> Tuple[ProjComplex, ChainMap]:
+    """Mapping cone C of f: X -> Y with the inclusion v: Y -> C of its
+    triangle X -> Y -> C -> X[1]."""
     X, Y = f.source, f.target
     A = X.algebra
     terms: Dict[int, List[int]] = {}
@@ -354,36 +341,22 @@ def cone(f: ChainMap) -> Tuple[ProjComplex, Triangle]:
                     d[mx + t][nx + s] = dY[t][s]
         diffs[k] = d
     C = ProjComplex(A, terms, diffs, validate=False)
-    # inclusion Y -> C and projection C -> X[1]
     v_comps = {}
     for k in Y.terms:
-        if k not in C.terms:
-            continue
         nx = len(X.term(k + 1))
         m = ent_zeros(A, len(C.term(k)), len(Y.term(k)))
         for i, vert in enumerate(Y.term(k)):
             m[nx + i][i] = A.basis_vec(vert)
         v_comps[k] = m
-    X1 = X.shift(1)
-    w_comps = {}
-    for k in C.terms:
-        if not X1.term(k):
-            continue
-        m = ent_zeros(A, len(X1.term(k)), len(C.term(k)))
-        for i, vert in enumerate(X1.term(k)):
-            m[i][i] = A.basis_vec(vert)
-        w_comps[k] = m
-    v = ChainMap(Y, C, v_comps, validate=False)
-    w = ChainMap(C, X1, w_comps, validate=False)
-    return C, Triangle(X, Y, C, f, v, w, certificate="cone")
+    return C, ChainMap(Y, C, v_comps, validate=False)
 
 
-def cocone(f: ChainMap) -> Tuple[ProjComplex, ChainMap, Triangle]:
-    """C with triangle C -> X --f--> Y -> C[1]; returns (C, C -> X, triangle)."""
-    X, Y = f.source, f.target
+def cocone(f: ChainMap) -> Tuple[ProjComplex, ChainMap]:
+    """C = cone(f)[-1] with the projection p: C -> X of its triangle
+    C -> X --f--> Y -> C[1]."""
+    X = f.source
     A = X.algebra
-    C0, tri = cone(f)
-    C = C0.shift(-1)
+    C = cone(f)[0].shift(-1)
     p_comps = {}
     for k in C.terms:
         if not X.term(k):
@@ -392,9 +365,7 @@ def cocone(f: ChainMap) -> Tuple[ProjComplex, ChainMap, Triangle]:
         for i, vert in enumerate(X.term(k)):
             m[i][i] = A.basis_vec(vert)
         p_comps[k] = m
-    p = ChainMap(C, X, p_comps, validate=False)
-    third = ChainMap(Y, C.shift(1), tri.v.comps, validate=False)
-    return C, p, Triangle(C, X, Y, p, f, third, certificate="cone-rotation")
+    return C, ChainMap(C, X, p_comps, validate=False)
 
 
 def direct_sum(complexes: Sequence[ProjComplex]) -> Tuple[ProjComplex, List[ChainMap], List[ChainMap]]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import random as _random
 import weakref
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .. import exactla as la
 from ..algebra import Algebra, yoneda_map
@@ -70,7 +70,7 @@ class _MapCoords:
                 continue
             for t, j in enumerate(yk):
                 for s, i in enumerate(X.term(k)):
-                    corner = A.hom_corner(i, j)  # e_j A e_i
+                    corner = A.corner_indices(j, i)  # maps P_i -> P_j
                     if corner:
                         blocks.append((k, t, s, corner))
                         offsets.append(total)
@@ -105,50 +105,46 @@ class _MapCoords:
         return out
 
 
+def _compose_into(A: Algebra, rows: List[List], dom: _MapCoords, cod: _MapCoords,
+                  ents: Mapping[int, Entries], shift: int, left: bool,
+                  subtract: bool = False) -> None:
+    """Add (or subtract) into rows, one per cod coordinate and one column per
+    dom coordinate, the composite of each dom block f^k at (k, t, s) with
+    the entry matrix e = ents[k + shift]: e f^k (left), landing in block
+    (k, t', s), or f^k e (right), landing in block (k + shift, t, s')."""
+    op = A.field.sub if subtract else A.field.add
+    for (k, t, s, corner), off in zip(dom.blocks, dom.offsets):
+        e = ents.get(k + shift)
+        if e is None:
+            continue
+        for u, ent in enumerate(e if left else e[s]):
+            hit = cod.index.get((k, u, s) if left else (k + shift, t, u))
+            if hit is not None:
+                base, pos = hit
+                for i, j, x in A.products(ent[t] if left else ent, corner, pos, left):
+                    r = rows[base + j]
+                    r[off + i] = op(r[off + i], x)
+
+
 def _hom_differential(X: ProjComplex, Y: ProjComplex, n: int,
                       dom: _MapCoords, cod: _MapCoords) -> Mat:
     """Matrix of D(f) = d_Y f - (-1)^n f d_X from degree-n to degree-n+1 maps."""
     A = X.algebra
-    fld = A.field
-    rows = [[fld.zero] * dom.total for _ in range(cod.total)]
-    sign = fld.from_int(-1 if n % 2 else 1)
-    for (k, t, s, corner), off in zip(dom.blocks, dom.offsets):
-        # postcompose with d_Y^{k+n}: lands in block (k, t', s)
-        dY = Y.diff(k + n)
-        if dY is not None:
-            for tp, drow in enumerate(dY):
-                hit = cod.index.get((k, tp, s))
-                if hit is not None:
-                    for i, j, x in A.products(drow[t], corner, hit[1], True):
-                        r = rows[hit[0] + j]
-                        r[off + i] = fld.add(r[off + i], x)
-        # precompose with d_X^{k-1}: block (k-1, t, s') from f^k
-        dX = X.diff(k - 1)
-        if dX is not None:
-            for sp, ent in enumerate(dX[s]):
-                hit = cod.index.get((k - 1, t, sp))
-                if hit is not None:
-                    for i, j, x in A.products(ent, corner, hit[1], False):
-                        r = rows[hit[0] + j]
-                        r[off + i] = fld.sub(r[off + i], fld.mul(sign, x))
-    return Mat(fld, rows, ncols=dom.total)
+    d = Mat.zeros(A.field, cod.total, dom.total)
+    _compose_into(A, d.rows, dom, cod, Y.diffs, n, True)
+    _compose_into(A, d.rows, dom, cod, X.diffs, -1, False, subtract=n % 2 == 0)
+    return d
 
 
 @dataclass
 class HomTable:
-    """Graded Hom dimensions with representing chain maps over a window."""
+    """Graded Hom dimensions over a window; bases come from hom_basis."""
 
-    x: ProjComplex
-    y: ProjComplex
     window: Tuple[int, int]
     dims: Dict[int, int]
-    basis: Dict[int, List[ChainMap]]
 
     def dim(self, n: int) -> int:
         return self.dims.get(n, 0)
-
-    def total(self) -> int:
-        return sum(self.dims.values())
 
 
 def hom_window(X: ProjComplex, Y: ProjComplex) -> Tuple[int, int]:
@@ -214,12 +210,11 @@ def hom_basis(X: ProjComplex, Y: ProjComplex, n: int) -> List[ChainMap]:
             for j in la.rref(stacked).pivots if j >= prev.ncols]
 
 
-def hom_table(X: ProjComplex, Y: ProjComplex, with_basis: bool = True) -> HomTable:
-    """Graded Hom dimensions over the support window, with basis maps."""
+def hom_table(X: ProjComplex, Y: ProjComplex) -> HomTable:
+    """Graded Hom dimensions over the support window."""
     lo, hi = hom_window(X, Y)
     dims = {n: d for n, d in hom_dims(X, Y, range(lo, hi + 1)).items() if d}
-    basis = {n: hom_basis(X, Y, n) for n in dims} if with_basis else {}
-    return HomTable(X, Y, (lo, hi), dims, basis)
+    return HomTable((lo, hi), dims)
 
 
 def chain_maps_basis(X: ProjComplex, Y: ProjComplex, n: int = 0) -> List[ChainMap]:
@@ -260,74 +255,37 @@ def lift_through(p: ChainMap, g: ChainMap) -> Optional[ChainMap]:
     """psi: X -> W with p . psi homotopic to g, for p: W -> Y, g: X -> Y."""
     if not p.target.same_shape(g.target):
         raise InputError("lift_through: targets differ")
-    return _solve_up_to_homotopy(g.source, p.source, g, _compose_coeff_left, p)
+    return _solve_up_to_homotopy(g.source, p.source, g, p, left=True)
 
 
 def factor_through(w: ChainMap, g: ChainMap) -> Optional[ChainMap]:
     """chi: W -> Z with chi . w homotopic to g, for w: X -> W, g: X -> Z."""
     if not w.source.same_shape(g.source):
         raise InputError("factor_through: sources differ")
-    return _solve_up_to_homotopy(w.target, g.target, g, _compose_coeff_right, w)
+    return _solve_up_to_homotopy(w.target, g.target, g, w, left=False)
 
 
 def _solve_up_to_homotopy(S: ProjComplex, T: ProjComplex, g: ChainMap,
-                          coeffs, fixed: ChainMap) -> Optional[ChainMap]:
-    """Chain map u: S -> T whose composite with the fixed map is homotopic
-    to g; coeffs(coords_u, coords_g, fixed) is that composite as a linear
-    map C of u (vars x eqs).  One solve of [[D_u, 0], [C^T, D_h]] (u, h)
-    = (0, g)."""
+                          fixed: ChainMap, left: bool) -> Optional[ChainMap]:
+    """Chain map u: S -> T whose composite with the fixed map (fixed . u when
+    left, else u . fixed) is homotopic to g.  With C that composite as a
+    linear map of u, one solve of [[D_u, 0], [C, D_h]] (u, h) = (0, g)."""
     X, Y = g.source, g.target
-    fld = X.algebra.field
+    A = X.algebra
     coords_u = _MapCoords.build(S, T, 0)
     coords_g = _MapCoords.build(X, Y, 0)
     coords_h = _MapCoords.build(X, Y, -1)
     d_u = _hom_differential(S, T, 0, coords_u, _MapCoords.build(S, T, 1))
     d_h = _hom_differential(X, Y, -1, coords_h, coords_g)
+    c = Mat.zeros(A.field, coords_g.total, coords_u.total)
+    _compose_into(A, c.rows, coords_u, coords_g, fixed.comps, 0, left)
     system = la.vstack([
-        la.hstack([d_u, Mat.zeros(fld, d_u.nrows, coords_h.total)]),
-        la.hstack([coeffs(coords_u, coords_g, fixed).transpose(), d_h])])
-    sol = la.solve(system, [fld.zero] * d_u.nrows + coords_g.from_map(g, 0))
+        la.hstack([d_u, Mat.zeros(A.field, d_u.nrows, coords_h.total)]),
+        la.hstack([c, d_h])])
+    sol = la.solve(system, [A.field.zero] * d_u.nrows + coords_g.from_map(g, 0))
     if sol is None:
         return None
     return ChainMap(S, T, coords_u.to_entries(S, T, 0, sol[:coords_u.total]))
-
-
-def _compose_coeff_left(coords_psi: _MapCoords, coords_out: _MapCoords,
-                        p: ChainMap) -> Mat:
-    """Coordinates of p o psi as a linear map of the coordinates of psi."""
-    A = p.source.algebra
-    fld = A.field
-    out = Mat.zeros(fld, coords_psi.total, coords_out.total)
-    for (k, t, s, corner), off in zip(coords_psi.blocks, coords_psi.offsets):
-        pc = p.comps.get(k)
-        if pc is None:
-            continue
-        for tp, prow in enumerate(pc):
-            hit = coords_out.index.get((k, tp, s))
-            if hit is not None:
-                for i, j, x in A.products(prow[t], corner, hit[1], True):
-                    r = out.rows[off + i]
-                    r[hit[0] + j] = fld.add(r[hit[0] + j], x)
-    return out
-
-
-def _compose_coeff_right(coords_chi: _MapCoords, coords_out: _MapCoords,
-                         w: ChainMap) -> Mat:
-    """Coordinates of chi o w as a linear map of the coordinates of chi."""
-    A = w.source.algebra
-    fld = A.field
-    out = Mat.zeros(fld, coords_chi.total, coords_out.total)
-    for (k, t, s, corner), off in zip(coords_chi.blocks, coords_chi.offsets):
-        wc = w.comps.get(k)
-        if wc is None:
-            continue
-        for sp, ent in enumerate(wc[s]):
-            hit = coords_out.index.get((k, t, sp))
-            if hit is not None:
-                for i, j, x in A.products(ent, corner, hit[1], False):
-                    r = out.rows[off + i]
-                    r[hit[0] + j] = fld.add(r[hit[0] + j], x)
-    return out
 
 
 # -- isomorphism testing -------------------------------------------------------
@@ -444,19 +402,6 @@ def is_iso(X: ProjComplex, Y: ProjComplex,
     backward = compose(compose(y_to, back), x_from)
     return IsoResult(True, True, forward=forward, backward=backward,
                      note="invertible chain map witness")
-
-
-def coords_in_table(f: ChainMap, table: HomTable, n: int) -> Optional[List]:
-    """Coordinates of [f] in the homotopy-class basis of Hom(X, Y[n])."""
-    X, Y = table.x, table.y
-    coords_n = _MapCoords.build(X, Y, n)
-    coords_h = _MapCoords.build(X, Y, n - 1)
-    d_h = _hom_differential(X, Y, n - 1, coords_h, coords_n)
-    reps = [coords_n.from_map(b, n) for b in table.basis.get(n, [])]
-    # [reps | D_h] (c, h) = f, with the representatives as columns
-    system = la.hstack([Mat(X.algebra.field, reps, ncols=coords_n.total).transpose(), d_h])
-    sol = la.solve(system, coords_n.from_map(f, n))
-    return None if sol is None else sol[:len(reps)]
 
 
 # -- chain maps with a corner-level constraint ---------------------------------

@@ -331,7 +331,7 @@ def canonical_triangles(spec: RecollementSpec, T: ProjComplex) -> CanonicalTrian
         if unit is None:
             raise SmcKitError("unit system unsolvable: functor inconsistency")
     cone_counit, _ = cone(counit)
-    cocone_unit, _, _ = cocone(unit)
+    cocone_unit, _ = cocone(unit)
     return CanonicalTriangles(cocone_unit, cone_counit)
 
 
@@ -365,8 +365,8 @@ def _run_sample_checks(spec: RecollementSpec, x_simples: List[ProjComplex],
         checks.append(CheckItem(f"j^! i_* = 0 on quotient simple {idx}", ok))
     for a in range(len(x_simples)):
         for b in range(len(x_simples)):
-            tx = hom_table(x_simples[a], x_simples[b], with_basis=False)
-            tt = hom_table(images[a], images[b], with_basis=False)
+            tx = hom_table(x_simples[a], x_simples[b])
+            tt = hom_table(images[a], images[b])
             ok = tx.dims == tt.dims
             checks.append(CheckItem(
                 f"i_* fully faithful on quotient simples ({a},{b})", ok,

@@ -252,16 +252,16 @@ def truncate(T: ProjComplex, objects: Sequence[ProjComplex], threshold: int = 1,
                 "or the collection violates the orthogonality axioms")
         b, idx = best
         log.append((idx, -b))
-        C, p, _ = cocone(hom_basis(current, objects[idx], -b)[0])
+        C, p = cocone(hom_basis(current, objects[idx], -b)[0])
         Cm, _, c_from = minimalize(C)
         u_map = compose(compose(c_from, p), u_map)
         current = Cm
-    V, tri = cone(u_map)
+    V, v_map = cone(u_map)
     if not member_filt_geq(current, objects, 1 - threshold):
         raise SmcKitError("truncation invariant failed: U outside the aisle")
     if not member_filt_leq(V, objects, -threshold):
         raise SmcKitError("truncation invariant failed: V outside the coaisle")
-    return TruncationTriangle(current, V, u_map, tri.v, log)
+    return TruncationTriangle(current, V, u_map, v_map, log)
 
 
 # -- gluing ----------------------------------------------------------------------
@@ -325,16 +325,16 @@ def _w_item(R: RecollementSpec, j: int, Y: ProjComplex,
     """W_j = cone(U -> j_!(Y)), U the aisle part (threshold 1) of the
     cocone of theta; deep mode checks the companion triangle through j_*."""
     theta = canonical_theta(R, Y)
-    C, p, _ = cocone(theta)
+    C, p = cocone(theta)
     Cm, _, c_from = minimalize(C)
     p_min = compose(c_from, p)          # Cm -> j_!(Y)
     trunc = truncate(Cm, images, threshold=1)
     into = compose(trunc.u_map, p_min)  # U -> j_!(Y)
-    W_full, tri = cone(into)
+    W_full, v = cone(into)              # v: j_!(Y) -> W
     Wm, _, _ = minimalize(W_full)
     item = GluingItem(j, trunc.u_part, minimalize(trunc.v_part)[0], Wm, None)
     if deep:
-        chi = factor_through(tri.v, theta)  # W -> j_*(Y) over the triangle
+        chi = factor_through(v, theta)  # W -> j_*(Y) over the triangle
         item.second_triangle_ok = chi is not None and bool(
             is_iso(cone(chi)[0], shift(item.v_part, 1), rng=rng))
         item.image_identities = _image_identities(R, Wm, Y, trunc, rng)
@@ -358,12 +358,12 @@ def _p_item(R: RecollementSpec, j: int, Y: ProjComplex,
     """P_j = cocone(j_*(Y) -> N), N the coaisle part (threshold 0) of the
     cone of theta; deep mode checks the companion triangle through j_!."""
     theta = canonical_theta(R, Y)
-    D, tri_theta = cone(theta)          # D = i_* i^* j_*(Y)
+    D, v = cone(theta)                  # D = i_* i^* j_*(Y)
     Dm, d_to, _ = minimalize(D)
-    into_d = compose(tri_theta.v, d_to)  # j_*(Y) -> Dm
+    into_d = compose(v, d_to)           # j_*(Y) -> Dm
     trunc = truncate(Dm, images, threshold=0)
     to_n = compose(into_d, trunc.v_map)  # j_*(Y) -> N_j
-    P_full, pmap, _ = cocone(to_n)
+    P_full, pmap = cocone(to_n)
     Pm, _, _ = minimalize(P_full)
     item = GluingItem(j, trunc.u_part, minimalize(trunc.v_part)[0], Pm, None)
     if deep:

@@ -233,6 +233,35 @@ def test_parse_rejects_unknown():
         A.parse_element("nosuch")
 
 
+def test_labels_the_element_grammar_would_misread_are_rejected():
+    bad_quivers = [
+        (("1", "2"), (("a", "1", "2"), ("b", "1", "2"), ("a-b", "1", "2"))),
+        (("1", "2"), (("a*b", "1", "2"),)),
+        (("1", "2"), (("2", "1", "2"),)),   # "2*a" would read as twice a
+        (("1", "2"), (("", "1", "2"),)),
+        (("1", "2"), (("a b", "1", "2"),)),
+        (("1", "2[1]"), (("a", "1", "2[1]"),)),
+        (("1", "x:y"), ()),
+    ]
+    for verts, arrows in bad_quivers:
+        with pytest.raises(InputError):
+            alg.Quiver(verts, arrows)
+    # an arrow e_1 would hide the idempotent of vertex 1
+    with pytest.raises(InputError, match="e_1"):
+        alg.Algebra.from_quiver(FP, alg.Quiver(("1", "2"), (("e_1", "1", "2"),)))
+
+
+def test_bad_coefficients_are_input_errors():
+    for field, text in ((FP, "1/0*a"), (PrimeField(2), "1/2*a"), (RationalField(), "1/0*a")):
+        with pytest.raises(InputError, match="zero denominator"):
+            a2(field).parse_element(text)
+    # malformed numbers are unknown labels, not int() failures
+    for text in ("1/-2*a", "1/*a", "\u00b2*a"):
+        with pytest.raises(InputError):
+            a2().parse_element(text)
+    assert a2(PrimeField(3)).parse_element("1/2*a") == a2(PrimeField(3)).parse_element("2*a")
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 4), st.randoms(use_true_random=False))
 def test_random_linear_algebras_structural_properties(n, rng):

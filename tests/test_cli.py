@@ -89,6 +89,27 @@ def test_malformed_differential_names_degree(tmp_path, capsys):
     assert "d^2" in err and "degree" in err
 
 
+def test_misread_labels_and_zero_denominators_exit_2(tmp_path, capsys):
+    # with arrows a, b and a-b, the entry "a-b" used to parse as a - b
+    doc = json.loads(Path(A2_WS).read_text())
+    doc["algebras"]["A"]["arrows"] = [{"label": lab, "source": "1", "target": "2"}
+                                      for lab in ("a", "b", "a-b")]
+    doc["complexes"] = {"X": {"algebra": "A", "terms": {"0": ["2"], "1": ["1"]},
+                              "diffs": {"0": [["a-b"]]}}}
+    p = tmp_path / "labels.json"
+    p.write_text(json.dumps(doc))
+    assert main(["hom", str(p), "A", "X", "proj:1"]) == 2
+    assert "'a-b'" in capsys.readouterr().err
+    # a coefficient whose denominator is 0 in the field
+    for field, entry in (("32003", "1/0*a"), ("2", "1/2*a"), ("rationals", "1/0*a")):
+        doc = json.loads(Path(A2_WS).read_text())
+        doc["complexes"] = {"X": {"algebra": "A", "terms": {"0": ["2"], "1": ["1"]},
+                                  "diffs": {"0": [[entry]]}}}
+        p.write_text(json.dumps(doc))
+        assert main(["--field", field, "hom", str(p), "A", "X", "proj:1"]) == 2
+        assert "zero denominator" in capsys.readouterr().err
+
+
 def test_glue_command(capsys):
     assert main(["glue", A2_WS, "R", "xstd", "ystd"]) == 0
     out = capsys.readouterr().out

@@ -132,9 +132,9 @@ def test_adjunctions_with_multiterm_corner_objects():
         if Y.is_zero() or T.is_zero():
             continue
         jt = j_upper_shriek(SPEC, T)
-        t1 = hom_table(j_lower_shriek(SPEC, Y), T, with_basis=False)
-        t2 = hom_table(Y, jt, with_basis=False)
+        t1 = hom_table(j_lower_shriek(SPEC, Y), T)
+        t2 = hom_table(Y, jt)
         assert t1.dims == t2.dims
-        t3 = hom_table(T, j_lower_star(SPEC, Y), with_basis=False)
-        t4 = hom_table(jt, Y, with_basis=False)
+        t3 = hom_table(T, j_lower_star(SPEC, Y))
+        t4 = hom_table(jt, Y)
         assert t3.dims == t4.dims

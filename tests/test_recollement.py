@@ -109,14 +109,14 @@ def test_canonical_theta_and_cocone():
     # A2: theta: P1 -> j_*(Y) has cocone S2 (in the image of i_*)
     spec = SPEC_A2
     theta = rec.canonical_theta(spec, y_simple(spec))
-    C, _, _ = cocone(theta)
+    C, _ = cocone(theta)
     Cm, _, _ = minimalize(C)
     s2 = gen.resolved_simple(A2, 1)
     assert is_iso(Cm, s2, rng=random.Random(0)).isomorphic
     # two-cycle: the cocone has composition factors S2 in degrees 0 and 1
     spec = SPEC_TC
     theta = rec.canonical_theta(spec, y_simple(spec))
-    C, _, _ = cocone(theta)
+    C, _ = cocone(theta)
     assert cohomology_dims(C) == {0: 1, 1: 1}
 
 
@@ -155,13 +155,13 @@ def test_adjunction_dimension_checks():
             T = gen.resolved_simple(spec.algebra, 0)
         jy = rec.j_lower_shriek(spec, Y)
         jt = rec.j_upper_shriek(spec, T)
-        t1 = hom_table(jy, T, with_basis=False)
-        t2 = hom_table(Y, jt, with_basis=False)
+        t1 = hom_table(jy, T)
+        t2 = hom_table(Y, jt)
         for n in set(t1.dims) | set(t2.dims):
             assert t1.dim(n) == t2.dim(n)
         ty = rec.j_lower_star(spec, Y)
-        t3 = hom_table(T, ty, with_basis=False)
-        t4 = hom_table(jt, Y, with_basis=False)
+        t3 = hom_table(T, ty)
+        t4 = hom_table(jt, Y)
         for n in set(t3.dims) | set(t4.dims):
             assert t3.dim(n) == t4.dim(n)
 

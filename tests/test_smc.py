@@ -313,14 +313,14 @@ def test_hom_transport_and_orthogonality():
         ys = fix.y_smc.objects
         for a, Wa in enumerate(ws):
             for b, Wb in enumerate(ws):
-                tw = hom_table(Wa, Wb, with_basis=False)
-                ty = hom_table(ys[a], ys[b], with_basis=False)
+                tw = hom_table(Wa, Wb)
+                ty = hom_table(ys[a], ys[b])
                 for t in range(min(tw.window[0], ty.window[0]), 1):
                     assert tw.dim(t) == ty.dim(t), (a, b, t)
         for img in out.objects[:m]:
             for W in ws:
-                t1 = hom_table(img, W, with_basis=False)
-                t2 = hom_table(W, img, with_basis=False)
+                t1 = hom_table(img, W)
+                t2 = hom_table(W, img)
                 assert all(d == 0 for n, d in t1.dims.items() if n <= 0)
                 assert all(d == 0 for n, d in t2.dims.items() if n <= 0)
 
@@ -333,9 +333,9 @@ def test_rigidity_transfer():
             out, _ = builder(fix.x_smc, fix.y_smc, fix.spec)
             m = len(fix.x_smc)
             for j, Y in enumerate(fix.y_smc.objects):
-                if hom_table(Y, Y, with_basis=False).dim(1) == 0:
+                if hom_table(Y, Y).dim(1) == 0:
                     W = out.objects[m + j]
-                    assert hom_table(W, W, with_basis=False).dim(1) == 0
+                    assert hom_table(W, W).dim(1) == 0
 
 
 def test_approximation_transport():
@@ -372,7 +372,7 @@ def test_multi_layer_truncation():
     logs = []
     for Y in sy.objects:
         theta = canonical_theta(spec, Y)
-        C, _, _ = cocone(theta)
+        C, _ = cocone(theta)
         Cm, _, _ = minimalize(C)
         logs.append(truncate(Cm, images, threshold=1).strip_log)
     assert max(len(log) for log in logs) >= 2
@@ -400,7 +400,7 @@ def test_mixed_depth_strips_topmost_first():
     saw_mixed = False
     for Y in sy.objects:
         theta = canonical_theta(spec, Y)
-        C, _, _ = cocone(theta)
+        C, _ = cocone(theta)
         Cm, _, _ = minimalize(C)
         log = truncate(Cm, images, threshold=1).strip_log
         shifts = [-b for _, b in log]  # depths stripped, largest first

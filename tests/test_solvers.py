@@ -11,12 +11,14 @@ from smc_kit.fixtures import random_monomial_linear_algebra
 from smc_kit.homotopy import (
     ChainMap,
     chain_maps_basis,
+    cocone,
     compose,
     cone,
     factor_through,
     homotopic,
     identity_map,
     is_contractible,
+    is_nullhomotopic,
     lift_through,
     zero_complex,
 )
@@ -153,6 +155,24 @@ def test_lift_and_factor_through_recover_composites(rationals, rng):
     chi = factor_through(w, g)
     assert chi is not None and chi.source is w.target and chi.target is g.target
     assert homotopic(compose(w, chi), g)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.booleans(), st.randoms(use_true_random=False))
+def test_cone_and_cocone_maps_compose_to_zero_with_f(rationals, rng):
+    field = QQ if rationals else gen.FP
+    A = rng.choice([gen.a2_algebra, gen.two_cycle_algebra,
+                    lambda f: random_monomial_linear_algebra(f, rng, max_vertices=4)])(field)
+    X, Y = _draw(A, rng), _draw(A, rng)
+    f = _random_map(X, Y, rng)
+    C, v = cone(f)
+    assert v.source is Y and v.target is C
+    ChainMap(Y, C, v.comps)  # validates: v is a chain map
+    assert is_nullhomotopic(compose(f, v)) is not None
+    D, p = cocone(f)
+    assert p.source is D and p.target is X
+    ChainMap(D, X, p.comps)
+    assert is_nullhomotopic(compose(p, f)) is not None
 
 
 def test_identity_does_not_factor_through_zero():
