@@ -241,17 +241,6 @@ class Mat:
         return Mat(f, [[f.add(a, b) for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)],
                    ncols=self.ncols)
 
-    def __sub__(self, other):
-        f = self.field
-        if self.shape != other.shape:
-            raise InputError("shape mismatch in sub")
-        return Mat(f, [[f.sub(a, b) for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)],
-                   ncols=self.ncols)
-
-    def __neg__(self):
-        f = self.field
-        return Mat(f, [[f.neg(a) for a in r] for r in self.rows], ncols=self.ncols)
-
     def scale(self, c):
         f = self.field
         return Mat(f, [[f.mul(c, a) for a in r] for r in self.rows], ncols=self.ncols)
@@ -312,17 +301,15 @@ def vstack(mats: Sequence[Mat]) -> Mat:
 
 @dataclass
 class RRef:
-    """Reduced row echelon data: T @ original = reduced, pivot columns."""
+    """Reduced row echelon form of a matrix and its pivot columns."""
 
     reduced: Mat
     pivots: Tuple[int, ...]
-    transform: Mat
 
 
 def _rref_modp(p: int, m: Mat) -> RRef:
     nr, nc = m.shape
     a = np.array(m.rows, dtype=np.int64).reshape(nr, nc) % p
-    t = np.eye(nr, dtype=np.int64)
     pivots = []
     r = 0
     for c in range(nc):
@@ -334,29 +321,22 @@ def _rref_modp(p: int, m: Mat) -> RRef:
         k = r + int(nz[0])
         if k != r:
             a[[r, k]] = a[[k, r]]
-            t[[r, k]] = t[[k, r]]
         inv = pow(int(a[r, c]), p - 2, p)
         a[r] = (a[r] * inv) % p
-        t[r] = (t[r] * inv) % p
         col = a[:, c].copy()
         col[r] = 0
         if np.any(col):
             a -= np.outer(col, a[r])
-            t -= np.outer(col, t[r])
             a %= p
-            t %= p
         pivots.append(c)
         r += 1
-    fld = m.field
-    return RRef(Mat(fld, a.tolist(), ncols=nc), tuple(pivots),
-                Mat(fld, t.tolist(), ncols=nr))
+    return RRef(Mat(m.field, a.tolist(), ncols=nc), tuple(pivots))
 
 
 def _rref_generic(m: Mat) -> RRef:
     f = m.field
     nr, nc = m.shape
     a = [list(r) for r in m.rows]
-    t = [[f.one if i == j else f.zero for j in range(nr)] for i in range(nr)]
     pivots = []
     r = 0
     for c in range(nc):
@@ -367,19 +347,16 @@ def _rref_generic(m: Mat) -> RRef:
             continue
         if k != r:
             a[r], a[k] = a[k], a[r]
-            t[r], t[k] = t[k], t[r]
         inv = f.inv(a[r][c])
         a[r] = [f.mul(inv, x) for x in a[r]]
-        t[r] = [f.mul(inv, x) for x in t[r]]
         for i in range(nr):
             if i == r or a[i][c] == f.zero:
                 continue
             factor = a[i][c]
             a[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(a[i], a[r])]
-            t[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(t[i], t[r])]
         pivots.append(c)
         r += 1
-    return RRef(Mat(f, a, ncols=nc), tuple(pivots), Mat(f, t, ncols=nr))
+    return RRef(Mat(f, a, ncols=nc), tuple(pivots))
 
 
 def rref(m: Mat) -> RRef:
@@ -419,32 +396,24 @@ def solve(m: Mat, b: Sequence[Element]) -> Optional[List[Element]]:
     """One solution x of m @ x = b, or None when the system is inconsistent."""
     if len(b) != m.nrows:
         raise InputError(f"rhs length {len(b)} != nrows {m.nrows}")
-    f = m.field
-    red = rref(m)
-    tb = [sum_prod(f, red.transform.rows[i], b) for i in range(m.nrows)]
-    nr_pivots = len(red.pivots)
-    for i in range(nr_pivots, m.nrows):
-        if tb[i] != f.zero:
-            return None
-    x = [f.zero] * m.ncols
-    for i, pc in enumerate(red.pivots):
-        x[pc] = tb[i]
-    return x
+    sol = solve_matrix(m, Mat(m.field, [[x] for x in b], ncols=1))
+    return None if sol is None else [r[0] for r in sol.rows]
 
 
 def solve_matrix(m: Mat, b: Mat) -> Optional[Mat]:
-    """X with m @ X = b, or None if any column is inconsistent."""
+    """X with m @ X = b, or None if any column is inconsistent.
+
+    One reduction of [m | b]: a pivot in b's columns means some column of b
+    is not in m's column space; otherwise the pivot row of column pc of m
+    carries X[pc] in its b-part, and the free coordinates of X are zero."""
     if b.nrows != m.nrows:
         raise InputError("solve_matrix shape mismatch")
-    f = m.field
-    red = rref(m)
-    tb = red.transform @ b
-    for i in range(len(red.pivots), m.nrows):
-        if any(x != f.zero for x in tb.rows[i]):
-            return None
-    out = Mat.zeros(f, m.ncols, b.ncols)
+    red = rref(hstack([m, b]))
+    if red.pivots and red.pivots[-1] >= m.ncols:
+        return None
+    out = Mat.zeros(m.field, m.ncols, b.ncols)
     for i, pc in enumerate(red.pivots):
-        out.rows[pc] = list(tb.rows[i])
+        out.rows[pc] = red.reduced.rows[i][m.ncols:]
     return out
 
 
@@ -484,10 +453,3 @@ def det(m: Mat) -> Element:
             a[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(a[i], a[c])]
     return d
 
-
-def sum_prod(f: Field, xs, ys) -> Element:
-    acc = f.zero
-    for x, y in zip(xs, ys):
-        if x != f.zero and y != f.zero:
-            acc = f.add(acc, f.mul(x, y))
-    return acc

@@ -141,9 +141,6 @@ class ProjComplex:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degrees(self) -> List[int]:
-        return sorted(self.terms)
-
     def term(self, k: int) -> Tuple[int, ...]:
         return self.terms.get(k, ())
 
@@ -282,10 +279,6 @@ class ChainMap:
                         {k: ent_scale(A, c, m) for k, m in self.comps.items()},
                         validate=False)
 
-    def shift(self, n: int) -> "ChainMap":
-        return ChainMap(self.source.shift(n), self.target.shift(n),
-                        {k - n: m for k, m in self.comps.items()}, validate=False)
-
     def __repr__(self):
         return f"ChainMap({self.source!r} -> {self.target!r})"
 
@@ -307,9 +300,8 @@ def compose(f: ChainMap, g: ChainMap) -> ChainMap:
     return ChainMap(f.source, g.target, comps, validate=False)
 
 
-def cone(f: ChainMap) -> Tuple[ProjComplex, ChainMap]:
-    """Mapping cone C of f: X -> Y with the inclusion v: Y -> C of its
-    triangle X -> Y -> C -> X[1]."""
+def _cone_complex(f: ChainMap) -> ProjComplex:
+    """The mapping cone of f: X -> Y, with term X^{k+1} + Y^k in degree k."""
     X, Y = f.source, f.target
     A = X.algebra
     terms: Dict[int, List[int]] = {}
@@ -340,7 +332,15 @@ def cone(f: ChainMap) -> Tuple[ProjComplex, ChainMap]:
                 for s in range(ny):
                     d[mx + t][nx + s] = dY[t][s]
         diffs[k] = d
-    C = ProjComplex(A, terms, diffs, validate=False)
+    return ProjComplex(A, terms, diffs, validate=False)
+
+
+def cone(f: ChainMap) -> Tuple[ProjComplex, ChainMap]:
+    """Mapping cone C of f: X -> Y with the inclusion v: Y -> C of its
+    triangle X -> Y -> C -> X[1]."""
+    X, Y = f.source, f.target
+    A = X.algebra
+    C = _cone_complex(f)
     v_comps = {}
     for k in Y.terms:
         nx = len(X.term(k + 1))
@@ -356,7 +356,7 @@ def cocone(f: ChainMap) -> Tuple[ProjComplex, ChainMap]:
     C -> X --f--> Y -> C[1]."""
     X = f.source
     A = X.algebra
-    C = cone(f)[0].shift(-1)
+    C = _cone_complex(f).shift(-1)
     p_comps = {}
     for k in C.terms:
         if not X.term(k):

@@ -49,6 +49,15 @@ def random_matrix(field, m, n, rng):
     return Mat(field, [[field.rand(rng) for _ in range(n)] for _ in range(m)], ncols=n)
 
 
+def sum_prod(f, xs, ys):
+    """The dot product of two vectors over the field f."""
+    acc = f.zero
+    for x, y in zip(xs, ys):
+        if x != f.zero and y != f.zero:
+            acc = f.add(acc, f.mul(x, y))
+    return acc
+
+
 def rand_nonzero(field, rng):
     if isinstance(field, PrimeField):
         return rng.randrange(1, field.p)

@@ -206,7 +206,6 @@ def test_minimalize_equivalences():
     for A in (A2, TC):
         for _ in range(3):
             X = gen.random_complex(A, rng)
-            C, _ = cone(identity_map(X)) if X.is_zero() else (X, None)
             M, to_min, from_min = minimalize(X)
             if X.is_zero():
                 continue
@@ -253,11 +252,6 @@ def test_les_alternating_sum():
         f = basis[0]
         C, _ = cone(f)
         Z = gen.resolved_simple(A2, rng.randrange(2))
-        chi = {}
-        for T, s in ((X, 1), (Y, -1), (C, 1)):
-            t = hom_table(T, Z)
-            for n, d in t.dims.items():
-                chi[n % 2] = chi.get(n % 2, 0) + s * d * (1 if n % 2 == 0 else 1)
         # alternating sum over all n of (dim Hom(C) - dim Hom(Y) + dim Hom(X))
         total = 0
         for T, s in ((C, 1), (Y, -1), (X, 1)):

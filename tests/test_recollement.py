@@ -1,11 +1,15 @@
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import gen
 from smc_kit import recollement as rec
+from smc_kit.algebra import global_dimension
 from smc_kit.config import InputError
-from smc_kit.exactla import RationalField
+from smc_kit.exactla import PrimeField, RationalField
+from smc_kit.fixtures import random_monomial_linear_algebra, random_recollement
 from smc_kit.homotopy import (
     cohomology_dims,
     hom_table,
@@ -18,6 +22,7 @@ from smc_kit.homotopy import (
 )
 from smc_kit.homotopy.complexes import stalk
 
+FP = gen.FP
 A2 = gen.a2_algebra()
 TC = gen.two_cycle_algebra()
 
@@ -185,3 +190,32 @@ def test_rationals_fixture():
     A = gen.two_cycle_algebra(RationalField())
     spec = rec.build_recollement(A, [0])
     assert spec.validated
+
+
+def _algebras_near(A, rng):
+    """A, the corner and the quotient of A at a random proper vertex subset."""
+    out = [A]
+    if A.nvert > 1:
+        subset = sorted(rng.sample(range(A.nvert), rng.randint(1, A.nvert - 1)))
+        out += [A.corner(subset)[0], A.quotient(subset)[0]]
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([FP, PrimeField(2)]), st.randoms(use_true_random=False))
+def test_left_and_right_global_dimension_agree(f, rng):
+    # Auslander (Nagoya Math. J. 9, 1955): gldim B = gldim B^op for a
+    # finite-dimensional algebra B; build_recollement reports gldim (eAe)^op
+    # as gldim eAe on the strength of it
+    A = random_monomial_linear_algebra(f, rng, max_vertices=7)
+    for B in _algebras_near(A, rng) + _algebras_near(gen.two_cycle_algebra(f), rng):
+        assert global_dimension(B) == global_dimension(B.op())
+    B = gen.self_injective_cycle_algebra(f)
+    assert global_dimension(B, 8) is None and global_dimension(B.op(), 8) is None
+
+
+def test_recollement_reports_corner_op_gldim_of_the_opposite():
+    rng = random.Random(4)
+    for _ in range(6):
+        spec = random_recollement(FP, rng, max_vertices=6)
+        assert spec.report.gldim_corner_op == global_dimension(spec.y_algebra.op())

@@ -123,7 +123,7 @@ def _null_homotopic(X, Y, rng):
     c_h, c_0 = _MapCoords.build(X, Y, -1), _MapCoords.build(X, Y, 0)
     d = _hom_differential(X, Y, -1, c_h, c_0)
     h = [f.rand(rng) for _ in range(c_h.total)]
-    return ChainMap(X, Y, c_0.to_entries(X, Y, 0, [la.sum_prod(f, r, h) for r in d.rows]))
+    return ChainMap(X, Y, c_0.to_entries(X, Y, 0, [gen.sum_prod(f, r, h) for r in d.rows]))
 
 
 def _composable(A, rng):
