@@ -549,51 +549,6 @@ class Module:
                 raise InputError("module basis is not idempotent-diagonal")
         return pos
 
-    def radical_rows(self) -> Mat:
-        """Basis of M * rad as rows."""
-        A, f = self.algebra, self.algebra.field
-        rows = []
-        for b in A.radical_indices:
-            rows.extend(self.action[b].rows)
-        if not rows:
-            return Mat.zeros(f, 0, self.dim)
-        return la.row_space_basis(Mat(f, [list(r) for r in rows], ncols=self.dim))
-
-    def top_generators(self) -> List[Tuple[int, List]]:
-        """(vertex, row vector) lifts of a basis of M / M rad, e-homogeneous."""
-        A, f = self.algebra, self.algebra.field
-        rad = self.radical_rows()
-        gens = []
-        for i in range(A.nvert):
-            pos = self.e_weight_positions(i)
-            if not pos:
-                continue
-            # A unit vector is picked iff it is outside the span of rad*e_i
-            # and the units picked before it, i.e. iff its column is a pivot
-            # column of [rad*e_i rows, unit candidates] taken as columns.
-            rad_i = (rad @ self.action[i]).rows
-            cands = [[f.one if k == r else f.zero for k in range(self.dim)] for r in pos]
-            stacked = Mat(f, rad_i + cands, ncols=self.dim).transpose()
-            pivots = set(la.rref(stacked).pivots)
-            gens.extend((i, cand) for j, cand in enumerate(cands, len(rad_i))
-                        if j in pivots)
-        return gens
-
-    def projective_cover(self) -> Tuple[List[int], Mat]:
-        """Vertices of the cover and the (surjective) cover map as a matrix."""
-        A, f = self.algebra, self.algebra.field
-        gens = self.top_generators()
-        verts = [i for i, _ in gens]
-        blocks = []
-        for i, v in gens:
-            blocks.append(yoneda_map(A, i, self, v))
-        if not blocks:
-            return [], Mat.zeros(f, 0, self.dim)
-        cover = la.vstack(blocks)
-        if la.rank(cover) != self.dim:
-            raise InvariantError("cover is not surjective")
-        return verts, cover
-
     def __repr__(self):
         return f"Module(dim={self.dim} over {self.algebra!r})"
 
@@ -605,6 +560,44 @@ def yoneda_map(A: Algebra, i: int, target: Module, v: Sequence) -> Mat:
     for b in P.basis_in_algebra:
         rows.append(target.act(v, A.basis_vec(b)))
     return Mat(A.field, rows, ncols=target.dim)
+
+
+def projective_cover(M: Module, rows: Mat) -> Tuple[List[int], Mat]:
+    """Projective cover of the submodule of M spanned by rows.
+
+    rows must be linearly independent, each supported on one vertex weight,
+    and span a submodule (a kernel basis of a module map is all three).
+    Returns the vertices of the cover and the cover map into M.  Its
+    generators are the rows that lift a basis of the top, picked per vertex
+    in ascending order and, within a vertex, in the order of rows.
+    """
+    A, f = M.algebra, M.algebra.field
+    images = [r for b in A.radical_indices for r in (rows @ M.action[b]).rows]
+    rad = la.row_space_basis(Mat(f, images, ncols=M.dim)).rows if images else []
+    cols = [M.e_weight_positions(i) for i in range(A.nvert)]
+    weight = {c: i for i, pos in enumerate(cols) for c in pos}
+    cands: List[List] = [[] for _ in range(A.nvert)]
+    for r in rows.rows:
+        ws = {weight.get(c) for c, x in enumerate(r) if x != f.zero}
+        if len(ws) != 1 or None in ws:
+            raise InvariantError("row basis is not idempotent-homogeneous")
+        cands[ws.pop()].append(r)
+    gens = []
+    for i, cand in enumerate(cands):
+        if not cand:
+            continue
+        # A row is picked iff it is outside the span of the radical and the
+        # rows picked before it, i.e. iff its column is a pivot column of
+        # [rad, candidates] on the e_i coordinates, taken as columns.
+        stacked = Mat(f, [[r[c] for r in rad + cand] for c in cols[i]],
+                      ncols=len(rad) + len(cand))
+        pivots = set(la.rref(stacked).pivots)
+        gens.extend((i, v) for j, v in enumerate(cand, len(rad)) if j in pivots)
+    cover = la.vstack([yoneda_map(A, i, M, v) for i, v in gens]) if gens \
+        else Mat.zeros(f, 0, M.dim)
+    if la.rank(cover) != rows.nrows:
+        raise InvariantError("cover is not surjective")
+    return [i for i, _ in gens], cover
 
 
 def zero_module(A: Algebra) -> Module:
@@ -643,20 +636,6 @@ def dual_module(M: Module) -> Module:
     opp = A.op()
     action = [M.action[b].transpose() for b in range(A.dim)]
     return Module(opp, M.dim, action)
-
-
-def submodule_from_rows(M: Module, rows: Mat) -> Tuple[Module, Mat]:
-    """Module structure on a row space closed under the action."""
-    A, f = M.algebra, M.algebra.field
-    k = rows.nrows
-    # One solve against `rows` for all A.dim images stacked: row block b of
-    # the coordinates is the action of the basis element b.
-    images = [img for b in range(A.dim) for img in (rows @ M.action[b]).rows]
-    coords = la.express_rows(rows, Mat(f, images, ncols=M.dim))
-    if coords is None:
-        raise InputError("row space is not a submodule")
-    action = [Mat(f, coords.rows[b * k:(b + 1) * k], ncols=k) for b in range(A.dim)]
-    return Module(A, k, action), rows
 
 
 def module_hom_space(M: Module, N: Module) -> List[Mat]:

@@ -53,16 +53,11 @@ _OBJ_RE = re.compile(r"^(?P<base>[^\[\]]+?)(\[(?P<shift>-?\d+)\])?$")
 @dataclass
 class Workspace:
     field: Field
-    algebra_docs: Dict[str, dict]
     algebras: Dict[str, Algebra]
-    recollement_docs: Dict[str, dict]
     recollements: Dict[str, RecollementSpec]
     complexes: Dict[str, Tuple[str, ProjComplex]]
     smc_docs: Dict[str, dict]
     smcs: Dict[str, SMC]
-    # optional free-form command list; documents can carry the invocations
-    # they were built for, and round-tripping preserves them
-    commands: List[List[str]] = None
     # bound on the projective dimension of each module the builtins resolve
     pd_bound: int = 32
 
@@ -113,10 +108,8 @@ def parse_workspace(doc: dict, field_override=None, pd_bound: int = 32) -> Works
                          f"expected {SCHEMA!r}")
     field = get_field(field_override if field_override is not None
                       else doc.get("field", 32003))
-    ws = Workspace(field, {}, {}, {}, {}, {}, {}, {},
-                   commands=doc.get("commands"), pd_bound=pd_bound)
+    ws = Workspace(field, {}, {}, {}, {}, {}, pd_bound=pd_bound)
     for name, adoc in doc.get("algebras", {}).items():
-        ws.algebra_docs[name] = adoc
         try:
             verts = tuple(str(v) for v in adoc["vertices"])
             arrows = tuple((str(a["label"]), str(a["source"]), str(a["target"]))
@@ -127,7 +120,6 @@ def parse_workspace(doc: dict, field_override=None, pd_bound: int = 32) -> Works
         except KeyError as exc:
             raise InputError(f"algebra {name!r}: missing key {exc}") from None
     for name, rdoc in doc.get("recollements", {}).items():
-        ws.recollement_docs[name] = rdoc
         alg_name = rdoc.get("algebra")
         if alg_name not in ws.algebras:
             raise InputError(f"recollement {name!r}: unknown algebra {alg_name!r}")
@@ -184,25 +176,6 @@ def serialize_complex(A: Algebra, cplx: ProjComplex) -> dict:
     for k, d in sorted(cplx.diffs.items()):
         diffs[str(k)] = [[A.element_str(e) for e in row] for row in d]
     return {"terms": terms, "diffs": diffs}
-
-
-def serialize_workspace(ws: Workspace) -> dict:
-    doc = {"schema": SCHEMA,
-           "field": ws.field.p if hasattr(ws.field, "p") else "rationals",
-           "algebras": dict(ws.algebra_docs)}
-    if ws.recollement_docs:
-        doc["recollements"] = dict(ws.recollement_docs)
-    if ws.complexes:
-        doc["complexes"] = {}
-        for name, (alg_name, cplx) in ws.complexes.items():
-            entry = serialize_complex(ws.resolve_algebra(alg_name), cplx)
-            entry["algebra"] = alg_name
-            doc["complexes"][name] = entry
-    if ws.smc_docs:
-        doc["smcs"] = dict(ws.smc_docs)
-    if ws.commands is not None:
-        doc["commands"] = ws.commands
-    return doc
 
 
 def load_workspace(path: str, field_override=None, pd_bound: int = 32) -> Workspace:
@@ -393,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the workspace field: a prime or 'rationals'")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--pd-bound", type=int, default=DEFAULT_LIMITS.pd_bound)
-    p.add_argument("--strip-cap", type=int, default=DEFAULT_LIMITS.strip_cap)
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("validate", help="validate a named collection")
@@ -429,6 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("smc")
     sp.add_argument("object")
     sp.add_argument("--threshold", type=int, default=1)
+    sp.add_argument("--strip-cap", type=int, default=DEFAULT_LIMITS.strip_cap)
     sp.set_defaults(fn=cmd_truncate)
 
     sp = sub.add_parser("hom", help="graded Hom dimensions between objects")

@@ -417,12 +417,6 @@ def solve_matrix(m: Mat, b: Mat) -> Optional[Mat]:
     return out
 
 
-def express_rows(basis: Mat, vecs: Mat) -> Optional[Mat]:
-    """Coordinates X with X @ basis = vecs, or None when not in the span."""
-    sol = solve_matrix(basis.transpose(), vecs.transpose())
-    return None if sol is None else sol.transpose()
-
-
 def row_space_basis(m: Mat) -> Mat:
     red = rref(m)
     return Mat(m.field, [red.reduced.rows[i] for i in range(len(red.pivots))],

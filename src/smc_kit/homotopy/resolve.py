@@ -26,8 +26,8 @@ from ..algebra import (
     Module,
     direct_sum_modules,
     dual_module,
+    projective_cover,
     projectives_module,
-    submodule_from_rows,
     zero_module,
 )
 from ..config import BoundExceeded, InputError, InvariantError
@@ -254,9 +254,10 @@ def resolve_complex(C: ModComplex, pd_bound: int = 32) -> Tuple[ProjComplex, Dic
         ncols = mdim1 + (pmods[k + 2].dim if k + 2 in pmods else 0)
         parts = [m for m in (Mk, Pk1) if m is not None]
         sum_mod = direct_sum_modules(A, parts)[0] if parts else None
-        zmat = None
-        if sum_mod is None or ncols == 0:
-            Z = sum_mod  # no condition: every element is compatible
+        if sum_mod is None:
+            zmat = None
+        elif ncols == 0:
+            zmat = Mat.identity(f, sum_mod.dim)  # no condition: all compatible
         else:
             cond = Mat.zeros(f, mdim + pdim, ncols)
             dM = C.diff(k)
@@ -271,11 +272,8 @@ def resolve_complex(C: ModComplex, pd_bound: int = 32) -> Tuple[ProjComplex, Dic
                 dk1 = delta[k + 1]
                 for r in range(pdim):
                     cond.rows[mdim + r][mdim1:] = dk1.rows[r]
-            zrows = la.left_kernel_basis(cond)
-            zmat = Mat(f, zrows, ncols=sum_mod.dim) if zrows \
-                else Mat.zeros(f, 0, sum_mod.dim)
-            Z, _ = submodule_from_rows(sum_mod, zmat)
-        if Z is None or Z.dim == 0:
+            zmat = Mat(f, la.left_kernel_basis(cond), ncols=sum_mod.dim)
+        if zmat is None or zmat.nrows == 0:
             if k <= lo:
                 break
             k -= 1
@@ -283,9 +281,9 @@ def resolve_complex(C: ModComplex, pd_bound: int = 32) -> Tuple[ProjComplex, Dic
         if k < lo - pd_bound:
             raise BoundExceeded(
                 f"hyperprojective resolution exceeds pd bound {pd_bound}")
-        vlist, cover = Z.projective_cover()
+        # P_k -> Z^k inside M_k (+) P_{k+1}
+        vlist, into_sum = projective_cover(sum_mod, zmat)
         Pk, _ = projectives_module(A, vlist)
-        into_sum = cover if zmat is None else cover @ zmat  # P_k -> M_k (+) P_{k+1}
         if mdim:
             eps[k] = into_sum.submatrix(range(Pk.dim), range(mdim))
         if pdim:

@@ -10,8 +10,8 @@ from smc_kit.algebra import (
     Algebra,
     Quiver,
     module_hom_space,
+    projective_cover,
     projectives_module,
-    submodule_from_rows,
 )
 from smc_kit.exactla import Mat, PrimeField
 from smc_kit.homotopy import (
@@ -99,7 +99,7 @@ def kernel_cover_resolution(M, bound):
     if M.dim == 0:
         return []
     A, f = M.algebra, M.algebra.field
-    verts, cur_map = M.projective_cover()
+    verts, cur_map = projective_cover(M, Mat.identity(f, M.dim))
     current, _ = projectives_module(A, verts)
     out = [verts]
     while True:
@@ -108,9 +108,8 @@ def kernel_cover_resolution(M, bound):
             return out
         if len(out) > bound:
             return None
-        K, incl = submodule_from_rows(current, Mat(f, rows, ncols=current.dim))
-        kverts, kcover = K.projective_cover()
-        cur_map = kcover @ incl  # P_n -> K -> P_{n-1}
+        # P_n -> P_{n-1}: the cover of the kernel rows, inside P_{n-1}
+        kverts, cur_map = projective_cover(current, Mat(f, rows, ncols=current.dim))
         current, _ = projectives_module(A, kverts)
         out.append(kverts)
 
@@ -205,9 +204,9 @@ def hom_dim_oracle(X: ProjComplex, Y: ProjComplex, n: int) -> int:
         flat = [x for row in m.rows for x in row]
         bmat = Mat(f, [[x for row in b.rows for x in row] for b in basis],
                    ncols=len(flat))
-        res = la.express_rows(bmat, Mat(f, [flat], ncols=len(flat)))
+        res = la.solve(bmat.transpose(), flat)
         assert res is not None
-        return res.rows[0]
+        return res
 
     dom = space(n)
     cod = space(n + 1)

@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 import gen
 from smc_kit import algebra as alg
 from smc_kit import exactla as la
-from smc_kit.config import BoundExceeded, InputError
+from smc_kit.config import BoundExceeded, InputError, InvariantError
 from smc_kit.exactla import Mat, PrimeField, RationalField
 from smc_kit.fixtures import random_monomial_linear_algebra
 from smc_kit.homotopy import cohomology_dims, module_realization, resolve_module
@@ -167,9 +167,11 @@ def test_resolution_minimality():
         assert P.is_minimal()
         real, _ = module_realization(P)
         for k, mat in real.diffs.items():
-            rad_rows = real.terms[k + 1].radical_rows()
-            coords = la.express_rows(rad_rows, mat) if rad_rows.nrows else None
-            assert coords is not None, "differential does not land in the radical"
+            rad = _radical_rows(real.terms[k + 1])
+            for row in mat.rows:
+                grown = Mat(B.field, rad.rows + [row], ncols=rad.ncols)
+                assert la.rank(grown) == rad.nrows, \
+                    "differential does not land in the radical"
 
 
 @settings(max_examples=30, deadline=None)
@@ -355,24 +357,32 @@ def test_validate_rejects_malformed_tables():
                         A.target, bad)
 
 
-# -- the stacked module-layer solves against their per-element loops ---------
+# -- the module-layer kernels against their per-element loops ------------------
+
+
+def _radical_rows(M):
+    """Basis of M * rad as rows."""
+    A, f = M.algebra, M.algebra.field
+    rows = [list(r) for b in A.radical_indices for r in M.action[b].rows]
+    return la.row_space_basis(Mat(f, rows, ncols=M.dim)) if rows \
+        else Mat.zeros(f, 0, M.dim)
 
 
 def _submodule_action_reference(M, rows):
-    """One express_rows solve per algebra basis element."""
+    """Action matrices on a row space, one solve per algebra basis element."""
     action = []
     for b in range(M.algebra.dim):
-        coords = la.express_rows(rows, rows @ M.action[b])
+        coords = la.solve_matrix(rows.transpose(), (rows @ M.action[b]).transpose())
         if coords is None:
             raise InputError("row space is not a submodule")
-        action.append(coords)
+        action.append(coords.transpose())
     return action
 
 
 def _top_generators_reference(M):
     """Greedy choice by one rank computation per candidate unit vector."""
     A, f = M.algebra, M.algebra.field
-    rad = M.radical_rows()
+    rad = _radical_rows(M)
     gens = []
     for i in range(A.nvert):
         pos = M.e_weight_positions(i)
@@ -386,6 +396,22 @@ def _top_generators_reference(M):
                 gens.append((i, cand))
                 rows.append(cand)
     return gens
+
+
+def _assert_cover_matches_reference(M, rows):
+    """projective_cover(M, rows) against the greedy top generators of the
+    submodule spanned by rows, built with its own action matrices and moved
+    back to M's coordinates."""
+    A = M.algebra
+    sub = alg.Module(A, rows.nrows, _submodule_action_reference(M, rows))
+    sub.validate()
+    gens = [(i, (Mat(A.field, [v], ncols=sub.dim) @ rows).rows[0])
+            for i, v in _top_generators_reference(sub)]
+    verts, cover = alg.projective_cover(M, rows)
+    assert verts == [i for i, _ in gens]
+    _assert_identical([cover], [la.vstack([alg.yoneda_map(A, i, M, v)
+                                           for i, v in gens])])
+    return sub
 
 
 def _direct_sum_reference(A, mods):
@@ -431,7 +457,8 @@ def _random_map_from_projectives(A, rng, verts, N):
 
 
 def _radical_module(P):
-    return alg.submodule_from_rows(P, P.radical_rows())[0]
+    rad = _radical_rows(P)
+    return alg.Module(P.algebra, rad.nrows, _submodule_action_reference(P, rad))
 
 
 @settings(max_examples=30, deadline=None)
@@ -442,7 +469,7 @@ def test_stacked_module_solves_against_reference(rationals, rng):
     nv = A.nvert
     P = [A.projective_module(i) for i in range(nv)]
     targets = P + [A.simple_module(i) for i in range(nv)] + \
-        [_radical_module(Pi) for Pi in P if Pi.radical_rows().nrows] + \
+        [_radical_module(Pi) for Pi in P if _radical_rows(Pi).nrows] + \
         [alg.projectives_module(A, [rng.randrange(nv) for _ in range(2)])[0]]
     mods = list(targets)
     for _ in range(3):
@@ -451,10 +478,9 @@ def test_stacked_module_solves_against_reference(rationals, rng):
         N = rng.choice(targets)
         F = _random_map_from_projectives(A, rng, verts, N)
         rows = la.left_kernel_basis(F)
-        K = Mat(f, rows, ncols=src.dim) if rows else Mat.zeros(f, 0, src.dim)
-        sub, _ = alg.submodule_from_rows(src, K)
-        _assert_identical(sub.action, _submodule_action_reference(src, K))
-        mods.append(sub)
+        if rows:
+            mods.append(_assert_cover_matches_reference(
+                src, Mat(f, rows, ncols=src.dim)))
     # a map out of a radical, found by solving the intertwiner equations
     R = _radical_module(P[0])
     N = rng.choice(targets)
@@ -464,34 +490,28 @@ def test_stacked_module_solves_against_reference(rationals, rng):
         for H in homs[1:]:
             F = F + H.scale(f.rand(rng))
         rows = la.left_kernel_basis(F)
-        K = Mat(f, rows, ncols=R.dim) if rows else Mat.zeros(f, 0, R.dim)
-        sub, _ = alg.submodule_from_rows(R, K)
-        _assert_identical(sub.action, _submodule_action_reference(R, K))
-        mods.append(sub)
+        if rows:
+            mods.append(_assert_cover_matches_reference(
+                R, Mat(f, rows, ncols=R.dim)))
     for M in mods:
         M.validate()
-        assert M.top_generators() == _top_generators_reference(M)
+        _assert_cover_matches_reference(M, Mat.identity(f, M.dim))
     picked = rng.sample(mods, 3)
     for summands in (picked, picked[:1]):
         total, _ = alg.direct_sum_modules(A, summands)
         _assert_identical(total.action, _direct_sum_reference(A, summands))
-    # the zero submodule acts by 0x0 matrices
-    empty, _ = alg.submodule_from_rows(P[0], Mat.zeros(f, 0, P[0].dim))
-    assert empty.dim == 0
-    assert [m.shape for m in empty.action] == [(0, 0)] * A.dim
-    _assert_identical(empty.action,
-                      _submodule_action_reference(P[0], Mat.zeros(f, 0, P[0].dim)))
+    # no rows: the zero cover
+    verts, cover = alg.projective_cover(P[0], Mat.zeros(f, 0, P[0].dim))
+    assert verts == [] and cover.shape == (0, P[0].dim)
 
 
-def test_non_submodule_row_space_raises():
+def test_non_homogeneous_rows_raise():
     for field in (FP, QQ):
         A = two_cycle(field)
         P = A.projective_module(0)
-        # the generator e_1 alone: its images under the arrows leave its span
-        pos = P.e_weight_positions(0)[0]
-        rows = Mat(field, [[field.one if k == pos else field.zero
+        # e_1 + beta: supported on the weights of both vertices
+        (pos0,), (pos1,) = P.e_weight_positions(0), P.e_weight_positions(1)
+        rows = Mat(field, [[field.one if k in (pos0, pos1) else field.zero
                             for k in range(P.dim)]], ncols=P.dim)
-        with pytest.raises(InputError):
-            _submodule_action_reference(P, rows)
-        with pytest.raises(InputError):
-            alg.submodule_from_rows(P, rows)
+        with pytest.raises(InvariantError):
+            alg.projective_cover(P, rows)

@@ -3,13 +3,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from smc_kit import cli
 from smc_kit.config import InvariantError
 from smc_kit.cli import (
     load_workspace,
     main,
     parse_workspace,
-    serialize_workspace,
+    serialize_complex,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -25,25 +27,23 @@ def test_fixture_workspaces_parse():
             assert spec.validated
 
 
-def test_round_trip_preserves_commands():
-    doc = json.loads(Path(TC_WS).read_text())
-    doc["commands"] = [["validate", "standard"], ["glue", "R", "xstd", "ystd"]]
-    ws = parse_workspace(doc)
-    assert serialize_workspace(ws)["commands"] == doc["commands"]
-
-
 def test_round_trip():
+    # complexes written back with serialize_complex parse to the same complexes
     ws = load_workspace(TC_WS)
-    doc = serialize_workspace(ws)
+    doc = json.loads(Path(TC_WS).read_text())
+    doc["complexes"] = {
+        name: {**serialize_complex(ws.resolve_algebra(alg_name), cplx),
+               "algebra": alg_name}
+        for name, (alg_name, cplx) in ws.complexes.items()}
     ws2 = parse_workspace(doc)
     assert set(ws2.smcs) == set(ws.smcs)
     assert set(ws2.complexes) == set(ws.complexes)
-    for name in ws.complexes:
-        _, c1 = ws.complexes[name]
+    for name, (alg_name, c1) in ws.complexes.items():
         _, c2 = ws2.complexes[name]
         assert c1.terms == c2.terms and c1.diffs == c2.diffs
-    # serialize is stable
-    assert serialize_workspace(ws2) == doc
+        # serialize is stable
+        assert serialize_complex(ws2.resolve_algebra(alg_name), c2) == \
+            serialize_complex(ws.resolve_algebra(alg_name), c1)
 
 
 def test_validate_command_exit_codes(capsys):
@@ -170,6 +170,20 @@ def test_truncate_command(capsys):
     assert payload["threshold"] == 1
     # S1res is the resolved simple: already in the aisle, nothing stripped
     assert payload["strip_log"] == []
+
+
+def test_truncate_honours_strip_cap(capsys):
+    # threshold 0 strips a layer, which a cap of 0 forbids
+    assert main(["truncate", TC_WS, "standard", "S1res", "--threshold", "0",
+                 "--strip-cap", "0"]) == 3
+    assert "strip cap 0 exceeded" in capsys.readouterr().err
+
+
+def test_strip_cap_is_not_a_global_flag():
+    # glue truncates with the default cap, so it does not accept the flag
+    with pytest.raises(SystemExit) as exc:
+        main(["--strip-cap", "0", "glue", A2_WS, "R", "xstd", "ystd"])
+    assert exc.value.code == 2
 
 
 def test_hom_command(capsys):

@@ -174,16 +174,6 @@ def test_det():
     assert la.det(m) == Fraction(0)
 
 
-def test_express_rows():
-    basis = Mat.from_int_rows(QQ, [[1, 0, 1], [0, 1, 1]])
-    vecs = Mat.from_int_rows(QQ, [[2, 3, 5], [1, -1, 0]])
-    coords = la.express_rows(basis, vecs)
-    assert coords is not None
-    assert coords @ basis == vecs
-    outside = Mat.from_int_rows(QQ, [[0, 0, 1]])
-    assert la.express_rows(basis, outside) is None
-
-
 def test_matmul_paths_agree():
     rng = random.Random(3)
     a_int = [[rng.randrange(-5, 6) for _ in range(4)] for _ in range(3)]
