@@ -94,6 +94,7 @@ class Algebra:
         self._label_index = {lab: i for i, lab in enumerate(self.basis_labels)}
         self._corner_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self._op: Optional[Algebra] = None
+        self._arrows: Optional[Tuple[int, ...]] = None
         self._module_cache: Dict[Tuple, "Module"] = {}
         if validate:
             self.validate()
@@ -103,6 +104,16 @@ class Algebra:
     @property
     def radical_indices(self) -> range:
         return range(self.nvert, self.dim)
+
+    @property
+    def arrow_indices(self) -> Tuple[int, ...]:
+        """Radical basis elements that are not a product of two radical ones
+        (the arrows, for a path algebra), read off the product table."""
+        if self._arrows is None:
+            rad = self.radical_indices
+            products = {self.prod[b][c] for b in rad for c in rad}
+            self._arrows = tuple(b for b in rad if b not in products)
+        return self._arrows
 
     def zero_vec(self) -> Vec:
         return (self.field.zero,) * self.dim
@@ -481,15 +492,21 @@ def _is_number(s: str) -> bool:
 
 
 class Module:
-    """Finite-dimensional right module: action matrices in row convention."""
+    """Finite-dimensional right module: action matrices in row convention.
 
-    def __init__(self, algebra: Algebra, dim: int, action: List[Mat],
+    A module is never changed in place: its action is a tuple, no caller
+    writes into the rows of an action matrix, and the resolution kept by
+    homotopy.resolve.resolve_module is sound only because of that.
+    """
+
+    def __init__(self, algebra: Algebra, dim: int, action: Sequence[Mat],
                  basis_in_algebra: Optional[Tuple[int, ...]] = None,
                  validate: bool = False):
         self.algebra = algebra
         self.dim = dim
-        self.action = action
+        self.action: Tuple[Mat, ...] = tuple(action)
         self.basis_in_algebra = basis_in_algebra
+        self._resolution = None  # set by resolve_module
         if validate:
             self.validate()
 
@@ -562,26 +579,41 @@ def yoneda_map(A: Algebra, i: int, target: Module, v: Sequence) -> Mat:
     return Mat(A.field, rows, ncols=target.dim)
 
 
-def projective_cover(M: Module, rows: Mat) -> Tuple[List[int], Mat]:
-    """Projective cover of the submodule of M spanned by rows.
+def projective_cover(M: Module, rows: Optional[Mat] = None
+                     ) -> Tuple[List[int], Mat]:
+    """Projective cover of the submodule of M spanned by rows, or of M itself
+    when rows is None.
 
     rows must be linearly independent, each supported on one vertex weight,
     and span a submodule (a kernel basis of a module map is all three).
     Returns the vertices of the cover and the cover map into M.  Its
     generators are the rows that lift a basis of the top, picked per vertex
-    in ascending order and, within a vertex, in the order of rows.
+    in ascending order and, within a vertex, in the order of rows (of the
+    identity, for M itself).
+
+    The radical of the submodule N is spanned by its images under the arrows
+    alone: a radical path p = q*r with q, r radical gives N*p inside N*r,
+    and following right factors from p ends at an arrow a, since p = x*p
+    with x radical would make p zero (the radical is nilpotent).  So every
+    N*p lies in some N*a.
     """
     A, f = M.algebra, M.algebra.field
-    images = [r for b in A.radical_indices for r in (rows @ M.action[b]).rows]
-    rad = la.row_space_basis(Mat(f, images, ncols=M.dim)).rows if images else []
     cols = [M.e_weight_positions(i) for i in range(A.nvert)]
-    weight = {c: i for i, pos in enumerate(cols) for c in pos}
     cands: List[List] = [[] for _ in range(A.nvert)]
-    for r in rows.rows:
-        ws = {weight.get(c) for c, x in enumerate(r) if x != f.zero}
-        if len(ws) != 1 or None in ws:
-            raise InvariantError("row basis is not idempotent-homogeneous")
-        cands[ws.pop()].append(r)
+    if rows is None:
+        rows = Mat.identity(f, M.dim)
+        images = [r for b in A.arrow_indices for r in M.action[b].rows]
+        for i, pos in enumerate(cols):
+            cands[i] = [rows.rows[c] for c in pos]
+    else:
+        images = [r for b in A.arrow_indices for r in (rows @ M.action[b]).rows]
+        weight = {c: i for i, pos in enumerate(cols) for c in pos}
+        for r in rows.rows:
+            ws = {weight.get(c) for c, x in enumerate(r) if x != f.zero}
+            if len(ws) != 1 or None in ws:
+                raise InvariantError("row basis is not idempotent-homogeneous")
+            cands[ws.pop()].append(r)
+    rad = la.row_space_basis(Mat(f, images, ncols=M.dim)).rows if images else []
     gens = []
     for i, cand in enumerate(cands):
         if not cand:

@@ -254,11 +254,8 @@ def resolve_complex(C: ModComplex, pd_bound: int = 32) -> Tuple[ProjComplex, Dic
         ncols = mdim1 + (pmods[k + 2].dim if k + 2 in pmods else 0)
         parts = [m for m in (Mk, Pk1) if m is not None]
         sum_mod = direct_sum_modules(A, parts)[0] if parts else None
-        if sum_mod is None:
-            zmat = None
-        elif ncols == 0:
-            zmat = Mat.identity(f, sum_mod.dim)  # no condition: all compatible
-        else:
+        zmat = None  # no condition: all of sum_mod is compatible
+        if sum_mod is not None and ncols:
             cond = Mat.zeros(f, mdim + pdim, ncols)
             dM = C.diff(k)
             if dM is not None:
@@ -273,7 +270,7 @@ def resolve_complex(C: ModComplex, pd_bound: int = 32) -> Tuple[ProjComplex, Dic
                 for r in range(pdim):
                     cond.rows[mdim + r][mdim1:] = dk1.rows[r]
             zmat = Mat(f, la.left_kernel_basis(cond), ncols=sum_mod.dim)
-        if zmat is None or zmat.nrows == 0:
+        if sum_mod is None or (zmat is not None and zmat.nrows == 0):
             if k <= lo:
                 break
             k -= 1
@@ -314,8 +311,18 @@ def resolve_complex(C: ModComplex, pd_bound: int = 32) -> Tuple[ProjComplex, Dic
 
 
 def resolve_module(M: Module, pd_bound: int = 32) -> ProjComplex:
-    """The minimal projective resolution of M, in degrees -pd M .. 0."""
-    P, _ = resolve_complex(stalk_complex(M), pd_bound)
+    """The minimal projective resolution of M, in degrees -pd M .. 0.
+
+    The first resolution found is kept on M, which is sound because a module
+    is never changed in place; a later call raises BoundExceeded iff its
+    length exceeds that call's pd_bound, as resolving afresh would."""
+    P = M._resolution
+    if P is None:
+        P, _ = resolve_complex(stalk_complex(M), pd_bound)
+        M._resolution = P
+    elif -min(P.terms, default=0) > pd_bound:
+        raise BoundExceeded(
+            f"hyperprojective resolution exceeds pd bound {pd_bound}")
     return P
 
 

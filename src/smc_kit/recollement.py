@@ -16,10 +16,21 @@ functors on bounded complexes of projectives:
 Validation is sample-based: the functor identities are checked on the
 simples of the outer algebras and recorded in a report; a spec that fails
 them is returned unvalidated rather than rejected.
+
+i_*, j_* and theta are memoized per spec, keyed by the input complex
+object (an entry dies with its input), and resolve_module keeps each
+module's resolution; the simples, projectives and injectives are cached per
+algebra, so the validation checks, both gluing routes and the standard
+collections all reach the same complexes and share every functor value.
+This is sound only because complexes and modules are never changed in
+place, and no caller writes into a returned value (a JStarData's maps, a
+module's action or their matrix rows).
 """
 
 from __future__ import annotations
 
+import functools
+import weakref
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -76,10 +87,26 @@ class RecollementSpec:
     y_embed: Tuple[int, ...]
     report: RecollementReport
     pd_bound: int = 32
+    # input complex -> {functor: value}, filled by the _per_spec functors
+    _memo: weakref.WeakKeyDictionary = dc_field(
+        default_factory=weakref.WeakKeyDictionary, init=False, repr=False,
+        compare=False)
 
     @property
     def validated(self) -> bool:
         return self.report.validated
+
+
+def _per_spec(functor):
+    """functor(spec, X), computed once per spec and input complex object;
+    a call that raises stores no value."""
+    @functools.wraps(functor)
+    def memoized(spec: RecollementSpec, X: ProjComplex):
+        values = spec._memo.setdefault(X, {})
+        if functor not in values:
+            values[functor] = functor(spec, X)
+        return values[functor]
+    return memoized
 
 
 def build_recollement(A: Algebra, subset: Sequence[int], *,
@@ -156,6 +183,7 @@ def _quotient_module_over_middle(spec: RecollementSpec, M: Module) -> Module:
 # -- the six functors ----------------------------------------------------------
 
 
+@_per_spec
 def i_star(spec: RecollementSpec, X: ProjComplex) -> ProjComplex:
     """Restriction along A ->> A/AeA followed by projective resolution."""
     if X.algebra is not spec.x_algebra:
@@ -219,7 +247,7 @@ def j_upper_shriek(spec: RecollementSpec, T: ProjComplex) -> ProjComplex:
     return j_upper_shriek_full(spec, T)[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class JStarData:
     cplx: ProjComplex
     # W = dual of the opposite-side resolution; the canonical corner model
@@ -228,6 +256,7 @@ class JStarData:
     Q: Dict[int, Mat]       # realization of the input -> W
 
 
+@_per_spec
 def j_lower_star_full(spec: RecollementSpec, Y: ProjComplex) -> JStarData:
     """RHom along the corner: injective coresolution over eAe transported
     termwise to injectives over A, then resolved back to projectives."""
@@ -275,6 +304,7 @@ def j_lower_star(spec: RecollementSpec, Y: ProjComplex) -> ProjComplex:
     return j_lower_star_full(spec, Y).cplx
 
 
+@_per_spec
 def canonical_theta(spec: RecollementSpec, Y: ProjComplex) -> ChainMap:
     """theta: j_!(Y) -> j_*(Y) whose corner is the canonical comparison;
     its cocone realizes i_* i^! j_!(Y) and its cone i_* i^* j_*(Y)."""

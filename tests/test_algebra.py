@@ -495,7 +495,10 @@ def test_stacked_module_solves_against_reference(rationals, rng):
                 R, Mat(f, rows, ncols=R.dim)))
     for M in mods:
         M.validate()
+        assert isinstance(M.action, tuple)
         _assert_cover_matches_reference(M, Mat.identity(f, M.dim))
+        verts, cover = alg.projective_cover(M, Mat.identity(f, M.dim))
+        assert alg.projective_cover(M) == (verts, cover)
     picked = rng.sample(mods, 3)
     for summands in (picked, picked[:1]):
         total, _ = alg.direct_sum_modules(A, summands)
@@ -515,3 +518,49 @@ def test_non_homogeneous_rows_raise():
                             for k in range(P.dim)]], ncols=P.dim)
         with pytest.raises(InvariantError):
             alg.projective_cover(P, rows)
+
+
+# -- M * rad from the arrows alone ---------------------------------------------
+
+
+def _row_space(f, rows, ncols):
+    return la.row_space_basis(Mat(f, rows, ncols=ncols)) if rows \
+        else Mat.zeros(f, 0, ncols)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([PrimeField(2), FP, QQ]), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_arrow_images_span_the_radical_images(f, use_two_cycle, rng):
+    # projective_cover reduces rows @ action[a] over the arrows a only
+    A = two_cycle(f) if use_two_cycle else \
+        random_monomial_linear_algebra(f, rng, max_vertices=5)
+    subset = rng.sample(range(A.nvert), rng.randint(1, A.nvert - 1))
+    corner, _ = A.corner(subset)
+    for B in (A, A.op(), corner, corner.op(), A.quotient(subset)[0],
+              A.op().quotient(subset)[0]):
+        # every radical path is a product of arrows
+        closure = set(B.arrow_indices)
+        frontier = set(closure)
+        while frontier:
+            frontier = {B.prod[b][a] for b in frontier for a in B.arrow_indices} \
+                - {-1} - closure
+            closure |= frontier
+        assert closure == set(B.radical_indices)
+        nv = B.nvert
+        mods = [B.projective_module(i) for i in range(nv)] + \
+            [B.simple_module(i) for i in range(nv)]
+        subs = [(M, Mat.identity(f, M.dim)) for M in mods]
+        for _ in range(2):
+            verts = [rng.randrange(nv) for _ in range(rng.randint(1, 2))]
+            src, _ = alg.projectives_module(B, verts)
+            rows = la.left_kernel_basis(
+                _random_map_from_projectives(B, rng, verts, rng.choice(mods)))
+            if rows:
+                subs.append((src, Mat(f, rows, ncols=src.dim)))
+        for M, rows in subs:
+            def images(basis):
+                return [r for b in basis for r in (rows @ M.action[b]).rows]
+            _assert_identical(
+                [_row_space(f, images(B.arrow_indices), M.dim)],
+                [_row_space(f, images(B.radical_indices), M.dim)])

@@ -2,12 +2,12 @@ import random
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 import gen
 from smc_kit import recollement as rec
-from smc_kit.algebra import global_dimension
-from smc_kit.config import InputError
+from smc_kit.algebra import Algebra, global_dimension
+from smc_kit.config import BoundExceeded, InputError
 from smc_kit.exactla import PrimeField, RationalField
 from smc_kit.fixtures import random_monomial_linear_algebra, random_recollement
 from smc_kit.homotopy import (
@@ -17,10 +17,12 @@ from smc_kit.homotopy import (
     is_iso,
     minimalize,
     resolve_complex,
+    resolve_module,
     stalk_complex,
     zero_complex,
 )
 from smc_kit.homotopy.complexes import stalk
+from smc_kit.smc import glue, glue_dual, standard_smc
 
 FP = gen.FP
 A2 = gen.a2_algebra()
@@ -219,3 +221,89 @@ def test_recollement_reports_corner_op_gldim_of_the_opposite():
     for _ in range(6):
         spec = random_recollement(FP, rng, max_vertices=6)
         assert spec.report.gldim_corner_op == global_dimension(spec.y_algebra.op())
+
+
+# -- functor values memoized per spec, resolutions kept per module ----------
+
+
+def _cold_spec(spec):
+    """The recollement of spec over a new copy of its algebra, built without
+    build_recollement: no check has run, and it shares no module, resolution
+    or functor value with spec."""
+    A = spec.algebra
+    B = Algebra(A.field, A.vertex_labels, A.basis_labels, A.source, A.target,
+                A.prod)
+    y_alg, y_embed = B.corner(spec.subset)
+    x_alg, x_proj = B.quotient(spec.subset)
+    return rec.RecollementSpec(B, spec.subset, x_alg, x_proj, y_alg, y_embed,
+                               rec.RecollementReport(), spec.pd_bound)
+
+
+def _gluing_record(route, spec):
+    """Representatives, differentials and deep-check verdicts of one route."""
+    S, report = route(standard_smc(spec.x_algebra), standard_smc(spec.y_algebra),
+                      spec, deep=True, rng=random.Random(0))
+
+    def cx(X):
+        return dict(X.terms), dict(X.diffs)
+
+    return ([cx(X) for X in S.objects], S.names,
+            [(cx(it.u_part), cx(it.v_part), cx(it.w), it.second_triangle_ok,
+              it.image_identities) for it in report.items])
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.sampled_from([FP, PrimeField(2), RationalField()]),
+       st.randoms(use_true_random=False))
+def test_memoized_functors_give_the_cold_gluings(f, rng):
+    spec = random_recollement(f, rng, max_vertices=5)
+    assume(spec is not None)
+    cold = {route: _gluing_record(route, _cold_spec(spec))
+            for route in (glue, glue_dual)}
+    # spec is warm from its sample checks; a second spec of the same algebra
+    # is warmed by the routes in the other order, and each route runs twice
+    again = rec.build_recollement(spec.algebra, spec.subset)
+    for warm, order in ((spec, (glue_dual, glue)), (again, (glue, glue_dual))):
+        for route in order + order:
+            assert _gluing_record(route, warm) == cold[route]
+
+
+def test_functor_values_are_computed_once_per_spec():
+    for spec in (SPEC_A2, SPEC_TC):
+        Y, X = y_simple(spec), x_simple(spec)
+        assert rec.j_lower_star_full(spec, Y) is rec.j_lower_star_full(spec, Y)
+        assert rec.canonical_theta(spec, Y) is rec.canonical_theta(spec, Y)
+        assert rec.i_star(spec, X) is rec.i_star(spec, X)
+        assert rec.j_lower_star(spec, Y) is rec.j_lower_star_full(spec, Y).cplx
+
+
+def test_specs_of_one_algebra_share_no_functor_values():
+    # with the empty idempotent both specs have A itself as quotient, so the
+    # same complex reaches i_* of each
+    A = gen.two_cycle_algebra()
+    first, second = (rec.build_recollement(A, []) for _ in range(2))
+    X = resolve_module(A.simple_module(0))
+    img = rec.i_star(first, X)
+    assert img is rec.i_star(first, X)
+    assert img is not rec.i_star(second, X)
+    assert dict(img.terms) == dict(rec.i_star(second, X).terms)
+
+
+def test_kept_resolution_honours_each_bound():
+    A = gen.two_cycle_algebra()   # a new algebra, so its simples are unresolved
+    S = A.simple_module(0)
+    P = resolve_module(S, 32)
+    pd = -min(P.terms)
+    assert pd == 2 and resolve_module(S, pd) is P
+    with pytest.raises(BoundExceeded):
+        resolve_module(S, pd - 1)
+
+
+def test_resolution_that_raised_keeps_nothing():
+    A = gen.two_cycle_algebra()
+    S = A.simple_module(0)
+    with pytest.raises(BoundExceeded):
+        resolve_module(S, 1)
+    assert S._resolution is None
+    P = resolve_module(S, 2)
+    assert -min(P.terms) == 2 and resolve_module(S) is P
