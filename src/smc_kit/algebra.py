@@ -10,7 +10,7 @@ relied on everywhere downstream:
 * paths compose left to right: ``a*b`` traverses the arrow ``a`` first,
   so ``a*b`` is defined when target(a) = source(b);
 * modules are right modules, elements are row vectors, the action of a
-  basis element ``b`` is ``m -> m @ action[b]``;
+  basis element ``b`` is ``m -> m @ action(b)``;
 * maps of right modules multiply on the right of row vectors, so the
   composite "f then g" has matrix ``F @ G``;
 * Hom(e_i A, e_j A) = e_j A e_i acting by left multiplication.
@@ -95,6 +95,7 @@ class Algebra:
         self._corner_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self._op: Optional[Algebra] = None
         self._arrows: Optional[Tuple[int, ...]] = None
+        self._factors: Optional[Tuple[Optional[Tuple[int, int]], ...]] = None
         self._module_cache: Dict[Tuple, "Module"] = {}
         if validate:
             self.validate()
@@ -114,6 +115,32 @@ class Algebra:
             products = {self.prod[b][c] for b in rad for c in rad}
             self._arrows = tuple(b for b in rad if b not in products)
         return self._arrows
+
+    @property
+    def path_factors(self) -> Tuple[Optional[Tuple[int, int]], ...]:
+        """(prefix, last arrow) with b = prefix * arrow for each radical basis
+        element b, read off prod layer by layer from the arrows, whose prefix
+        is their source idempotent; None for an idempotent.  Each prefix is
+        found before the paths it factors, so following prefixes ends."""
+        if self._factors is None:
+            factors: List[Optional[Tuple[int, int]]] = [None] * self.dim
+            layer = list(self.arrow_indices)
+            for a in layer:
+                factors[a] = (self.source[a], a)
+            while layer:
+                nxt = []
+                for p in layer:
+                    row = self.prod[p]
+                    for a in self.arrow_indices:
+                        k = row[a]
+                        if k >= 0 and factors[k] is None:
+                            factors[k] = (p, a)
+                            nxt.append(k)
+                layer = nxt
+            if None in factors[self.nvert:]:
+                raise InputError("the radical is not generated by the arrows")
+            self._factors = tuple(factors)
+        return self._factors
 
     def zero_vec(self) -> Vec:
         return (self.field.zero,) * self.dim
@@ -447,29 +474,23 @@ class Algebra:
             idx = [b for b in range(self.dim) if self.source[b] == i]
             pos = {b: k for k, b in enumerate(idx)}
             f = self.field
-            action = []
-            for c in range(self.dim):
-                rows = []
-                for b in idx:
-                    vec = [f.zero] * len(idx)
-                    k = self.prod[b][c]
+            arrows = []
+            for a in self.arrow_indices:
+                rows = [[f.zero] * len(idx) for _ in idx]
+                for r, b in enumerate(idx):
+                    k = self.prod[b][a]
                     if k >= 0:
-                        vec[pos[k]] = f.one
-                    rows.append(vec)
-                action.append(Mat(f, rows, ncols=len(idx)))
-            self._module_cache[key] = Module(self, len(idx), action,
-                                             basis_in_algebra=tuple(idx))
+                        rows[r][pos[k]] = f.one
+                arrows.append(Mat(f, rows, ncols=len(idx)))
+            self._module_cache[key] = Module(self, [self.target[b] for b in idx],
+                                             arrows, basis_in_algebra=tuple(idx))
         return self._module_cache[key]
 
     def simple_module(self, i: int) -> "Module":
         key = ("simple", i)
         if key not in self._module_cache:
-            f = self.field
-            action = []
-            for c in range(self.dim):
-                val = f.one if c == i else f.zero
-                action.append(Mat(f, [[val]], ncols=1))
-            self._module_cache[key] = Module(self, 1, action)
+            self._module_cache[key] = Module(
+                self, (i,), [Mat.zeros(self.field, 1, 1) for _ in self.arrow_indices])
         return self._module_cache[key]
 
     def injective_module(self, i: int) -> "Module":
@@ -492,91 +513,96 @@ def _is_number(s: str) -> bool:
 
 
 class Module:
-    """Finite-dimensional right module: action matrices in row convention.
+    """Finite-dimensional right module as a quiver representation: the
+    vertex (weight) of each basis vector and one matrix per arrow of
+    Algebra.arrow_indices, in row convention; action derives the others.
 
-    A module is never changed in place: its action is a tuple, no caller
-    writes into the rows of an action matrix, and the resolution kept by
-    homotopy.resolve.resolve_module is sound only because of that.
+    A module is never changed in place: no caller writes into the rows of
+    its matrices, and the memoised path matrices and the resolution kept by
+    homotopy.resolve.resolve_module are sound only because of that.
     """
 
-    def __init__(self, algebra: Algebra, dim: int, action: Sequence[Mat],
+    def __init__(self, algebra: Algebra, weights: Sequence[int],
+                 arrows: Sequence[Mat],
                  basis_in_algebra: Optional[Tuple[int, ...]] = None,
                  validate: bool = False):
         self.algebra = algebra
-        self.dim = dim
-        self.action: Tuple[Mat, ...] = tuple(action)
+        self.weights: Tuple[int, ...] = tuple(weights)
+        self.arrows: Tuple[Mat, ...] = tuple(arrows)
         self.basis_in_algebra = basis_in_algebra
+        self._paths: Dict[int, Mat] = dict(zip(algebra.arrow_indices, self.arrows))
         self._resolution = None  # set by resolve_module
         if validate:
             self.validate()
 
-    def validate(self):
+    @property
+    def dim(self) -> int:
+        return len(self.weights)
+
+    def action(self, b: int) -> Mat:
+        """The matrix of the basis element b: the projector onto weight b
+        for an idempotent, the product of its arrow matrices for a path."""
         A, f = self.algebra, self.algebra.field
-        if len(self.action) != A.dim:
-            raise InputError("need one action matrix per algebra basis element")
-        for m in self.action:
+        if b < A.nvert and b not in self._paths:
+            self._paths[b] = Mat(f, [[f.one if c == r and w == b else f.zero
+                                      for c in range(self.dim)]
+                                     for r, w in enumerate(self.weights)], ncols=self.dim)
+        return _along_prefixes(A, b, self._paths, lambda m, a: m @ self._paths[a])
+
+    def weight_positions(self, vertices) -> List[int]:
+        """Positions of the basis vectors whose weight lies in vertices."""
+        return [r for r, w in enumerate(self.weights) if w in vertices]
+
+    def validate(self):
+        """Each weight is a vertex, each arrow matrix maps its source weight
+        to its target weight, and every path times an arrow acts as their
+        product (zero for -1); as the arrows generate the radical, the
+        product table then holds on all pairs."""
+        A, f = self.algebra, self.algebra.field
+        if any(not 0 <= w < A.nvert for w in self.weights):
+            raise InputError("module weight is not a vertex")
+        if len(self.arrows) != len(A.arrow_indices):
+            raise InputError("need one matrix per arrow")
+        for a, m in zip(A.arrow_indices, self.arrows):
             if m.shape != (self.dim, self.dim):
-                raise InputError("action matrix shape mismatch")
-        one = Mat.zeros(f, self.dim, self.dim)
-        for i in range(A.nvert):
-            one = one + self.action[i]
-        if one != Mat.identity(f, self.dim):
-            raise InputError("unit does not act as identity")
+                raise InputError("arrow matrix shape mismatch")
+            corner = (A.source[a], A.target[a])
+            if any(x != f.zero and (self.weights[r], self.weights[c]) != corner
+                   for r, row in enumerate(m.rows) for c, x in enumerate(row)):
+                raise InputError(f"arrow {A.basis_labels[a]} leaves its corner")
         zero = Mat.zeros(f, self.dim, self.dim)
-        for i in range(A.dim):
-            for j, k in enumerate(A.prod[i]):
-                rhs = self.action[k] if k >= 0 else zero
-                if self.action[i] @ self.action[j] != rhs:
-                    raise InputError(f"action violates the product table at ({i},{j})")
-
-    def act(self, v: Sequence, x: Vec) -> List:
-        """Row vector v times the action of the algebra element x."""
-        f = self.algebra.field
-        out = [f.zero] * self.dim
-        for i, xi in enumerate(x):
-            if xi == f.zero:
-                continue
-            mat = self.action[i]
-            for r, vr in enumerate(v):
-                if vr == f.zero:
-                    continue
-                c = f.mul(vr, xi)
-                row = mat.rows[r]
-                for k in range(self.dim):
-                    if row[k] != f.zero:
-                        out[k] = f.add(out[k], f.mul(c, row[k]))
-        return out
-
-    def e_weight_positions(self, i: int) -> List[int]:
-        """Positions where the idempotent projection is a coordinate unit.
-
-        All modules constructed in this package have e-diagonal bases; this is
-        asserted rather than assumed.
-        """
-        f = self.algebra.field
-        mat = self.action[i]
-        pos = []
-        for r in range(self.dim):
-            row = mat.rows[r]
-            if row[r] == f.one:
-                if any(row[c] != f.zero for c in range(self.dim) if c != r):
-                    raise InputError("module basis is not idempotent-diagonal")
-                pos.append(r)
-            elif any(x != f.zero for x in row):
-                raise InputError("module basis is not idempotent-diagonal")
-        return pos
+        for c in range(A.dim):
+            for a in A.arrow_indices:
+                k = A.prod[c][a]
+                if self.action(c) @ self.action(a) != (self.action(k) if k >= 0 else zero):
+                    raise InputError(f"action violates the product table at ({c},{a})")
 
     def __repr__(self):
         return f"Module(dim={self.dim} over {self.algebra!r})"
 
 
+def _along_prefixes(A: Algebra, b: int, memo: Dict, step):
+    """memo[b], filling memo down the prefix chain of b (A.path_factors)
+    with memo[p * a] = step(memo[p], a)."""
+    chain = []
+    while b not in memo:
+        chain.append(b)
+        b = A.path_factors[b][0]
+    for c in reversed(chain):
+        p, a = A.path_factors[c]
+        memo[c] = step(memo[p], a)
+    return memo[chain[0] if chain else b]
+
+
 def yoneda_map(A: Algebra, i: int, target: Module, v: Sequence) -> Mat:
-    """The module map P_i -> target sending the generator to the row v."""
-    P = A.projective_module(i)
-    rows = []
-    for b in P.basis_in_algebra:
-        rows.append(target.act(v, A.basis_vec(b)))
-    return Mat(A.field, rows, ncols=target.dim)
+    """The module map P_i -> target sending the generator to the row v:
+    the row of the path p * a is the row of p times the matrix of a."""
+    f = A.field
+    memo = {i: [x if w == i else f.zero for x, w in zip(v, target.weights)]}
+    rows = [_along_prefixes(A, b, memo, lambda r, a: (
+                Mat(f, [r], ncols=target.dim) @ target.action(a)).rows[0])
+            for b in A.projective_module(i).basis_in_algebra]
+    return Mat(f, rows, ncols=target.dim)
 
 
 def projective_cover(M: Module, rows: Optional[Mat] = None
@@ -598,19 +624,18 @@ def projective_cover(M: Module, rows: Optional[Mat] = None
     N*p lies in some N*a.
     """
     A, f = M.algebra, M.algebra.field
-    cols = [M.e_weight_positions(i) for i in range(A.nvert)]
+    cols = [M.weight_positions((i,)) for i in range(A.nvert)]
     cands: List[List] = [[] for _ in range(A.nvert)]
     if rows is None:
         rows = Mat.identity(f, M.dim)
-        images = [r for b in A.arrow_indices for r in M.action[b].rows]
+        images = [r for m in M.arrows for r in m.rows]
         for i, pos in enumerate(cols):
             cands[i] = [rows.rows[c] for c in pos]
     else:
-        images = [r for b in A.arrow_indices for r in (rows @ M.action[b]).rows]
-        weight = {c: i for i, pos in enumerate(cols) for c in pos}
+        images = [r for m in M.arrows for r in (rows @ m).rows]
         for r in rows.rows:
-            ws = {weight.get(c) for c, x in enumerate(r) if x != f.zero}
-            if len(ws) != 1 or None in ws:
+            ws = {M.weights[c] for c, x in enumerate(r) if x != f.zero}
+            if len(ws) != 1:
                 raise InvariantError("row basis is not idempotent-homogeneous")
             cands[ws.pop()].append(r)
     rad = la.row_space_basis(Mat(f, images, ncols=M.dim)).rows if images else []
@@ -633,7 +658,7 @@ def projective_cover(M: Module, rows: Optional[Mat] = None
 
 
 def zero_module(A: Algebra) -> Module:
-    return Module(A, 0, [Mat.zeros(A.field, 0, 0) for _ in range(A.dim)])
+    return Module(A, (), [Mat.zeros(A.field, 0, 0) for _ in A.arrow_indices])
 
 
 def direct_sum_modules(A: Algebra, mods: Sequence[Module]) -> Tuple[Module, List[Tuple[int, int]]]:
@@ -649,12 +674,12 @@ def direct_sum_modules(A: Algebra, mods: Sequence[Module]) -> Tuple[Module, List
     if len(mods) == 1:
         return mods[0], slices  # a module is never changed in place
     z = f.zero
-    action = []
-    for b in range(A.dim):
+    arrows = []
+    for n in range(len(A.arrow_indices)):
         rows = [[z] * s + src + [z] * (total - e)
-                for m, (s, e) in zip(mods, slices) for src in m.action[b].rows]
-        action.append(Mat(f, rows, ncols=total))
-    return Module(A, total, action), slices
+                for m, (s, e) in zip(mods, slices) for src in m.arrows[n].rows]
+        arrows.append(Mat(f, rows, ncols=total))
+    return Module(A, [w for m in mods for w in m.weights], arrows), slices
 
 
 def projectives_module(A: Algebra, verts: Sequence[int]) -> Tuple[Module, List[Tuple[int, int]]]:
@@ -663,15 +688,14 @@ def projectives_module(A: Algebra, verts: Sequence[int]) -> Tuple[Module, List[T
 
 
 def dual_module(M: Module) -> Module:
-    """Right module over the opposite algebra on the dual space."""
-    A = M.algebra
-    opp = A.op()
-    action = [M.action[b].transpose() for b in range(A.dim)]
-    return Module(opp, M.dim, action)
+    """Right module over the opposite algebra on the dual space; the
+    opposite has the same arrows, each acting by the transpose."""
+    return Module(M.algebra.op(), M.weights, [m.transpose() for m in M.arrows])
 
 
 def module_hom_space(M: Module, N: Module) -> List[Mat]:
-    """Basis of Hom_A(M, N): matrices F with action_M(b) @ F = F @ action_N(b)."""
+    """Basis of Hom_A(M, N): matrices F with action_M(b) @ F = F @ action_N(b)
+    for the idempotents and the arrows b, which generate A."""
     A, f = M.algebra, M.algebra.field
     if N.algebra is not A:
         raise InputError("modules over different algebras")
@@ -679,8 +703,8 @@ def module_hom_space(M: Module, N: Module) -> List[Mat]:
     if nvars == 0:
         return []
     rows = []
-    for b in range(A.dim):
-        am, an = M.action[b], N.action[b]
+    for b in (*range(A.nvert), *A.arrow_indices):
+        am, an = M.action(b), N.action(b)
         # equation (am @ F - F @ an)[r][c] = 0
         for r in range(M.dim):
             for c in range(N.dim):

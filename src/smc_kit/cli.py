@@ -346,7 +346,7 @@ def cmd_hom(args) -> int:
 
 def cmd_paper_examples(args) -> int:
     field = args.field if args.field is not None else 32003
-    reports = run_paper_examples(field)
+    reports = run_paper_examples(field, args.pd_bound)
     payload = {"reports": [r.to_dict() for r in reports],
                "all_passed": all(r.passed for r in reports)}
     lines = [r.line() for r in reports]

@@ -35,36 +35,36 @@ class Fixture:
     standard: SMC
 
 
-def _named_objects(A: Algebra) -> Dict[str, ProjComplex]:
+def _named_objects(A: Algebra, pd_bound: int) -> Dict[str, ProjComplex]:
     out: Dict[str, ProjComplex] = {}
     for i in range(A.nvert):
         lab = A.vertex_labels[i]
-        out[f"S{lab}"] = resolve_module(A.simple_module(i))
+        out[f"S{lab}"] = resolve_module(A.simple_module(i), pd_bound)
         out[f"P{lab}"] = stalk(A, i)
-        out[f"I{lab}"] = resolve_module(A.injective_module(i))
+        out[f"I{lab}"] = resolve_module(A.injective_module(i), pd_bound)
     return out
 
 
-def _make_fixture(name: str, A: Algebra, subset: Tuple[int, ...]) -> Fixture:
-    spec = build_recollement(A, subset)
+def _make_fixture(name: str, A: Algebra, subset: Tuple[int, ...], pd_bound: int) -> Fixture:
+    spec = build_recollement(A, subset, pd_bound=pd_bound)
     if not spec.validated:
         raise SmcKitError(f"fixture {name} failed recollement validation")
-    return Fixture(name, A, spec, _named_objects(A),
+    return Fixture(name, A, spec, _named_objects(A, pd_bound),
                    standard_smc(spec.x_algebra), standard_smc(spec.y_algebra),
                    standard_smc(A))
 
 
-def a2_fixture(field=32003) -> Fixture:
+def a2_fixture(field=32003, pd_bound: int = 32) -> Fixture:
     f = get_field(field)
     A = Algebra.from_quiver(f, Quiver(("1", "2"), (("a", "1", "2"),)))
-    return _make_fixture("a2", A, (0,))
+    return _make_fixture("a2", A, (0,), pd_bound)
 
 
-def two_cycle_fixture(field=32003) -> Fixture:
+def two_cycle_fixture(field=32003, pd_bound: int = 32) -> Fixture:
     f = get_field(field)
     q = Quiver(("1", "2"), (("alpha", "2", "1"), ("beta", "1", "2")))
     A = Algebra.from_quiver(f, q, relations=[("beta", "alpha")])
-    return _make_fixture("two_cycle", A, (0,))
+    return _make_fixture("two_cycle", A, (0,), pd_bound)
 
 
 def random_monomial_linear_algebra(field: Field, rng: _random.Random,

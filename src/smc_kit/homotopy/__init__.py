@@ -31,7 +31,6 @@ from .homs import (
 from .resolve import (
     ModComplex,
     cohomology_dims,
-    corner_positions,
     corner_of_proj_complex,
     dual_mod_complex,
     module_realization,

@@ -55,13 +55,14 @@ class ModComplex:
             self._validate()
 
     def _validate(self):
-        f = self.algebra.field
+        A = self.algebra
         for k, d in self.diffs.items():
             if d.shape != (self.terms[k].dim, self.terms[k + 1].dim):
                 raise InputError(f"module differential shape at {k}")
-            for b in range(self.algebra.dim):
-                lhs = self.terms[k].action[b] @ d
-                rhs = d @ self.terms[k + 1].action[b]
+            # the idempotents and the arrows generate A
+            for b in (*range(A.nvert), *A.arrow_indices):
+                lhs = self.terms[k].action(b) @ d
+                rhs = d @ self.terms[k + 1].action(b)
                 if lhs != rhs:
                     raise InputError(f"module differential at {k} is not a module map")
         for k in self.diffs:
@@ -187,34 +188,19 @@ def dual_mod_complex(C: ModComplex) -> ModComplex:
     return ModComplex(opp, terms, diffs, validate=False)
 
 
-def corner_positions(A: Algebra, verts: Sequence[int], subset: Sequence[int]) -> List[int]:
-    """Positions, inside the realization of (+) P_i, of basis vectors with
-    target in the idempotent subset (= the e-corner of the module)."""
-    sub = set(subset)
-    pos = []
-    offset = 0
-    for i in verts:
-        basis = A.projective_module(i).basis_in_algebra
-        for r, b in enumerate(basis):
-            if A.target[b] in sub:
-                pos.append(offset + r)
-        offset += len(basis)
-    return pos
-
-
 def corner_of_proj_complex(X: ProjComplex, B: Algebra, embed: Sequence[int],
                            subset: Sequence[int]) -> Tuple[ModComplex, Dict[int, List[int]]]:
-    """X * e as a complex of eAe-modules, with the positions used to slice."""
-    A = X.algebra
+    """X * e as a complex of eAe-modules, with the positions used to slice
+    (weight in the subset); each arrow of eAe acts as its path of A."""
     real, _ = module_realization(X)
+    vertex = {v: n for n, v in enumerate(subset)}
     pos: Dict[int, List[int]] = {}
     terms: Dict[int, Module] = {}
-    for k in X.terms:
-        pk = corner_positions(A, X.term(k), subset)
+    for k, M in real.terms.items():
+        pk = M.weight_positions(vertex)
         pos[k] = pk
-        action = [real.terms[k].action[embed[c]].submatrix(pk, pk)
-                  for c in range(B.dim)]
-        terms[k] = Module(B, len(pk), action)
+        arrows = [M.action(embed[c]).submatrix(pk, pk) for c in B.arrow_indices]
+        terms[k] = Module(B, [vertex[M.weights[r]] for r in pk], arrows)
     diffs = {}
     for k, d in real.diffs.items():
         diffs[k] = d.submatrix(pos[k], pos[k + 1])

@@ -24,7 +24,7 @@ algebra, so the validation checks, both gluing routes and the standard
 collections all reach the same complexes and share every functor value.
 This is sound only because complexes and modules are never changed in
 place, and no caller writes into a returned value (a JStarData's maps, a
-module's action or their matrix rows).
+module's arrow or path matrices, or their rows).
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from .homotopy import (
 )
 from .homotopy.complexes import stalk
 from .homotopy.homs import solve_corner_constrained
-from .homotopy.resolve import corner_positions
 
 
 @dataclass
@@ -125,8 +124,8 @@ def build_recollement(A: Algebra, subset: Sequence[int], *,
     x_alg, x_proj = A.quotient(subset)
     report = RecollementReport()
     report.gldim_middle = global_dimension(A, pd_bound)
-    x_simples, report.gldim_quotient = _simples_and_gldim(x_alg, pd_bound)
-    y_simples, report.gldim_corner = _simples_and_gldim(y_alg, pd_bound)
+    report.gldim_quotient = global_dimension(x_alg, pd_bound)
+    report.gldim_corner = global_dimension(y_alg, pd_bound)
     # left and right global dimension agree for a finite-dimensional algebra
     # (Auslander, Nagoya Math. J. 9, 1955), so (eAe)^op needs no resolution
     report.gldim_corner_op = report.gldim_corner
@@ -151,33 +150,20 @@ def build_recollement(A: Algebra, subset: Sequence[int], *,
     report.notes.append(
         "validation is sample-based (simples of the outer algebras); a pass "
         "does not prove the recollement axioms in general")
-    _run_sample_checks(spec, x_simples, y_simples)
+    _run_sample_checks(spec, resolved_simples(x_alg, pd_bound),
+                       resolved_simples(y_alg, pd_bound))
     return spec
 
 
-def _simples_and_gldim(alg: Algebra, pd_bound: int
-                       ) -> Tuple[Optional[List[ProjComplex]], Optional[int]]:
-    """The resolved simples of alg and its global dimension, or
-    (None, None) when a simple has projective dimension above pd_bound."""
-    try:
-        simples = resolved_simples(alg, pd_bound)
-    except BoundExceeded:
-        return None, None
-    return simples, max((-min(P.terms) for P in simples), default=0)
-
-
 def _quotient_module_over_middle(spec: RecollementSpec, M: Module) -> Module:
-    """Restrict a module over A/AeA to a module over A along the projection."""
-    A, Q = spec.algebra, spec.x_algebra
-    f = A.field
-    action = []
-    for b in range(A.dim):
-        img = spec.x_proj[b]
-        if img is None:
-            action.append(Mat.zeros(f, M.dim, M.dim))
-        else:
-            action.append(M.action[img])
-    return Module(A, M.dim, action)
+    """Restrict a module over A/AeA to a module over A along the projection:
+    an arrow of A acts through its image, or by zero inside AeA."""
+    A = spec.algebra
+    vertex = {spec.x_proj[v]: v for v in range(A.nvert) if spec.x_proj[v] is not None}
+    zero = Mat.zeros(A.field, M.dim, M.dim)
+    arrows = [zero if spec.x_proj[a] is None else M.action(spec.x_proj[a])
+              for a in A.arrow_indices]
+    return Module(A, [vertex[w] for w in M.weights], arrows)
 
 
 # -- the six functors ----------------------------------------------------------
@@ -281,14 +267,15 @@ def j_lower_star_full(spec: RecollementSpec, Y: ProjComplex) -> JStarData:
     # (target in A^op = source in A).  That corner must be W on the nose
     # (same coordinates, same differentials); everything downstream relies on it.
     for k, d in W.diffs.items():
-        ipos_k = corner_positions(A_op, j_op.term(-k), spec.subset)
-        ipos_k1 = corner_positions(A_op, j_op.term(-k - 1), spec.subset)
+        ipos_k = inj.module(k).weight_positions(spec.subset)
+        ipos_k1 = inj.module(k + 1).weight_positions(spec.subset)
         if inj.diff(k).submatrix(ipos_k, ipos_k1) != d:
             raise InvariantError("corner of the injective complex drifted from W")
-    res_pos = {k: corner_positions(A, res.term(k), spec.subset) for k in res.terms}
+    res_real, _ = module_realization(res)
+    res_pos = {k: M.weight_positions(spec.subset) for k, M in res_real.terms.items()}
     P: Dict[int, Mat] = {}
     for k, q in q_i.items():
-        ipos = corner_positions(A_op, j_op.term(-k), spec.subset)
+        ipos = inj.module(k).weight_positions(spec.subset)
         P[k] = q.submatrix(res_pos.get(k, []), ipos)
         if W.dim(k) != len(ipos):
             raise InvariantError("corner model misaligned with dual resolution")

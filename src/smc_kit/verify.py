@@ -257,12 +257,13 @@ def check_first_m_terms(S_X: SMC, S_Y: SMC, R: RecollementSpec, j: int,
 # -- the worked examples ---------------------------------------------------------
 
 
-def run_paper_examples(field=32003) -> List[CheckReport]:
-    """The built-in fixtures, end to end; all must pass."""
+def run_paper_examples(field=32003, pd_bound: int = 32) -> List[CheckReport]:
+    """The built-in fixtures, end to end; all must pass.  pd_bound bounds
+    every projective dimension the fixtures resolve."""
     reports: List[CheckReport] = []
     rng = _random.Random(0)
-    tc = two_cycle_fixture(field)
-    a2 = a2_fixture(field)
+    tc = two_cycle_fixture(field, pd_bound)
+    a2 = a2_fixture(field, pd_bound)
 
     def add(name, inputs, fn):
         reports.append(_timed(name, inputs, fn))

@@ -8,6 +8,7 @@ from fractions import Fraction
 from smc_kit import exactla as la
 from smc_kit.algebra import (
     Algebra,
+    Module,
     Quiver,
     module_hom_space,
     projective_cover,
@@ -90,6 +91,82 @@ def rrow(A, x):
             if k >= 0:
                 rows[b][k] = f.add(rows[b][k], xj)
     return Mat(f, rows, ncols=A.dim)
+
+
+# -- dense reference modules: one action matrix per algebra basis element ------
+
+
+def projective_actions(A, i):
+    """P_i = e_i A: row b of the action of c is the coordinates of b * c."""
+    f = A.field
+    idx = [b for b in range(A.dim) if A.source[b] == i]
+    pos = {b: k for k, b in enumerate(idx)}
+    actions = []
+    for c in range(A.dim):
+        rows = []
+        for b in idx:
+            vec = [f.zero] * len(idx)
+            k = A.prod[b][c]
+            if k >= 0:
+                vec[pos[k]] = f.one
+            rows.append(vec)
+        actions.append(Mat(f, rows, ncols=len(idx)))
+    return actions
+
+
+def simple_actions(A, i):
+    f = A.field
+    return [Mat(f, [[f.one if c == i else f.zero]], ncols=1) for c in range(A.dim)]
+
+
+def injective_actions(A, i):
+    """The dual of the left projective A e_i: the transposed actions of the
+    projective of the opposite algebra."""
+    return [m.transpose() for m in projective_actions(A.op(), i)]
+
+
+def direct_sum_actions(A, summands):
+    """Block-diagonal action matrices filled entry by entry."""
+    total = sum(acts[0].nrows for acts in summands)
+    actions = []
+    for b in range(A.dim):
+        big = Mat.zeros(A.field, total, total)
+        s = 0
+        for acts in summands:
+            m = acts[b]
+            for r in range(m.nrows):
+                for c in range(m.ncols):
+                    big.rows[s + r][s + c] = m.rows[r][c]
+            s += m.nrows
+        actions.append(big)
+    return actions
+
+
+def quotient_restriction_actions(A, proj, actions):
+    """A module over A/AeA as one over A: b acts as its image, or by zero."""
+    dim = actions[0].nrows
+    return [Mat.zeros(A.field, dim, dim) if proj[b] is None else actions[proj[b]]
+            for b in range(A.dim)]
+
+
+def corner_restriction_actions(B, embed, actions, pos):
+    """M e over eAe: each basis element of eAe acts as its path of A,
+    restricted to the positions pos of M e."""
+    return [actions[embed[c]].submatrix(pos, pos) for c in range(B.dim)]
+
+
+def module_from_actions(A, actions):
+    """The module with these action matrices: the weights read off the
+    idempotent diagonals, the arrow matrices taken as they are."""
+    f = A.field
+    dim = actions[0].nrows
+    weights = [next(i for i in range(A.nvert) if actions[i].rows[r][r] == f.one)
+               for r in range(dim)]
+    for i in range(A.nvert):
+        want = Mat(f, [[f.one if c == r and weights[r] == i else f.zero
+                        for c in range(dim)] for r in range(dim)], ncols=dim)
+        assert actions[i] == want, "module basis is not idempotent-diagonal"
+    return Module(A, weights, [actions[a] for a in A.arrow_indices])
 
 
 def kernel_cover_resolution(M, bound):

@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,14 @@ from smc_kit import exactla as la
 from smc_kit.config import BoundExceeded, InputError, InvariantError
 from smc_kit.exactla import Mat, PrimeField, RationalField
 from smc_kit.fixtures import random_monomial_linear_algebra
-from smc_kit.homotopy import cohomology_dims, module_realization, resolve_module
+from smc_kit.homotopy import (
+    ProjComplex,
+    cohomology_dims,
+    corner_of_proj_complex,
+    module_realization,
+    resolve_module,
+)
+from smc_kit.recollement import _quotient_module_over_middle
 
 FP = PrimeField(32003)
 QQ = RationalField()
@@ -125,7 +133,7 @@ def test_yoneda_dimension_formula():
         for M in mods:
             for i in range(A.nvert):
                 homs = alg.module_hom_space(A.projective_module(i), M)
-                assert len(homs) == len(M.e_weight_positions(i))
+                assert len(homs) == len(M.weight_positions((i,)))
 
 
 def test_hom_spaces_paper_algebra():
@@ -284,7 +292,7 @@ def test_random_linear_algebras_structural_properties(n, rng):
     M, _ = alg.projectives_module(A, verts)
     for i in range(A.nvert):
         assert len(alg.module_hom_space(A.projective_module(i), M)) == \
-            len(M.e_weight_positions(i))
+            len(M.weight_positions((i,)))
 
 
 def test_rationals_give_same_dimensions():
@@ -363,7 +371,7 @@ def test_validate_rejects_malformed_tables():
 def _radical_rows(M):
     """Basis of M * rad as rows."""
     A, f = M.algebra, M.algebra.field
-    rows = [list(r) for b in A.radical_indices for r in M.action[b].rows]
+    rows = [list(r) for b in A.radical_indices for r in M.action(b).rows]
     return la.row_space_basis(Mat(f, rows, ncols=M.dim)) if rows \
         else Mat.zeros(f, 0, M.dim)
 
@@ -372,7 +380,7 @@ def _submodule_action_reference(M, rows):
     """Action matrices on a row space, one solve per algebra basis element."""
     action = []
     for b in range(M.algebra.dim):
-        coords = la.solve_matrix(rows.transpose(), (rows @ M.action[b]).transpose())
+        coords = la.solve_matrix(rows.transpose(), (rows @ M.action(b)).transpose())
         if coords is None:
             raise InputError("row space is not a submodule")
         action.append(coords.transpose())
@@ -385,10 +393,10 @@ def _top_generators_reference(M):
     rad = _radical_rows(M)
     gens = []
     for i in range(A.nvert):
-        pos = M.e_weight_positions(i)
+        pos = M.weight_positions((i,))
         if not pos:
             continue
-        current = la.row_space_basis(rad @ M.action[i]) if rad.nrows else None
+        current = la.row_space_basis(rad @ M.action(i)) if rad.nrows else None
         rows = [list(r) for r in current.rows] if current is not None else []
         for r in pos:
             cand = [f.one if k == r else f.zero for k in range(M.dim)]
@@ -403,7 +411,7 @@ def _assert_cover_matches_reference(M, rows):
     submodule spanned by rows, built with its own action matrices and moved
     back to M's coordinates."""
     A = M.algebra
-    sub = alg.Module(A, rows.nrows, _submodule_action_reference(M, rows))
+    sub = gen.module_from_actions(A, _submodule_action_reference(M, rows))
     sub.validate()
     gens = [(i, (Mat(A.field, [v], ncols=sub.dim) @ rows).rows[0])
             for i, v in _top_generators_reference(sub)]
@@ -414,20 +422,8 @@ def _assert_cover_matches_reference(M, rows):
     return sub
 
 
-def _direct_sum_reference(A, mods):
-    """Block-diagonal action matrices filled entry by entry."""
-    total = sum(m.dim for m in mods)
-    action = []
-    for b in range(A.dim):
-        big = Mat.zeros(A.field, total, total)
-        s = 0
-        for m in mods:
-            for r in range(m.dim):
-                for c in range(m.dim):
-                    big.rows[s + r][s + c] = m.action[b].rows[r][c]
-            s += m.dim
-        action.append(big)
-    return action
+def _actions(M):
+    return [M.action(b) for b in range(M.algebra.dim)]
 
 
 def _assert_identical(mats, refs):
@@ -450,7 +446,7 @@ def _random_map_from_projectives(A, rng, verts, N):
     blocks = []
     for i in verts:
         units = [[f.one if k == r else f.zero for k in range(N.dim)]
-                 for r in N.e_weight_positions(i)]
+                 for r in N.weight_positions((i,))]
         v = _random_combination(rng, f, units, N.dim)
         blocks.append(alg.yoneda_map(A, i, N, v))
     return la.vstack(blocks)
@@ -458,7 +454,7 @@ def _random_map_from_projectives(A, rng, verts, N):
 
 def _radical_module(P):
     rad = _radical_rows(P)
-    return alg.Module(P.algebra, rad.nrows, _submodule_action_reference(P, rad))
+    return gen.module_from_actions(P.algebra, _submodule_action_reference(P, rad))
 
 
 @settings(max_examples=30, deadline=None)
@@ -495,14 +491,15 @@ def test_stacked_module_solves_against_reference(rationals, rng):
                 R, Mat(f, rows, ncols=R.dim)))
     for M in mods:
         M.validate()
-        assert isinstance(M.action, tuple)
+        assert isinstance(M.arrows, tuple)
         _assert_cover_matches_reference(M, Mat.identity(f, M.dim))
         verts, cover = alg.projective_cover(M, Mat.identity(f, M.dim))
         assert alg.projective_cover(M) == (verts, cover)
     picked = rng.sample(mods, 3)
     for summands in (picked, picked[:1]):
         total, _ = alg.direct_sum_modules(A, summands)
-        _assert_identical(total.action, _direct_sum_reference(A, summands))
+        _assert_identical([total.action(b) for b in range(A.dim)],
+                          gen.direct_sum_actions(A, [_actions(m) for m in summands]))
     # no rows: the zero cover
     verts, cover = alg.projective_cover(P[0], Mat.zeros(f, 0, P[0].dim))
     assert verts == [] and cover.shape == (0, P[0].dim)
@@ -513,7 +510,7 @@ def test_non_homogeneous_rows_raise():
         A = two_cycle(field)
         P = A.projective_module(0)
         # e_1 + beta: supported on the weights of both vertices
-        (pos0,), (pos1,) = P.e_weight_positions(0), P.e_weight_positions(1)
+        (pos0,), (pos1,) = P.weight_positions((0,)), P.weight_positions((1,))
         rows = Mat(field, [[field.one if k in (pos0, pos1) else field.zero
                             for k in range(P.dim)]], ncols=P.dim)
         with pytest.raises(InvariantError):
@@ -532,7 +529,7 @@ def _row_space(f, rows, ncols):
 @given(st.sampled_from([PrimeField(2), FP, QQ]), st.booleans(),
        st.randoms(use_true_random=False))
 def test_arrow_images_span_the_radical_images(f, use_two_cycle, rng):
-    # projective_cover reduces rows @ action[a] over the arrows a only
+    # projective_cover reduces rows @ action(a) over the arrows a only
     A = two_cycle(f) if use_two_cycle else \
         random_monomial_linear_algebra(f, rng, max_vertices=5)
     subset = rng.sample(range(A.nvert), rng.randint(1, A.nvert - 1))
@@ -560,7 +557,117 @@ def test_arrow_images_span_the_radical_images(f, use_two_cycle, rng):
                 subs.append((src, Mat(f, rows, ncols=src.dim)))
         for M, rows in subs:
             def images(basis):
-                return [r for b in basis for r in (rows @ M.action[b]).rows]
+                return [r for b in basis for r in (rows @ M.action(b)).rows]
             _assert_identical(
                 [_row_space(f, images(B.arrow_indices), M.dim)],
                 [_row_space(f, images(B.radical_indices), M.dim)])
+
+
+# -- derived path actions against the dense per-element modules ----------------
+
+
+def _assert_derived_actions(M, ref, rng):
+    """M.action(b) is the reference matrix of b, and yoneda_map sends the
+    path b of P_i to v @ ref[b], for every basis element b."""
+    B, f = M.algebra, M.algebra.field
+    M.validate()
+    _assert_identical(_actions(M), ref)
+    for i in range(B.nvert):
+        v = [f.rand(rng) for _ in range(M.dim)]
+        want = [(Mat(f, [v], ncols=M.dim) @ ref[b]).rows[0]
+                for b in B.projective_module(i).basis_in_algebra]
+        _assert_identical([alg.yoneda_map(B, i, M, v)],
+                          [Mat(f, want, ncols=M.dim)])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([PrimeField(2), FP, QQ]), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_derived_actions_against_dense_reference(f, use_two_cycle, rng):
+    A = two_cycle(f) if use_two_cycle else \
+        random_monomial_linear_algebra(f, rng, max_vertices=5)
+    subset = rng.sample(range(A.nvert), rng.randint(1, A.nvert - 1))
+    corner, _ = A.corner(subset)
+    for B in (A, A.op(), corner, corner.op(), A.quotient(subset)[0],
+              A.op().quotient(subset)[0]):
+        nv = B.nvert
+        refs = []
+        for i in range(nv):
+            refs += [(B.projective_module(i), gen.projective_actions(B, i)),
+                     (B.simple_module(i), gen.simple_actions(B, i)),
+                     (B.injective_module(i), gen.injective_actions(B, i))]
+        picked = rng.sample(refs, min(3, len(refs)))
+        total, _ = alg.direct_sum_modules(B, [M for M, _ in picked])
+        refs.append((total, gen.direct_sum_actions(B, [r for _, r in picked])))
+        if nv > 1:
+            sub = rng.sample(range(nv), rng.randint(1, nv - 1))
+            # restriction along B ->> B/BeB
+            Q, proj = B.quotient(sub)
+            spec = SimpleNamespace(algebra=B, x_proj=proj)
+            for i in range(Q.nvert):
+                for M, ref in ((Q.projective_module(i), gen.projective_actions(Q, i)),
+                               (Q.injective_module(i), gen.injective_actions(Q, i))):
+                    refs.append((_quotient_module_over_middle(spec, M),
+                                 gen.quotient_restriction_actions(B, proj, ref)))
+            # the e-corner of a sum of projectives, over eBe
+            C, embed = B.corner(sub)
+            verts = [rng.randrange(nv) for _ in range(rng.randint(1, 3))]
+            ref = gen.direct_sum_actions(B, [gen.projective_actions(B, i) for i in verts])
+            pos = [r for r in range(ref[0].nrows)
+                   if any(ref[v].rows[r][r] == f.one for v in sub)]
+            cplx, positions = corner_of_proj_complex(
+                ProjComplex(B, {0: verts}), C, embed, sorted(sub))
+            assert positions[0] == pos
+            refs.append((cplx.module(0), gen.corner_restriction_actions(C, embed, ref, pos)))
+        for M, ref in refs:
+            _assert_derived_actions(M, ref, rng)
+
+
+def _commutative_square(f):
+    """1 -> 2 -> 4 and 1 -> 3 -> 4 with a*b = c*d = k: a multiplicative
+    basis that is not monomial, built directly from its product table."""
+    labels = ("e_1", "e_2", "e_3", "e_4", "a", "b", "c", "d", "k")
+    source = (0, 1, 2, 3, 0, 1, 0, 2, 0)
+    target = (0, 1, 2, 3, 1, 3, 2, 3, 3)
+    prod = [[-1] * 9 for _ in range(9)]
+    for x in range(9):
+        prod[source[x]][x] = x
+        prod[x][target[x]] = x
+    prod[4][5] = prod[6][7] = 8
+    return alg.Algebra(f, ("1", "2", "3", "4"), labels, source, target, prod)
+
+
+def _representation(A, weights, entries):
+    """Arrow matrices with the given (arrow, row, column) entries set to 1."""
+    f, n = A.field, len(weights)
+    arrows = []
+    for a in A.arrow_indices:
+        m = Mat.zeros(f, n, n)
+        for b, r, c in entries:
+            if b == a:
+                m.rows[r][c] = f.one
+        arrows.append(m)
+    return alg.Module(A, weights, arrows)
+
+
+def test_module_validate_rejects_bad_representations():
+    for f in (PrimeField(2), FP, QQ):
+        A = two_cycle(f)
+        alpha, beta = (A.basis_labels.index(x) for x in ("alpha", "beta"))
+        # alpha: 2 -> 1 read from the weight-1 row to the weight-0 column
+        _representation(A, (0, 1), [(alpha, 1, 0)]).validate()
+        with pytest.raises(InputError, match="leaves its corner"):
+            _representation(A, (0, 1), [(alpha, 0, 1)]).validate()
+        # beta then alpha is the killed cycle at vertex 1
+        with pytest.raises(InputError, match="product table"):
+            _representation(A, (0, 1), [(alpha, 1, 0), (beta, 0, 1)]).validate()
+        S = _commutative_square(f)
+        a, b, c, d = (S.basis_labels.index(x) for x in "abcd")
+        assert S.arrow_indices == (a, b, c, d)
+        commuting = [(a, 0, 1), (b, 1, 3), (c, 0, 2)]
+        _representation(S, (0, 1, 2, 3), commuting + [(d, 2, 3)]).validate()
+        with pytest.raises(InputError, match="product table"):
+            _representation(S, (0, 1, 2, 3), commuting).validate()
+        for i in range(S.nvert):
+            for M in (S.projective_module(i), S.simple_module(i), S.injective_module(i)):
+                M.validate()

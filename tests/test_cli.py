@@ -223,6 +223,14 @@ def test_paper_examples_command(capsys):
     assert "all checks passed" in out
 
 
+def test_paper_examples_honours_pd_bound(capsys):
+    # the two-cycle fixture algebra has global dimension 2
+    assert main(["--pd-bound", "1", "paper-examples"]) == 3
+    assert "resource bound" in capsys.readouterr().err
+    assert main(["paper-examples"]) == 0
+    assert "all checks passed" in capsys.readouterr().out
+
+
 def test_console_script_entry():
     res = subprocess.run([sys.executable, "-m", "smc_kit.cli", "--help"],
                          capture_output=True, text=True)
