@@ -166,15 +166,14 @@ class Algebra:
         return tuple(f.mul(c, a) for a in x)
 
     def is_zero_vec(self, x: Vec) -> bool:
-        z = self.field.zero
-        return all(a == z for a in x)
+        return not any(x)
 
     def mul_vec(self, x: Vec, y: Vec) -> Vec:
         f = self.field
         acc = [f.zero] * self.dim
-        ys = [(j, yj) for j, yj in enumerate(y) if yj != f.zero]
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
         for i, xi in enumerate(x):
-            if xi == f.zero:
+            if not xi:
                 continue
             row = self.prod[i]
             for j, yj in ys:
@@ -188,9 +187,9 @@ class Algebra:
         """Triples (i, j, c): the coefficient c of the path a in x sends the
         path basis[i] to the path k with pos[k] = j, as a*b (left) or b*a
         (right); products landing outside pos are dropped."""
-        prod, z = self.prod, self.field.zero
+        prod = self.prod
         for a, c in enumerate(x):
-            if c == z:
+            if not c:
                 continue
             row = prod[a]
             for i, b in enumerate(basis):
@@ -567,7 +566,7 @@ class Module:
             if m.shape != (self.dim, self.dim):
                 raise InputError("arrow matrix shape mismatch")
             corner = (A.source[a], A.target[a])
-            if any(x != f.zero and (self.weights[r], self.weights[c]) != corner
+            if any(x and (self.weights[r], self.weights[c]) != corner
                    for r, row in enumerate(m.rows) for c, x in enumerate(row)):
                 raise InputError(f"arrow {A.basis_labels[a]} leaves its corner")
         zero = Mat.zeros(f, self.dim, self.dim)
@@ -634,7 +633,7 @@ def projective_cover(M: Module, rows: Optional[Mat] = None
     else:
         images = [r for m in M.arrows for r in (rows @ m).rows]
         for r in rows.rows:
-            ws = {M.weights[c] for c, x in enumerate(r) if x != f.zero}
+            ws = {M.weights[c] for c, x in enumerate(r) if x}
             if len(ws) != 1:
                 raise InvariantError("row basis is not idempotent-homogeneous")
             cands[ws.pop()].append(r)
@@ -710,10 +709,10 @@ def module_hom_space(M: Module, N: Module) -> List[Mat]:
             for c in range(N.dim):
                 coeff = [f.zero] * nvars
                 for k in range(M.dim):
-                    if am.rows[r][k] != f.zero:
+                    if am.rows[r][k]:
                         coeff[k * N.dim + c] = f.add(coeff[k * N.dim + c], am.rows[r][k])
                 for k in range(N.dim):
-                    if an.rows[k][c] != f.zero:
+                    if an.rows[k][c]:
                         coeff[r * N.dim + k] = f.sub(coeff[r * N.dim + k], an.rows[k][c])
                 rows.append(coeff)
     sys = Mat(f, rows, ncols=nvars) if rows else Mat.zeros(f, 0, nvars)

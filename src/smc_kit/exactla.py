@@ -2,21 +2,19 @@
 
 Every computation upstream (module homs, homotopy classes, truncation
 triangles) bottoms out in the row reductions here, so arithmetic is exact:
-ints reduced mod p, or Fractions.  For the prime field there is a vectorized
-numpy int64 path, taken only where no intermediate can overflow: a matmul
-sums ncols products of residues, so it needs ncols*(p-1)^2 < 2^63, and a
-pivot step forms one product, so it needs (p-1)^2 < 2^63.  Larger primes
-take the exact element-wise path over Python ints, as the rationals do over
-Fractions.
+Python ints reduced mod p, or Fractions.  There is one elimination and one
+product for every field, written with native operators over lists.  Python
+ints do not overflow, so every prime takes the same path.  The matrices
+that reach this module are small (a median of a few entries, rarely more
+than a thousand), so the cost of a call is its overhead, not its arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import List, Optional, Sequence, Tuple, Union
-
-import numpy as np
 
 from .config import InputError
 
@@ -28,7 +26,6 @@ Element = Union[int, Fraction]
 # The first twelve primes: as Miller-Rabin bases they decide primality
 # exactly for every n < 3.18e23 (Sorenson and Webster, Math. Comp. 2017).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_INT64_LIMIT = 1 << 63
 
 
 def _is_prime(n: int) -> bool:
@@ -57,11 +54,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _int64_safe(p: int, terms: int) -> bool:
-    """Whether a sum of `terms` products of residues mod p fits in int64."""
-    return terms * (p - 1) ** 2 < _INT64_LIMIT
-
-
 class PrimeField:
     """F_p with elements stored as reduced Python ints."""
 
@@ -86,9 +78,10 @@ class PrimeField:
         return (-a) % self.p
 
     def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return pow(a, self.p - 2, self.p)
+        try:
+            return pow(a, -1, self.p)
+        except ValueError:
+            raise ZeroDivisionError("inverse of 0") from None
 
     def from_int(self, n: int):
         return n % self.p
@@ -156,6 +149,11 @@ class RationalField:
 Field = Union[PrimeField, RationalField]
 
 
+def _modulus(f: Field) -> int:
+    """p for F_p, and 0 for the rationals, whose Fractions need no reduction."""
+    return f.p if isinstance(f, PrimeField) else 0
+
+
 def get_field(spec) -> Field:
     """'rationals'/'Q' or a prime number."""
     if isinstance(spec, (PrimeField, RationalField)):
@@ -206,32 +204,22 @@ class Mat:
     def from_int_rows(cls, field, rows, ncols=None):
         return cls(field, [[field.from_int(x) for x in r] for r in rows], ncols=ncols)
 
-    def copy(self):
-        return Mat(self.field, [list(r) for r in self.rows], ncols=self.ncols)
-
     # -- arithmetic --------------------------------------------------------
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows:
             raise InputError(f"matmul shape mismatch {self.shape} @ {other.shape}")
         f = self.field
-        if self.nrows == 0 or other.ncols == 0:
-            return Mat.zeros(f, self.nrows, other.ncols)
-        if isinstance(f, PrimeField) and _int64_safe(f.p, self.ncols):
-            a = np.array(self.rows, dtype=np.int64).reshape(self.nrows, self.ncols)
-            b = np.array(other.rows, dtype=np.int64).reshape(other.nrows, other.ncols)
-            c = (a @ b) % f.p
-            return Mat(f, c.tolist(), ncols=other.ncols)
+        p, z = _modulus(f), f.zero
         out = []
         for row in self.rows:
-            acc = [f.zero] * other.ncols
-            for k, x in enumerate(row):
-                if x == f.zero:
-                    continue
-                orow = other.rows[k]
-                for j in range(other.ncols):
-                    acc[j] = f.add(acc[j], f.mul(x, orow[j]))
-            out.append(acc)
+            # row @ other as a combination of other's rows; the zero entries
+            # of row, most of them in module actions and kernel rows, add
+            # nothing and are skipped
+            acc = [z] * other.ncols
+            for x, orow in compress(zip(row, other.rows), row):
+                acc = [s + x * y for s, y in zip(acc, orow)]
+            out.append([s % p for s in acc] if p else acc)
         return Mat(f, out, ncols=other.ncols)
 
     def __add__(self, other):
@@ -240,10 +228,6 @@ class Mat:
             raise InputError("shape mismatch in add")
         return Mat(f, [[f.add(a, b) for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)],
                    ncols=self.ncols)
-
-    def scale(self, c):
-        f = self.field
-        return Mat(f, [[f.mul(c, a) for a in r] for r in self.rows], ncols=self.ncols)
 
     def transpose(self):
         return Mat(self.field, [[self.rows[i][j] for i in range(self.nrows)]
@@ -260,8 +244,7 @@ class Mat:
         return (self.nrows, self.ncols)
 
     def is_zero(self):
-        z = self.field.zero
-        return all(x == z for r in self.rows for x in r)
+        return not any(map(any, self.rows))
 
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.shape == other.shape
@@ -307,62 +290,34 @@ class RRef:
     pivots: Tuple[int, ...]
 
 
-def _rref_modp(p: int, m: Mat) -> RRef:
-    nr, nc = m.shape
-    a = np.array(m.rows, dtype=np.int64).reshape(nr, nc) % p
-    pivots = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        k = r + int(nz[0])
-        if k != r:
-            a[[r, k]] = a[[k, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        if np.any(col):
-            a -= np.outer(col, a[r])
-            a %= p
-        pivots.append(c)
-        r += 1
-    return RRef(Mat(m.field, a.tolist(), ncols=nc), tuple(pivots))
-
-
-def _rref_generic(m: Mat) -> RRef:
+def rref(m: Mat) -> RRef:
+    """Gauss-Jordan elimination, pivoting on the first nonzero row of each
+    column; over F_p every entry is reduced after each step."""
     f = m.field
+    p = _modulus(f)
     nr, nc = m.shape
-    a = [list(r) for r in m.rows]
+    a = [[x % p for x in r] for r in m.rows] if p else [list(r) for r in m.rows]
     pivots = []
     r = 0
     for c in range(nc):
         if r == nr:
             break
-        k = next((i for i in range(r, nr) if a[i][c] != f.zero), None)
+        col = [row[c] for row in a]
+        k = next(compress(range(r, nr), col[r:]), None)
         if k is None:
             continue
-        if k != r:
-            a[r], a[k] = a[k], a[r]
-        inv = f.inv(a[r][c])
-        a[r] = [f.mul(inv, x) for x in a[r]]
-        for i in range(nr):
-            if i == r or a[i][c] == f.zero:
-                continue
-            factor = a[i][c]
-            a[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(a[i], a[r])]
+        a[r], a[k] = a[k], a[r]
+        inv = f.inv(col[k])
+        col[k] = col[r]
+        col[r] = 0
+        top = a[r] = [inv * x % p for x in a[r]] if p else [inv * x for x in a[r]]
+        for i in compress(range(nr), col):
+            g = col[i]
+            a[i] = ([(x - g * y) % p for x, y in zip(a[i], top)] if p
+                    else [x - g * y for x, y in zip(a[i], top)])
         pivots.append(c)
         r += 1
     return RRef(Mat(f, a, ncols=nc), tuple(pivots))
-
-
-def rref(m: Mat) -> RRef:
-    if isinstance(m.field, PrimeField) and m.nrows and m.ncols and _int64_safe(m.field.p, 1):
-        return _rref_modp(m.field.p, m)
-    return _rref_generic(m)
 
 
 def rank(m: Mat) -> int:
@@ -424,26 +379,28 @@ def row_space_basis(m: Mat) -> Mat:
 
 
 def det(m: Mat) -> Element:
-    """Determinant of a square matrix (fraction-free enough at desk scale)."""
+    """Determinant of a square matrix, by Gaussian elimination in the
+    arithmetic of rref."""
     if m.nrows != m.ncols:
         raise InputError("det needs a square matrix")
     f = m.field
+    p = _modulus(f)
     n = m.nrows
-    a = [list(r) for r in m.rows]
+    a = [[x % p for x in r] for r in m.rows] if p else [list(r) for r in m.rows]
     d = f.one
     for c in range(n):
-        k = next((i for i in range(c, n) if a[i][c] != f.zero), None)
+        k = next((i for i in range(c, n) if a[i][c]), None)
         if k is None:
             return f.zero
         if k != c:
             a[c], a[k] = a[k], a[c]
-            d = f.neg(d)
-        d = f.mul(d, a[c][c])
-        inv = f.inv(a[c][c])
+            d = -d
+        top = a[c]
+        d *= top[c]
+        inv = f.inv(top[c])
         for i in range(c + 1, n):
-            if a[i][c] == f.zero:
-                continue
-            factor = f.mul(a[i][c], inv)
-            a[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(a[i], a[c])]
-    return d
-
+            if a[i][c]:
+                g = a[i][c] * inv
+                a[i] = ([(x - g * y) % p for x, y in zip(a[i], top)] if p
+                        else [x - g * y for x, y in zip(a[i], top)])
+    return d % p if p else d

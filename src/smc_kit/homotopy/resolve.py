@@ -170,7 +170,7 @@ def entries_from_realized(A: Algebra, src_verts: Sequence[int],
             vec = [f.zero] * A.dim
             for c, bidx in enumerate(tgt_bases[t]):
                 val = mat.rows[gen_row][c0 + c]
-                if val != f.zero:
+                if val:
                     vec[bidx] = val
             out[t][s] = tuple(vec)
             c0 += len(tgt_bases[t])

@@ -50,6 +50,17 @@ def random_matrix(field, m, n, rng):
     return Mat(field, [[field.rand(rng) for _ in range(n)] for _ in range(m)], ncols=n)
 
 
+def mat_copy(m):
+    """A copy of m whose rows can be written without touching m."""
+    return Mat(m.field, [list(r) for r in m.rows], ncols=m.ncols)
+
+
+def mat_scale(m, c):
+    """The matrix c * m."""
+    f = m.field
+    return Mat(f, [[f.mul(c, a) for a in r] for r in m.rows], ncols=m.ncols)
+
+
 def sum_prod(f, xs, ys):
     """The dot product of two vectors over the field f."""
     acc = f.zero
@@ -268,7 +279,7 @@ def hom_dim_oracle(X: ProjComplex, Y: ProjComplex, n: int) -> int:
                 if dx is not None and (k - 1) in cod_basis:
                     contrib = dx @ fb
                     prev = img.get(k - 1)
-                    m = contrib.scale(f.neg(sign))
+                    m = mat_scale(contrib, f.neg(sign))
                     img[k - 1] = m if prev is None else prev + m
                 for kk, mat_img in img.items():
                     coords = coords_in_basis(mat_img, cod_basis[kk])

@@ -484,7 +484,7 @@ def test_stacked_module_solves_against_reference(rationals, rng):
     if homs:
         F = homs[0]
         for H in homs[1:]:
-            F = F + H.scale(f.rand(rng))
+            F = F + gen.mat_scale(H, f.rand(rng))
         rows = la.left_kernel_basis(F)
         if rows:
             mods.append(_assert_cover_matches_reference(

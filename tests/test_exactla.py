@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -99,7 +103,7 @@ def test_solve_is_exact(m, n, rng):
             assert all(gen.sum_prod(f, row, v) == f.zero for row in mat.rows)
 
 
-# 2^61 - 1 is too large for the int64 elimination and takes the generic one
+# 2^61 - 1 has residues whose products need more than 64 bits
 SOLVE_FIELDS = [PrimeField(2), FP, QQ, PrimeField(2**61 - 1)]
 
 
@@ -163,8 +167,8 @@ def test_prime_and_generic_rref_agree(m, n, rng):
 def test_determinism():
     rng = random.Random(1)
     m = gen.random_matrix(QQ, 5, 5, rng)
-    assert la.rref(m).reduced == la.rref(m.copy()).reduced
-    assert la.det(m) == la.det(m.copy())
+    assert la.rref(m).reduced == la.rref(gen.mat_copy(m)).reduced
+    assert la.det(m) == la.det(gen.mat_copy(m))
 
 
 def test_det():
@@ -202,7 +206,7 @@ def test_empty_shapes():
     assert prod.shape == (0, 2)
 
 
-# -- large primes: int64 guard and primality ---------------------------------
+# -- large primes: exact products and primality -----------------------------
 
 LARGE_AND_SMALL_PRIMES = [2, 3, 32003, 2**31 - 1, 2**61 - 1]
 
@@ -253,6 +257,56 @@ def test_matmul_and_rref_against_int_oracle(p, m, k, n, rng):
         assert red.pivots == pivots
 
 
+def _rref_fraction_oracle(a):
+    """_rref_oracle over Q: Gauss-Jordan over Fractions, nothing reduced."""
+    a = [list(r) for r in a]
+    nr, nc = len(a), len(a[0])
+    pivots = []
+    r = 0
+    for c in range(nc):
+        k = next((i for i in range(r, nr) if a[i][c]), None)
+        if k is None:
+            continue
+        a[r], a[k] = a[k], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(nr):
+            if i != r and a[i][c]:
+                g = a[i][c]
+                a[i] = [x - g * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return a, tuple(pivots)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8),
+       st.randoms(use_true_random=False))
+def test_matmul_and_rref_over_q_against_fraction_oracle(m, k, n, rng):
+    def draw(nr, nc):
+        return [[Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)) for _ in range(nc)]
+                for _ in range(nr)]
+    a, b = draw(m, k), draw(k, n)
+    # repr tells an int from a Fraction of the same value
+    prod = [[sum((x * b[j][c] for j, x in enumerate(row)), Fraction(0))
+             for c in range(n)] for row in a]
+    assert repr((Mat(QQ, a) @ Mat(QQ, b)).rows) == repr(prod)
+    a_low = a[:max(1, m // 2)] * 2
+    for rows in (a, a_low):
+        red = la.rref(Mat(QQ, rows))
+        reduced, pivots = _rref_fraction_oracle(rows)
+        assert repr(red.reduced.rows) == repr(reduced)
+        assert red.pivots == pivots
+
+
+@pytest.mark.parametrize("f", SOLVE_FIELDS, ids=str)
+def test_product_through_no_columns_is_zero(f):
+    for m, n in ((0, 0), (0, 3), (2, 0), (2, 3)):
+        assert Mat.zeros(f, m, 0) @ Mat.zeros(f, 0, n) == Mat.zeros(f, m, n)
+
+
 def test_matmul_at_32_bit_primes_is_exact():
     rng = random.Random(5)
     for p in (2**31 - 1, 4294967291):
@@ -293,3 +347,22 @@ def test_large_prime_fields_are_accepted_at_once():
         PrimeField(2**64 + 13)
     with pytest.raises(InputError):
         get_field(str(2**89 - 1))
+
+
+_GLUE_AND_REPORT_NUMPY = """
+import sys
+from smc_kit import cli
+code = cli.main(["glue", sys.argv[1], "R", "xstd", "ystd"])
+print(code, "numpy" in sys.modules)
+"""
+
+
+def test_glue_runs_without_numpy():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", _GLUE_AND_REPORT_NUMPY,
+                          str(root / "fixtures" / "a2.json")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "0 False"
