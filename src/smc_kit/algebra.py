@@ -111,9 +111,14 @@ class Algebra:
         """Radical basis elements that are not a product of two radical ones
         (the arrows, for a path algebra), read off the product table."""
         if self._arrows is None:
-            rad = self.radical_indices
-            products = {self.prod[b][c] for b in rad for c in rad}
-            self._arrows = tuple(b for b in rad if b not in products)
+            # b * c is zero unless c starts where b ends, so only those
+            # products are formed
+            starting_at: List[List[int]] = [[] for _ in range(self.nvert)]
+            for c in self.radical_indices:
+                starting_at[self.source[c]].append(c)
+            products = {self.prod[b][c] for b in self.radical_indices
+                        for c in starting_at[self.target[b]]}
+            self._arrows = tuple(b for b in self.radical_indices if b not in products)
         return self._arrows
 
     @property
@@ -368,7 +373,6 @@ class Algebra:
         tgt = list(range(nv))
         alive: List[Tuple[Tuple[int, ...], int, int]] = [
             ((a,), arrow_src[a], arrow_tgt[a]) for a in range(len(quiver.arrows))]
-        length = 1
         while alive:
             for p, s, t in alive:
                 paths.append(p)
@@ -387,9 +391,6 @@ class Algebra:
                     if not dies(q):
                         nxt.append((q, s, arrow_tgt[a]))
             alive = nxt
-            length += 1
-            if length > path_cap:
-                raise BoundExceeded("path length cap exceeded (cycle without relations?)")
 
         index_of = {}
         labels = []
@@ -523,16 +524,13 @@ class Module:
 
     def __init__(self, algebra: Algebra, weights: Sequence[int],
                  arrows: Sequence[Mat],
-                 basis_in_algebra: Optional[Tuple[int, ...]] = None,
-                 validate: bool = False):
+                 basis_in_algebra: Optional[Tuple[int, ...]] = None):
         self.algebra = algebra
         self.weights: Tuple[int, ...] = tuple(weights)
         self.arrows: Tuple[Mat, ...] = tuple(arrows)
         self.basis_in_algebra = basis_in_algebra
         self._paths: Dict[int, Mat] = dict(zip(algebra.arrow_indices, self.arrows))
         self._resolution = None  # set by resolve_module
-        if validate:
-            self.validate()
 
     @property
     def dim(self) -> int:

@@ -20,7 +20,6 @@ import weakref
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .. import exactla as la
 from ..algebra import Algebra, Vec
 from ..config import InputError, InvariantError
 
@@ -411,12 +410,12 @@ def direct_sum(complexes: Sequence[ProjComplex]) -> Tuple[ProjComplex, List[Chai
     return S, injs, projs
 
 
-def minimalize(X: ProjComplex) -> Tuple[ProjComplex, ChainMap, ChainMap]:
+def minimalize(X: ProjComplex) -> Tuple[ProjComplex, ChainMap]:
     """Homotopy-equivalent complex with radical differentials.
 
-    Returns (X_min, X -> X_min, X_min -> X); the equivalences compose to
-    the identity on X_min on the nose and to a map homotopic to the
-    identity on X.  Relies on the corners e_i A e_i being local.
+    Returns (X_min, X_min -> X), a homotopy equivalence; it is the one map
+    callers read, so the inverse equivalence is never built.  Relies on the
+    corners e_i A e_i being local.
     """
     if X._minimal_cache is not None:
         return X._minimal_cache
@@ -424,7 +423,6 @@ def minimalize(X: ProjComplex) -> Tuple[ProjComplex, ChainMap, ChainMap]:
     f_field = A.field
     terms = {k: list(v) for k, v in X.terms.items()}
     diffs = {k: [list(row) for row in d] for k, d in X.diffs.items()}
-    to_comps: Dict[int, Entries] = {k: ent_identity(A, v) for k, v in X.terms.items()}
     from_comps: Dict[int, Entries] = {k: ent_identity(A, v) for k, v in X.terms.items()}
 
     def find_unit():
@@ -457,14 +455,7 @@ def minimalize(X: ProjComplex) -> Tuple[ProjComplex, ChainMap, ChainMap]:
             for yi, y in enumerate(keep_s):
                 corr = A.mul_vec(cu, b_row[yi])
                 new_d[xi][yi] = A.sub_vec(diffs[k][x][y], corr)
-        # step equivalences (identity outside degrees k, k+1)
-        f_k = ent_zeros(A, len(keep_s), len(old_src))
-        for yi, y in enumerate(keep_s):
-            f_k[yi][y] = A.basis_vec(old_src[y])
-        f_k1 = ent_zeros(A, len(keep_t), len(old_tgt))
-        for xi, x in enumerate(keep_t):
-            f_k1[xi][x] = A.basis_vec(old_tgt[x])
-            f_k1[xi][t] = A.neg_vec(A.mul_vec(c_col[xi], uinv))
+        # step equivalence new -> old (identity outside degrees k, k+1)
         g_k = ent_zeros(A, len(old_src), len(keep_s))
         for yi, y in enumerate(keep_s):
             g_k[y][yi] = A.basis_vec(old_src[y])
@@ -473,11 +464,7 @@ def minimalize(X: ProjComplex) -> Tuple[ProjComplex, ChainMap, ChainMap]:
         for xi, x in enumerate(keep_t):
             g_k1[x][xi] = A.basis_vec(old_tgt[x])
 
-        # update running equivalences
-        if k in to_comps:
-            to_comps[k] = ent_matmul(A, f_k, to_comps[k])
-        if k + 1 in to_comps:
-            to_comps[k + 1] = ent_matmul(A, f_k1, to_comps[k + 1])
+        # update the running equivalence
         if k in from_comps:
             from_comps[k] = ent_matmul(A, from_comps[k], g_k)
         if k + 1 in from_comps:
@@ -502,14 +489,12 @@ def minimalize(X: ProjComplex) -> Tuple[ProjComplex, ChainMap, ChainMap]:
     clean_diffs = {k: d for k, d in diffs.items()
                    if k in clean_terms and k + 1 in clean_terms}
     Xmin = ProjComplex(A, clean_terms, clean_diffs, validate=False)
-    to_min = ChainMap(X, Xmin, {k: m for k, m in to_comps.items()
-                                if k in clean_terms and X.term(k)}, validate=False)
     from_min = ChainMap(Xmin, X, {k: m for k, m in from_comps.items()
                                   if k in clean_terms and X.term(k)}, validate=False)
     if not Xmin.is_minimal():
         raise InvariantError("minimal model has a non-radical differential entry")
-    X._minimal_cache = (Xmin, to_min, from_min)
-    Xmin._minimal_cache = (Xmin, identity_map(Xmin), identity_map(Xmin))
+    X._minimal_cache = (Xmin, from_min)
+    Xmin._minimal_cache = (Xmin, identity_map(Xmin))
     return X._minimal_cache
 
 

@@ -14,8 +14,9 @@ level of the idempotent corner (used by the recollement unit/counit).  Each
 solver assembles its whole system as one dense ``Mat`` and solves it once.
 
 ``is_iso`` decides isomorphism from the same chain-map coordinates.  Its YES
-carries inverse witnesses; its NO is certified by term profiles, cohomology,
-or the brick argument, and is Monte Carlo only when neither side is a brick.
+carries the invertible chain map it found between the two minimal models;
+its NO is certified by term profiles, cohomology, or the brick argument, and
+is Monte Carlo only when neither side is a brick.
 """
 
 from __future__ import annotations
@@ -33,14 +34,12 @@ from .complexes import (
     ChainMap,
     Entries,
     ProjComplex,
-    compose,
     ent_zeros,
     minimalize,
 )
 from .resolve import (
     ModComplex,
     cohomology_dims,
-    entries_from_realized,
     module_realization,
     realize_chain_map,
 )
@@ -298,8 +297,7 @@ ISO_TRIALS = 40  # random combinations tried when neither side is a brick
 class IsoResult:
     isomorphic: bool
     certified: bool
-    forward: Optional[ChainMap] = None
-    backward: Optional[ChainMap] = None
+    witness: Optional[ChainMap] = None  # YES: Xm -> Ym, an isomorphism
     note: str = ""
 
     def __bool__(self):
@@ -328,21 +326,21 @@ def is_iso(X: ProjComplex, Y: ProjComplex,
            rng: Optional[_random.Random] = None) -> IsoResult:
     """Whether X and Y are isomorphic in the homotopy category.
 
-    A YES carries chain maps forward: X -> Y and backward: Y -> X that are
-    mutually inverse up to homotopy.  A NO is certified when the minimal
-    term profiles or the cohomology differ, when there is no chain map, or
-    when X or Y is a brick (End = k).  Between minimal complexes a chain
-    map is invertible iff its scalar profiles are, and when End is local the
-    singular chain maps form a proper subspace, so some basis chain map is
-    an isomorphism whenever one exists.  Only for two non-bricks is a NO
-    found by random combinations: it is Monte Carlo, with its error bound
-    in the note, or "inconclusive" when the field's sample set is too small
-    for one.
+    A YES carries as witness the chain map X_min -> Y_min between the
+    minimal models that it found invertible (None when both are zero); no
+    inverse is built.  A NO is certified when the minimal term profiles or
+    the cohomology differ, when there is no chain map, or when X or Y is a
+    brick (End = k).  Between minimal complexes a chain map is invertible
+    iff its scalar profiles are, and when End is local the singular chain
+    maps form a proper subspace, so some basis chain map is an isomorphism
+    whenever one exists.  Only for two non-bricks is a NO found by random
+    combinations: it is Monte Carlo, with its error bound in the note, or
+    "inconclusive" when the field's sample set is too small for one.
     """
     if X.algebra is not Y.algebra:
         raise InputError("is_iso requires complexes over the same algebra")
-    Xm, x_to, x_from = minimalize(X)
-    Ym, y_to, y_from = minimalize(Y)
+    Xm = minimalize(X)[0]
+    Ym = minimalize(Y)[0]
     if Xm.is_zero() and Ym.is_zero():
         return IsoResult(True, True, note="both contractible")
     if Xm.term_profile() != Ym.term_profile():
@@ -388,20 +386,12 @@ def is_iso(X: ProjComplex, Y: ProjComplex,
             note = (f"no invertible chain map in {ISO_TRIALS} samples; failure "
                     f"probability <= ({det_bound}/{size})^{ISO_TRIALS}")
         return IsoResult(False, False, note=note)
-    # invert degreewise through the module realization
-    inv_comps: Dict[int, Entries] = {}
-    real_f = realize_chain_map(found)
-    for k, m in real_f.items():
-        inv = la.solve_matrix(m, Mat.identity(fld, m.nrows))
-        if inv is None:
-            raise InvariantError("chain map with invertible scalar profiles "
-                                 "has a singular component")
-        inv_comps[k] = entries_from_realized(X.algebra, Ym.term(k), Xm.term(k), inv)
-    back = ChainMap(Ym, Xm, inv_comps)
-    forward = compose(compose(x_to, found), y_from)
-    backward = compose(compose(y_to, back), x_from)
-    return IsoResult(True, True, forward=forward, backward=backward,
-                     note="invertible chain map witness")
+    # a chain map whose scalar profiles are invertible is an isomorphism
+    # degreewise; check that on its module realization
+    if any(la.rank(m) < m.nrows for m in realize_chain_map(found).values()):
+        raise InvariantError("chain map with invertible scalar profiles "
+                             "has a singular component")
+    return IsoResult(True, True, witness=found, note="invertible chain map witness")
 
 
 # -- chain maps with a corner-level constraint ---------------------------------

@@ -285,9 +285,9 @@ def resolve_complex(C: ModComplex, pd_bound: int = 32) -> Tuple[ProjComplex, Dic
         # land in the radical.
         if not P.is_minimal():
             raise InvariantError("resolution of a module is not minimal")
-        P._minimal_cache = (P, identity_map(P), identity_map(P))
+        P._minimal_cache = (P, identity_map(P))
         return P, eps
-    Pmin, _, from_min = minimalize(P)
+    Pmin, from_min = minimalize(P)
     real_from = realize_chain_map(from_min)
     aug_min = {}
     for d in Pmin.terms:

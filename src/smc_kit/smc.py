@@ -52,6 +52,10 @@ from .recollement import (
 
 @dataclass(frozen=True)
 class Certificate:
+    """Why the collection generates.  "glued" and "mutated" are issued only
+    where their theorem applies (a validated recollement; a rigid object of
+    a theorem-backed collection); any other collection is "user"."""
+
     kind: Literal["standard_simples", "glued", "mutated", "user"]
     detail: str = ""
 
@@ -220,7 +224,6 @@ class TruncationTriangle:
     u_part: ProjComplex
     v_part: ProjComplex
     u_map: ChainMap                  # U -> T
-    v_map: ChainMap                  # T -> V
     strip_log: List[Tuple[int, int]]  # (object index, shift stripped)
 
 
@@ -253,15 +256,15 @@ def truncate(T: ProjComplex, objects: Sequence[ProjComplex], threshold: int = 1,
         b, idx = best
         log.append((idx, -b))
         C, p = cocone(hom_basis(current, objects[idx], -b)[0])
-        Cm, _, c_from = minimalize(C)
+        Cm, c_from = minimalize(C)
         u_map = compose(compose(c_from, p), u_map)
         current = Cm
-    V, v_map = cone(u_map)
+    V = cone(u_map)[0]
     if not member_filt_geq(current, objects, 1 - threshold):
         raise SmcKitError("truncation invariant failed: U outside the aisle")
     if not member_filt_leq(V, objects, -threshold):
         raise SmcKitError("truncation invariant failed: V outside the coaisle")
-    return TruncationTriangle(current, V, u_map, v_map, log)
+    return TruncationTriangle(current, V, u_map, log)
 
 
 # -- gluing ----------------------------------------------------------------------
@@ -315,8 +318,9 @@ def _glue(S_X: SMC, S_Y: SMC, R: RecollementSpec, new_item, deep: bool,
              for j, Y in enumerate(S_Y.objects)]
     names = tuple(f"i({S_X.name_of(i)})" for i in range(len(S_X.objects))) + \
         tuple(f"{prefix}{j + 1}" for j in range(len(items)))
+    # the gluing theorem applies only over a validated recollement
     out = SMC(R.algebra, tuple(images) + tuple(item.w for item in items),
-              Certificate("glued", detail), names)
+              Certificate("glued" if R.validated else "user", detail), names)
     return out, GluingReport(items)
 
 
@@ -326,12 +330,12 @@ def _w_item(R: RecollementSpec, j: int, Y: ProjComplex,
     cocone of theta; deep mode checks the companion triangle through j_*."""
     theta = canonical_theta(R, Y)
     C, p = cocone(theta)
-    Cm, _, c_from = minimalize(C)
+    Cm, c_from = minimalize(C)
     p_min = compose(c_from, p)          # Cm -> j_!(Y)
     trunc = truncate(Cm, images, threshold=1)
     into = compose(trunc.u_map, p_min)  # U -> j_!(Y)
     W_full, v = cone(into)              # v: j_!(Y) -> W
-    Wm, _, _ = minimalize(W_full)
+    Wm = minimalize(W_full)[0]
     item = GluingItem(j, trunc.u_part, minimalize(trunc.v_part)[0], Wm, None)
     if deep:
         chi = factor_through(v, theta)  # W -> j_*(Y) over the triangle
@@ -355,16 +359,18 @@ def _image_identities(R: RecollementSpec, Wm: ProjComplex, Y: ProjComplex,
 
 def _p_item(R: RecollementSpec, j: int, Y: ProjComplex,
             images: List[ProjComplex], deep: bool, rng) -> GluingItem:
-    """P_j = cocone(j_*(Y) -> N), N the coaisle part (threshold 0) of the
-    cone of theta; deep mode checks the companion triangle through j_!."""
+    """P_j = cocone(j_*(Y) -> N), N = cone(U -> D) for U the aisle part
+    (threshold 0) of D = cone(theta); deep mode checks the companion triangle
+    through j_!.  Truncating the minimal model Dm and taking the cone over
+    the equivalence Dm -> D gives the coaisle part up to isomorphism."""
     theta = canonical_theta(R, Y)
     D, v = cone(theta)                  # D = i_* i^* j_*(Y)
-    Dm, d_to, _ = minimalize(D)
-    into_d = compose(v, d_to)           # j_*(Y) -> Dm
+    Dm, d_from = minimalize(D)
     trunc = truncate(Dm, images, threshold=0)
-    to_n = compose(into_d, trunc.v_map)  # j_*(Y) -> N_j
+    u_to_d = compose(trunc.u_map, d_from)  # U -> Dm -> D
+    to_n = compose(v, cone(u_to_d)[1])     # j_*(Y) -> D -> N_j
     P_full, pmap = cocone(to_n)
-    Pm, _, _ = minimalize(P_full)
+    Pm = minimalize(P_full)[0]
     item = GluingItem(j, trunc.u_part, minimalize(trunc.v_part)[0], Pm, None)
     if deep:
         psi = lift_through(pmap, theta)  # j_!(Y) -> P over the cocone
@@ -402,7 +408,8 @@ def mutate(S: SMC, i: int, direction: Literal["left", "right"],
         raise InputError(f"mutation direction must be left or right, got {direction!r}")
     if not 0 <= i < len(S.objects):
         raise InputError(f"mutation index {i} out of range")
-    if not is_rigid(S, i) and not force:
+    rigid = is_rigid(S, i)
+    if not rigid and not force:
         raise NotRigidError(
             f"object {i} has self-extensions in degree 1; pass force to "
             "mutate anyway (the result need not satisfy the axioms)")
@@ -428,8 +435,10 @@ def mutate(S: SMC, i: int, direction: Literal["left", "right"],
         C = cone(approx)[0] if left else cocone(approx)[0]
         new_objects.append(minimalize(C)[0])
     sign = "+" if left else "-"
+    # the mutation theorem needs a rigid object of a theorem-backed collection
+    kind = "mutated" if rigid and S.certificate.theorem_backed else "user"
     out = SMC(S.algebra, tuple(new_objects),
-              Certificate("mutated", f"mu{sign}_{i} of ({S.certificate.detail})"),
+              Certificate(kind, f"mu{sign}_{i} of ({S.certificate.detail})"),
               S.names)
     return out, MutationStep(mults)
 

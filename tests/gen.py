@@ -17,6 +17,7 @@ from smc_kit.algebra import (
 from smc_kit.exactla import Mat, PrimeField
 from smc_kit.homotopy import (
     ProjComplex,
+    cohomology_dims,
     cone,
     minimalize,
     module_realization,
@@ -220,13 +221,22 @@ def random_complex(A, rng: random.Random, steps: int = 2) -> ProjComplex:
         if basis:
             f = basis[rng.randrange(len(basis))]
             c, _ = cone(f)
-            cm, _, _ = minimalize(c)
+            cm, _ = minimalize(c)
             if not cm.is_zero() and cm.total_terms() <= 8:
                 pool.append(cm)
         else:
             pool.append(stalk(A, rng.randrange(A.nvert), rng.randrange(-2, 3)))
     out = pool[-1]
     return out
+
+
+def assert_iso_witness(r, X: ProjComplex, Y: ProjComplex):
+    """The witness of an is_iso YES is a chain map between the minimal models
+    of X and Y whose cone is acyclic, i.e. an isomorphism."""
+    f = r.witness
+    assert f.source is minimalize(X)[0] and f.target is minimalize(Y)[0]
+    f._validate()
+    assert cohomology_dims(cone(f)[0]) == {}
 
 
 def hom_dim_oracle(X: ProjComplex, Y: ProjComplex, n: int) -> int:

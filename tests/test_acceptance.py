@@ -229,7 +229,7 @@ def test_criterion_6_engine_properties():
             f = ChainMap(X, Y, {})
         C, _ = cone(f)
         ProjComplex(A, C.terms, C.diffs)         # re-validates d^2 = 0
-        M, _, _ = minimalize(C)
+        M, _ = minimalize(C)
         ProjComplex(A, M.terms, M.diffs)
         Xs = shift(X, 1)
         ProjComplex(A, Xs.terms, Xs.diffs)
@@ -261,8 +261,8 @@ def test_criterion_6_engine_properties():
     for _ in range(10):
         A = algebras[rng.randrange(2)]
         X = gen.random_complex(A, rng)
-        M, _, _ = minimalize(X)
-        M2, _, _ = minimalize(M)
+        M, _ = minimalize(X)
+        M2, _ = minimalize(M)
         assert M2.terms == M.terms and M2.diffs == M.diffs
 
     # adjunction dimension equalities on 50 random functor applications

@@ -59,6 +59,14 @@ def test_cycle_without_relations_errors():
         alg.Algebra.from_quiver(FP, q, path_cap=64)
 
 
+def test_one_loop_without_relations_exceeds_path_cap():
+    # every round of path extension adds a path, so the cap on basis paths
+    # is what stops an infinite-dimensional path algebra
+    q = alg.Quiver(("v",), (("x", "v", "v"),))
+    with pytest.raises(BoundExceeded, match="exceeds 8 basis paths"):
+        alg.Algebra.from_quiver(FP, q, path_cap=8)
+
+
 def test_relation_must_be_path():
     q = alg.Quiver(("1", "2"), (("x", "1", "2"),))
     with pytest.raises(InputError):
@@ -330,6 +338,22 @@ def _ideal_by_row_reduction(B, subset):
         assert len(support) == 1 and row[support[0]] == f.one
         ideal.add(support[0])
     return ideal
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.booleans(), st.randoms(use_true_random=False))
+def test_arrow_indices_against_all_radical_products(use_two_cycle, rng):
+    # the arrows are the radical paths that are no product of two radical
+    # ones; arrow_indices forms only the composable products
+    A = two_cycle() if use_two_cycle else \
+        random_monomial_linear_algebra(FP, rng, max_vertices=6)
+    subset = rng.sample(range(A.nvert), rng.randint(1, A.nvert - 1))
+    corner, _ = A.corner(subset)
+    for B in (A, A.op(), corner, corner.op(), A.quotient(subset)[0],
+              A.op().quotient(subset)[0]):
+        rad = B.radical_indices
+        products = {B.prod[b][c] for b in rad for c in rad}
+        assert B.arrow_indices == tuple(b for b in rad if b not in products)
 
 
 @settings(max_examples=30, deadline=None)

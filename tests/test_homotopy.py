@@ -188,16 +188,16 @@ def test_minimalize_cases():
     # cone(id) minimalizes to zero
     X = p_stalk(A2, 0)
     C, _ = cone(identity_map(X))
-    M, to_min, from_min = minimalize(C)
+    M, _ = minimalize(C)
     assert M.is_zero()
     # already minimal complexes come back unchanged
     S1 = s1_complex()
-    M, _, _ = minimalize(S1)
+    M, _ = minimalize(S1)
     assert M.same_shape(S1)
     # cone(0: S2 -> S2) stays S2 + S2[1]
     S2 = p_stalk(A2, 1)
     C, _ = cone(ChainMap(S2, S2, {}))
-    M, _, _ = minimalize(C)
+    M, _ = minimalize(C)
     assert M.term_profile() == {-1: (1,), 0: (1,)}
 
 
@@ -206,21 +206,20 @@ def test_minimalize_equivalences():
     for A in (A2, TC):
         for _ in range(3):
             X = gen.random_complex(A, rng)
-            M, to_min, from_min = minimalize(X)
+            M, from_min = minimalize(X)
             if X.is_zero():
                 continue
-            # gf = id on the minimal model (exactly), fg homotopic to id
-            gf = compose(from_min, to_min)
-            assert gf.comps == identity_map(M).comps
-            fg = compose(to_min, from_min)
-            assert homotopic(fg, identity_map(X))
+            # X_min -> X is a chain map whose cone is acyclic
+            assert from_min.source is M and from_min.target is X
+            from_min._validate()
+            assert cohomology_dims(cone(from_min)[0]) == {}
 
 
 def test_minimalize_idempotent():
     rng = random.Random(9)
     X = gen.random_complex(TC, rng)
-    M, _, _ = minimalize(X)
-    M2, _, _ = minimalize(M)
+    M, _ = minimalize(X)
+    M2, _ = minimalize(M)
     assert M2.terms == M.terms and M2.diffs == M.diffs
 
 
@@ -234,7 +233,7 @@ def test_euler_conservation():
         C, _ = cone(f)
         ex, ey, ec = X.euler_class(), Y.euler_class(), C.euler_class()
         assert all(x - y + c == 0 for x, y, c in zip(ex, ey, ec))
-        M, _, _ = minimalize(C)
+        M, _ = minimalize(C)
         assert M.euler_class() == ec
 
 
@@ -315,13 +314,12 @@ def test_is_iso_cases():
 
 
 def test_is_iso_witnesses_verified():
-    # a non-minimal target, so the witnesses pass through both minimal models
+    # a non-minimal target: the witness lies between the two minimal models
     X = s1_complex()
     Y, _, _ = direct_sum([X, cone(identity_map(p_stalk(A2, 1)))[0]])
     r = is_iso(X, Y, rng=random.Random(2))
     assert r.isomorphic and r.certified
-    assert homotopic(compose(r.forward, r.backward), identity_map(X))
-    assert homotopic(compose(r.backward, r.forward), identity_map(Y))
+    gen.assert_iso_witness(r, X, Y)
 
 
 def test_is_iso_cohomology_certificate():
@@ -394,8 +392,7 @@ def test_is_iso_samples_decomposable_self_iso(field):
     r = is_iso(D, D, rng=rng)
     assert rng.draws > 0
     assert r.isomorphic and r.certified
-    assert homotopic(compose(r.forward, r.backward), identity_map(D))
-    assert homotopic(compose(r.backward, r.forward), identity_map(D))
+    gen.assert_iso_witness(r, D, D)
 
 
 def test_resolve_complex_of_two_terms():

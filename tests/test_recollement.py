@@ -117,7 +117,7 @@ def test_canonical_theta_and_cocone():
     spec = SPEC_A2
     theta = rec.canonical_theta(spec, y_simple(spec))
     C, _ = cocone(theta)
-    Cm, _, _ = minimalize(C)
+    Cm, _ = minimalize(C)
     s2 = gen.resolved_simple(A2, 1)
     assert is_iso(Cm, s2, rng=random.Random(0)).isomorphic
     # two-cycle: the cocone has composition factors S2 in degrees 0 and 1

@@ -6,12 +6,13 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import gen
 from smc_kit import smc
 from smc_kit.cli import main
 from smc_kit.config import InputError, NotRigidError
 from smc_kit.exactla import PrimeField
 from smc_kit.fixtures import a2_fixture, random_recollement, two_cycle_fixture
-from smc_kit.homotopy import compose, homotopic, identity_map, is_iso, shift
+from smc_kit.homotopy import is_iso, shift
 from smc_kit.smc import (
     SMC,
     _has_perfect_matching,
@@ -209,7 +210,6 @@ def test_mutation_direction_validated():
 def test_truncate_random_objects_within_span():
     # everything over A generates from the standard simples, so truncation
     # invariants must hold on arbitrary complexes (self-checked inside)
-    import gen
     rng = random.Random(41)
     for fix in (A2, TC):
         std = fix.standard
@@ -234,6 +234,43 @@ def test_mutation_rigidity_guard():
         mutate(S, 0, "left")
     out, _ = mutate(S, 0, "left", force=True)
     assert len(out) == 1
+
+
+def test_mutate_is_theorem_backed_only_at_rigid_objects_of_collections():
+    # {P1, P2} over A_2 fails the axioms, so its mutation proves nothing
+    S = user_smc(A2, A2.complexes["P1"], A2.complexes["P2"])
+    assert not validate_smc(S).passed
+    out, _ = mutate(S, 1, "left")
+    assert not out.certificate.theorem_backed
+    assert "theorem-backed" not in validate_smc(out).generation
+    # a rigid step from the standard simples keeps the theorem
+    assert mutate(A2.standard, 1, "left")[0].certificate.theorem_backed
+    # a forced step at a non-rigid object drops it, whatever the input's
+    # label says
+    S1, S2 = A2.standard.objects
+    from smc_kit.homotopy import direct_sum
+    nonrigid, _, _ = direct_sum([S1, shift(S1, -1)])
+    S = SMC(A2.algebra, (nonrigid, S2), A2.standard.certificate)
+    out, _ = mutate(S, 0, "left", force=True)
+    assert not out.certificate.theorem_backed
+
+
+def test_glue_is_theorem_backed_only_over_validated_recollements():
+    from smc_kit.algebra import Algebra, linear_quiver
+    from smc_kit.recollement import build_recollement
+    A = Algebra.from_quiver(PrimeField(32003), linear_quiver(3),
+                            relations=[("a1", "a2")])
+    spec = build_recollement(A, [1])
+    assert not spec.validated
+    sx, sy = standard_smc(spec.x_algebra), standard_smc(spec.y_algebra)
+    for route in (glue, glue_dual):
+        out, _ = route(sx, sy, spec)
+        assert not out.certificate.theorem_backed
+        assert "theorem-backed" not in validate_smc(out).generation
+    # the same routes over the validated A_2 fixture keep the theorem
+    for route in (glue, glue_dual):
+        out, _ = route(A2.x_smc, A2.y_smc, A2.spec)
+        assert validate_smc(out).generation == "theorem-backed (glued)"
 
 
 def test_compare_and_order_chain():
@@ -373,7 +410,7 @@ def test_multi_layer_truncation():
     for Y in sy.objects:
         theta = canonical_theta(spec, Y)
         C, _ = cocone(theta)
-        Cm, _, _ = minimalize(C)
+        Cm, _ = minimalize(C)
         logs.append(truncate(Cm, images, threshold=1).strip_log)
     assert max(len(log) for log in logs) >= 2
     g, rep = glue(sx, sy, spec, deep=True)
@@ -401,7 +438,7 @@ def test_mixed_depth_strips_topmost_first():
     for Y in sy.objects:
         theta = canonical_theta(spec, Y)
         C, _ = cocone(theta)
-        Cm, _, _ = minimalize(C)
+        Cm, _ = minimalize(C)
         log = truncate(Cm, images, threshold=1).strip_log
         shifts = [-b for _, b in log]  # depths stripped, largest first
         assert shifts == sorted(shifts, reverse=True)
@@ -455,5 +492,4 @@ def test_is_iso_on_collection_objects_is_certified(p, rng):
             assert r.certified, r.note
             assert is_iso(Y, X, rng=rng).isomorphic == r.isomorphic
             if r.isomorphic:
-                assert homotopic(compose(r.forward, r.backward), identity_map(X))
-                assert homotopic(compose(r.backward, r.forward), identity_map(Y))
+                gen.assert_iso_witness(r, X, Y)
