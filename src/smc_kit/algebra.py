@@ -9,8 +9,10 @@ relied on everywhere downstream:
 
 * paths compose left to right: ``a*b`` traverses the arrow ``a`` first,
   so ``a*b`` is defined when target(a) = source(b);
-* modules are right modules, elements are row vectors, the action of a
-  basis element ``b`` is ``m -> m @ action(b)``;
+* modules are right modules stored as quiver representations: the basis
+  vectors of weight ``v`` are ``positions[v]``, and a basis element ``b``
+  from ``s`` to ``t`` acts by the ``d_s x d_t`` matrix ``action(b)`` on
+  their coordinates, ``x -> x @ action(b)`` for a row ``x`` of weight ``s``;
 * maps of right modules multiply on the right of row vectors, so the
   composite "f then g" has matrix ``F @ G``;
 * Hom(e_i A, e_j A) = e_j A e_i acting by left multiplication.
@@ -471,26 +473,29 @@ class Algebra:
     def projective_module(self, i: int) -> "Module":
         key = ("proj", i)
         if key not in self._module_cache:
-            idx = [b for b in range(self.dim) if self.source[b] == i]
-            pos = {b: k for k, b in enumerate(idx)}
             f = self.field
-            arrows = []
+            idx = [b for b in range(self.dim) if self.source[b] == i]
+            ending_at: List[List[int]] = [[] for _ in range(self.nvert)]
+            for b in idx:
+                ending_at[self.target[b]].append(b)
+            # the block of a: s -> t sends the path b ending at s to b * a
+            blocks = []
             for a in self.arrow_indices:
-                rows = [[f.zero] * len(idx) for _ in idx]
-                for r, b in enumerate(idx):
-                    k = self.prod[b][a]
-                    if k >= 0:
-                        rows[r][pos[k]] = f.one
-                arrows.append(Mat(f, rows, ncols=len(idx)))
+                cols = ending_at[self.target[a]]
+                blocks.append(Mat(f, [[f.one if c == self.prod[b][a] else f.zero
+                                       for c in cols] for b in ending_at[self.source[a]]],
+                                  ncols=len(cols)))
             self._module_cache[key] = Module(self, [self.target[b] for b in idx],
-                                             arrows, basis_in_algebra=tuple(idx))
+                                             blocks, basis_in_algebra=tuple(idx))
         return self._module_cache[key]
 
     def simple_module(self, i: int) -> "Module":
         key = ("simple", i)
         if key not in self._module_cache:
+            f = self.field
             self._module_cache[key] = Module(
-                self, (i,), [Mat.zeros(self.field, 1, 1) for _ in self.arrow_indices])
+                self, (i,), [Mat.zeros(f, int(self.source[a] == i), int(self.target[a] == i))
+                             for a in self.arrow_indices])
         return self._module_cache[key]
 
     def injective_module(self, i: int) -> "Module":
@@ -513,23 +518,34 @@ def _is_number(s: str) -> bool:
 
 
 class Module:
-    """Finite-dimensional right module as a quiver representation: the
-    vertex (weight) of each basis vector and one matrix per arrow of
-    Algebra.arrow_indices, in row convention; action derives the others.
+    """Finite-dimensional right module as a quiver representation.
+
+    weights[r] is the vertex of the basis vector r, and positions[v] lists
+    the basis vectors of weight v in ascending order; write d_v for its
+    length.  blocks holds one d_s x d_t matrix per arrow s -> t of
+    Algebra.arrow_indices: the arrow's map from the coordinates at s to
+    those at t, in row convention.  action derives every other basis
+    element.
 
     A module is never changed in place: no caller writes into the rows of
-    its matrices, and the memoised path matrices and the resolution kept by
+    its blocks, and the memoised path blocks and the resolution kept by
     homotopy.resolve.resolve_module are sound only because of that.
     """
 
     def __init__(self, algebra: Algebra, weights: Sequence[int],
-                 arrows: Sequence[Mat],
+                 blocks: Sequence[Mat],
                  basis_in_algebra: Optional[Tuple[int, ...]] = None):
         self.algebra = algebra
         self.weights: Tuple[int, ...] = tuple(weights)
-        self.arrows: Tuple[Mat, ...] = tuple(arrows)
+        positions: List[List[int]] = [[] for _ in range(algebra.nvert)]
+        for r, w in enumerate(self.weights):
+            if not 0 <= w < algebra.nvert:
+                raise InputError("module weight is not a vertex")
+            positions[w].append(r)
+        self.positions: Tuple[Tuple[int, ...], ...] = tuple(map(tuple, positions))
+        self.blocks: Tuple[Mat, ...] = tuple(blocks)
         self.basis_in_algebra = basis_in_algebra
-        self._paths: Dict[int, Mat] = dict(zip(algebra.arrow_indices, self.arrows))
+        self._paths: Dict[int, Mat] = dict(zip(algebra.arrow_indices, self.blocks))
         self._resolution = None  # set by resolve_module
 
     @property
@@ -537,13 +553,12 @@ class Module:
         return len(self.weights)
 
     def action(self, b: int) -> Mat:
-        """The matrix of the basis element b: the projector onto weight b
-        for an idempotent, the product of its arrow matrices for a path."""
-        A, f = self.algebra, self.algebra.field
+        """The d_s x d_t matrix of the basis element b from s to t: the
+        identity for an idempotent, the product of its arrow blocks for a
+        path."""
+        A = self.algebra
         if b < A.nvert and b not in self._paths:
-            self._paths[b] = Mat(f, [[f.one if c == r and w == b else f.zero
-                                      for c in range(self.dim)]
-                                     for r, w in enumerate(self.weights)], ncols=self.dim)
+            self._paths[b] = Mat.identity(A.field, len(self.positions[b]))
         return _along_prefixes(A, b, self._paths, lambda m, a: m @ self._paths[a])
 
     def weight_positions(self, vertices) -> List[int]:
@@ -551,27 +566,25 @@ class Module:
         return [r for r, w in enumerate(self.weights) if w in vertices]
 
     def validate(self):
-        """Each weight is a vertex, each arrow matrix maps its source weight
-        to its target weight, and every path times an arrow acts as their
-        product (zero for -1); as the arrows generate the radical, the
-        product table then holds on all pairs."""
-        A, f = self.algebra, self.algebra.field
-        if any(not 0 <= w < A.nvert for w in self.weights):
-            raise InputError("module weight is not a vertex")
-        if len(self.arrows) != len(A.arrow_indices):
-            raise InputError("need one matrix per arrow")
-        for a, m in zip(A.arrow_indices, self.arrows):
-            if m.shape != (self.dim, self.dim):
-                raise InputError("arrow matrix shape mismatch")
-            corner = (A.source[a], A.target[a])
-            if any(x and (self.weights[r], self.weights[c]) != corner
-                   for r, row in enumerate(m.rows) for c, x in enumerate(row)):
-                raise InputError(f"arrow {A.basis_labels[a]} leaves its corner")
-        zero = Mat.zeros(f, self.dim, self.dim)
+        """Each arrow s -> t has a d_s x d_t block, and every path times an
+        arrow acts as their product (zero for -1); as the arrows generate
+        the radical, the product table then holds on all pairs.  The
+        weights are checked on construction."""
+        A = self.algebra
+        if len(self.blocks) != len(A.arrow_indices):
+            raise InputError("need one block per arrow")
+        for a, m in zip(A.arrow_indices, self.blocks):
+            shape = (len(self.positions[A.source[a]]), len(self.positions[A.target[a]]))
+            if m.shape != shape:
+                raise InputError(f"arrow {A.basis_labels[a]} has a block of shape "
+                                 f"{m.shape}, its vertices have dimensions {shape}")
         for c in range(A.dim):
             for a in A.arrow_indices:
+                if A.target[c] != A.source[a]:
+                    continue  # the product is zero and so is its action
                 k = A.prod[c][a]
-                if self.action(c) @ self.action(a) != (self.action(k) if k >= 0 else zero):
+                got = self.action(c) @ self.action(a)
+                if not (got == self.action(k) if k >= 0 else got.is_zero()):
                     raise InputError(f"action violates the product table at ({c},{a})")
 
     def __repr__(self):
@@ -592,13 +605,19 @@ def _along_prefixes(A: Algebra, b: int, memo: Dict, step):
 
 
 def yoneda_map(A: Algebra, i: int, target: Module, v: Sequence) -> Mat:
-    """The module map P_i -> target sending the generator to the row v:
-    the row of the path p * a is the row of p times the matrix of a."""
-    f = A.field
-    memo = {i: [x if w == i else f.zero for x, w in zip(v, target.weights)]}
-    rows = [_along_prefixes(A, b, memo, lambda r, a: (
-                Mat(f, [r], ncols=target.dim) @ target.action(a)).rows[0])
-            for b in A.projective_module(i).basis_in_algebra]
+    """The module map P_i -> target sending the generator to the row v,
+    of which only the coordinates at vertex i are read.  The path p * a
+    goes to the image of p times the block of a, which lands at the
+    positions of the target vertex of a."""
+    f, pos = A.field, target.positions
+    memo = {i: [v[c] for c in pos[i]]}
+    rows = []
+    for b in A.projective_module(i).basis_in_algebra:
+        local = _along_prefixes(A, b, memo, lambda r, a: la.vec_mat(r, target.action(a)))
+        row = [f.zero] * target.dim
+        for c, x in zip(pos[A.target[b]], local):
+            row[c] = x
+        rows.append(row)
     return Mat(f, rows, ncols=target.dim)
 
 
@@ -614,43 +633,60 @@ def projective_cover(M: Module, rows: Optional[Mat] = None
     in ascending order and, within a vertex, in the order of rows (of the
     identity, for M itself).
 
-    The radical of the submodule N is spanned by its images under the arrows
-    alone: a radical path p = q*r with q, r radical gives N*p inside N*r,
-    and following right factors from p ends at an arrow a, since p = x*p
-    with x radical would make p zero (the radical is nilpotent).  So every
-    N*p lies in some N*a.
+    Everything happens at one vertex at a time, in the coordinates of that
+    vertex.  The radical of the submodule N at a vertex t is spanned by the
+    images of the rows at s under the blocks of the arrows s -> t: a radical
+    path p = q*r with q, r radical gives N*p inside N*r, and following
+    right factors from p ends at an arrow a, since p = x*p with x radical
+    would make p zero (the radical is nilpotent).  So every N*p lies in some
+    N*a.
     """
     A, f = M.algebra, M.algebra.field
-    cols = [M.weight_positions((i,)) for i in range(A.nvert)]
-    cands: List[List] = [[] for _ in range(A.nvert)]
+    pos = M.positions
+    # per vertex v: the rows of weight v as rows of M (full; None for the
+    # identity) and in the coordinates at v (local)
+    full: Optional[List[List]] = None
     if rows is None:
-        rows = Mat.identity(f, M.dim)
-        images = [r for m in M.arrows for r in m.rows]
-        for i, pos in enumerate(cols):
-            cands[i] = [rows.rows[c] for c in pos]
+        local = [Mat.identity(f, len(pv)).rows if pv else [] for pv in pos]
     else:
-        images = [r for m in M.arrows for r in (rows @ m).rows]
+        full = [[] for _ in range(A.nvert)]
         for r in rows.rows:
             ws = {M.weights[c] for c, x in enumerate(r) if x}
             if len(ws) != 1:
                 raise InvariantError("row basis is not idempotent-homogeneous")
-            cands[ws.pop()].append(r)
-    rad = la.row_space_basis(Mat(f, images, ncols=M.dim)).rows if images else []
+            full[ws.pop()].append(r)
+        local = [[[r[c] for c in pv] for r in fv] for pv, fv in zip(pos, full)]
+    images: List[List] = [[] for _ in range(A.nvert)]
+    for a, block in zip(A.arrow_indices, M.blocks):
+        at_s = local[A.source[a]]
+        if at_s and block.ncols:
+            images[A.target[a]].extend(
+                block.rows if rows is None else (Mat(f, at_s) @ block).rows)
     gens = []
-    for i, cand in enumerate(cands):
-        if not cand:
-            continue
+    for v, cand in enumerate(local):
         # A row is picked iff it is outside the span of the radical and the
         # rows picked before it, i.e. iff its column is a pivot column of
-        # [rad, candidates] on the e_i coordinates, taken as columns.
-        stacked = Mat(f, [[r[c] for r in rad + cand] for c in cols[i]],
-                      ncols=len(rad) + len(cand))
-        pivots = set(la.rref(stacked).pivots)
-        gens.extend((i, v) for j, v in enumerate(cand, len(rad)) if j in pivots)
-    cover = la.vstack([yoneda_map(A, i, M, v) for i, v in gens]) if gens \
-        else Mat.zeros(f, 0, M.dim)
-    if la.rank(cover) != rows.nrows:
-        raise InvariantError("cover is not surjective")
+        # [radical, candidates] at v, taken as columns.  With no radical at
+        # v that is every row, as the rows are independent.
+        picked = range(len(cand))
+        if cand and images[v]:
+            stacked = images[v] + cand
+            pivots = la.rref(Mat(f, [list(col) for col in zip(*stacked)],
+                                 ncols=len(stacked))).pivots
+            picked = [j - len(images[v]) for j in pivots if j >= len(images[v])]
+        gens.extend((v, full[v][j] if full is not None else
+                     [f.one if c == pos[v][j] else f.zero for c in range(M.dim)])
+                    for j in picked)
+    cover = Mat(f, [row for i, r in gens for row in yoneda_map(A, i, M, r).rows],
+                ncols=M.dim)
+    # the image of the cover at each vertex is all of the submodule there
+    image: List[List] = [[] for _ in range(A.nvert)]
+    weights = (w for i, _ in gens for w in A.projective_module(i).weights)
+    for row, w in zip(cover.rows, weights):
+        image[w].append([row[c] for c in pos[w]])
+    for img, loc in zip(image, local):
+        if (la.rank(Mat(f, img)) if img else 0) != len(loc):
+            raise InvariantError("cover is not surjective")
     return [i for i, _ in gens], cover
 
 
@@ -659,10 +695,11 @@ def zero_module(A: Algebra) -> Module:
 
 
 def direct_sum_modules(A: Algebra, mods: Sequence[Module]) -> Tuple[Module, List[Tuple[int, int]]]:
-    """Direct sum and the (start, stop) block slices of the summands."""
+    """Direct sum and the (start, stop) block slices of the summands.  The
+    positions of each summand stay contiguous, so each arrow's block is
+    block-diagonal over the summands."""
     f = A.field
     dims = [m.dim for m in mods]
-    total = sum(dims)
     slices = []
     start = 0
     for d in dims:
@@ -671,12 +708,18 @@ def direct_sum_modules(A: Algebra, mods: Sequence[Module]) -> Tuple[Module, List
     if len(mods) == 1:
         return mods[0], slices  # a module is never changed in place
     z = f.zero
-    arrows = []
-    for n in range(len(A.arrow_indices)):
-        rows = [[z] * s + src + [z] * (total - e)
-                for m, (s, e) in zip(mods, slices) for src in m.arrows[n].rows]
-        arrows.append(Mat(f, rows, ncols=total))
-    return Module(A, [w for m in mods for w in m.weights], arrows), slices
+    widths = [[len(p) for p in m.positions] for m in mods]
+    totals = [sum(w[v] for w in widths) for v in range(A.nvert)]
+    blocks = []
+    for n, a in enumerate(A.arrow_indices):
+        t = A.target[a]
+        rows, before = [], 0
+        for m, w in zip(mods, widths):
+            after = totals[t] - before - w[t]
+            rows.extend([z] * before + r + [z] * after for r in m.blocks[n].rows)
+            before += w[t]
+        blocks.append(Mat(f, rows, ncols=totals[t]))
+    return Module(A, [w for m in mods for w in m.weights], blocks), slices
 
 
 def projectives_module(A: Algebra, verts: Sequence[int]) -> Tuple[Module, List[Tuple[int, int]]]:
@@ -686,38 +729,49 @@ def projectives_module(A: Algebra, verts: Sequence[int]) -> Tuple[Module, List[T
 
 def dual_module(M: Module) -> Module:
     """Right module over the opposite algebra on the dual space; the
-    opposite has the same arrows, each acting by the transpose."""
-    return Module(M.algebra.op(), M.weights, [m.transpose() for m in M.arrows])
+    opposite has the same arrows, each reversed and acting by the transpose
+    of its block."""
+    return Module(M.algebra.op(), M.weights, [m.transpose() for m in M.blocks])
 
 
 def module_hom_space(M: Module, N: Module) -> List[Mat]:
-    """Basis of Hom_A(M, N): matrices F with action_M(b) @ F = F @ action_N(b)
-    for the idempotents and the arrows b, which generate A."""
+    """Basis of Hom_A(M, N): the weight-preserving matrices F, one block
+    F_v from the coordinates of M at v to those of N at v per vertex, with
+    block(a) @ F_t = F_s @ block(a) for every arrow a: s -> t."""
     A, f = M.algebra, M.algebra.field
     if N.algebra is not A:
         raise InputError("modules over different algebras")
-    nvars = M.dim * N.dim
+    # the unknowns F[r][c] with r and c of equal weight, in row-major order;
+    # var[v][i][j] is the unknown of the i-th row and j-th column at v
+    var: List[List[List[int]]] = [[] for _ in range(A.nvert)]
+    cells = []
+    for r, w in enumerate(M.weights):
+        var[w].append(list(range(len(cells), len(cells) + len(N.positions[w]))))
+        cells.extend((r, c) for c in N.positions[w])
+    nvars = len(cells)
     if nvars == 0:
         return []
     rows = []
-    for b in (*range(A.nvert), *A.arrow_indices):
-        am, an = M.action(b), N.action(b)
-        # equation (am @ F - F @ an)[r][c] = 0
-        for r in range(M.dim):
-            for c in range(N.dim):
+    for a, bm, bn in zip(A.arrow_indices, M.blocks, N.blocks):
+        vs, vt = var[A.source[a]], var[A.target[a]]
+        # equation (bm @ F_t - F_s @ bn)[i][j] = 0
+        for i in range(bm.nrows):
+            for j in range(bn.ncols):
                 coeff = [f.zero] * nvars
-                for k in range(M.dim):
-                    if am.rows[r][k]:
-                        coeff[k * N.dim + c] = f.add(coeff[k * N.dim + c], am.rows[r][k])
-                for k in range(N.dim):
-                    if an.rows[k][c]:
-                        coeff[r * N.dim + k] = f.sub(coeff[r * N.dim + k], an.rows[k][c])
+                for k, x in enumerate(bm.rows[i]):
+                    if x:
+                        coeff[vt[k][j]] = f.add(coeff[vt[k][j]], x)
+                for k, brow in enumerate(bn.rows):
+                    if brow[j]:
+                        coeff[vs[i][k]] = f.sub(coeff[vs[i][k]], brow[j])
                 rows.append(coeff)
     sys = Mat(f, rows, ncols=nvars) if rows else Mat.zeros(f, 0, nvars)
     basis = []
-    for v in la.kernel_basis(sys):
-        basis.append(Mat(f, [[v[r * N.dim + c] for c in range(N.dim)]
-                             for r in range(M.dim)], ncols=N.dim))
+    for x in la.kernel_basis(sys):
+        F = Mat.zeros(f, M.dim, N.dim)
+        for (r, c), val in zip(cells, x):
+            F.rows[r][c] = val
+        basis.append(F)
     return basis
 
 

@@ -211,16 +211,8 @@ class Mat:
             raise InputError(f"matmul shape mismatch {self.shape} @ {other.shape}")
         f = self.field
         p, z = _modulus(f), f.zero
-        out = []
-        for row in self.rows:
-            # row @ other as a combination of other's rows; the zero entries
-            # of row, most of them in module actions and kernel rows, add
-            # nothing and are skipped
-            acc = [z] * other.ncols
-            for x, orow in compress(zip(row, other.rows), row):
-                acc = [s + x * y for s, y in zip(acc, orow)]
-            out.append([s % p for s in acc] if p else acc)
-        return Mat(f, out, ncols=other.ncols)
+        return Mat(f, [_row_times(row, other, p, z) for row in self.rows],
+                   ncols=other.ncols)
 
     def __add__(self, other):
         f = self.field
@@ -252,6 +244,23 @@ class Mat:
 
     def __repr__(self):
         return f"Mat({self.nrows}x{self.ncols} over {self.field})"
+
+
+def _row_times(row: Sequence[Element], m: Mat, p: int, z) -> List[Element]:
+    """row @ m as a combination of m's rows, reduced mod p unless p is 0;
+    the zero entries of row, most of them in module actions and kernel
+    rows, add nothing and are skipped."""
+    acc = [z] * m.ncols
+    for x, mrow in compress(zip(row, m.rows), row):
+        acc = [s + x * y for s, y in zip(acc, mrow)]
+    return [s % p for s in acc] if p else acc
+
+
+def vec_mat(v: Sequence[Element], m: Mat) -> List[Element]:
+    """The row vector v @ m."""
+    if len(v) != m.nrows:
+        raise InputError(f"vec_mat shape mismatch {len(v)} @ {m.shape}")
+    return _row_times(v, m, _modulus(m.field), m.field.zero)
 
 
 def hstack(mats: Sequence[Mat]) -> Mat:
@@ -321,7 +330,11 @@ def rref(m: Mat) -> RRef:
 
 
 def rank(m: Mat) -> int:
-    """Rank over the matrix's field, by exact Gaussian elimination."""
+    """Rank over the matrix's field, by exact Gaussian elimination; one row
+    needs none."""
+    if m.nrows == 1:
+        p = _modulus(m.field)
+        return int(any(x % p for x in m.rows[0]) if p else any(m.rows[0]))
     return len(rref(m).pivots)
 
 

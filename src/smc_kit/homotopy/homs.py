@@ -428,7 +428,7 @@ def solve_corner_constrained(src: ProjComplex, tgt: ProjComplex,
     for k, verts in Z.terms.items():
         Wk1 = W.module(k - 1)
         for s_idx, f_vert in enumerate(verts):
-            for q in Wk1.weight_positions((f_vert,)):
+            for q in Wk1.positions[f_vert]:
                 unit = [fld.one if i == q else zero for i in range(Wk1.dim)]
                 h_vars.append((k, zslices[k][s_idx], yoneda_map(W.algebra, f_vert, Wk1, unit)))
     nphi = coords_phi.total

@@ -57,13 +57,18 @@ class ModComplex:
     def _validate(self):
         A = self.algebra
         for k, d in self.diffs.items():
-            if d.shape != (self.terms[k].dim, self.terms[k + 1].dim):
+            src, tgt = self.terms[k], self.terms[k + 1]
+            if d.shape != (src.dim, tgt.dim):
                 raise InputError(f"module differential shape at {k}")
-            # the idempotents and the arrows generate A
-            for b in (*range(A.nvert), *A.arrow_indices):
-                lhs = self.terms[k].action(b) @ d
-                rhs = d @ self.terms[k + 1].action(b)
-                if lhs != rhs:
+            # the idempotents and the arrows generate A: d preserves weights,
+            # and its blocks at the ends of each arrow commute with it
+            if any(x and src.weights[r] != tgt.weights[c]
+                   for r, row in enumerate(d.rows) for c, x in enumerate(row)):
+                raise InputError(f"module differential at {k} is not a module map")
+            for a, bs, bt in zip(A.arrow_indices, src.blocks, tgt.blocks):
+                s, t = A.source[a], A.target[a]
+                if bs @ d.submatrix(src.positions[t], tgt.positions[t]) != \
+                        d.submatrix(src.positions[s], tgt.positions[s]) @ bt:
                     raise InputError(f"module differential at {k} is not a module map")
         for k in self.diffs:
             if k + 1 in self.diffs:
@@ -191,7 +196,8 @@ def dual_mod_complex(C: ModComplex) -> ModComplex:
 def corner_of_proj_complex(X: ProjComplex, B: Algebra, embed: Sequence[int],
                            subset: Sequence[int]) -> Tuple[ModComplex, Dict[int, List[int]]]:
     """X * e as a complex of eAe-modules, with the positions used to slice
-    (weight in the subset); each arrow of eAe acts as its path of A."""
+    (weight in the subset); each arrow of eAe acts by the block of its path
+    of A, as the coordinates at each vertex of the subset keep their order."""
     real, _ = module_realization(X)
     vertex = {v: n for n, v in enumerate(subset)}
     pos: Dict[int, List[int]] = {}
@@ -199,8 +205,8 @@ def corner_of_proj_complex(X: ProjComplex, B: Algebra, embed: Sequence[int],
     for k, M in real.terms.items():
         pk = M.weight_positions(vertex)
         pos[k] = pk
-        arrows = [M.action(embed[c]).submatrix(pk, pk) for c in B.arrow_indices]
-        terms[k] = Module(B, [vertex[M.weights[r]] for r in pk], arrows)
+        terms[k] = Module(B, [vertex[M.weights[r]] for r in pk],
+                          [M.action(embed[c]) for c in B.arrow_indices])
     diffs = {}
     for k, d in real.diffs.items():
         diffs[k] = d.submatrix(pos[k], pos[k + 1])
@@ -242,20 +248,9 @@ def resolve_complex(C: ModComplex, pd_bound: int = 32) -> Tuple[ProjComplex, Dic
         sum_mod = direct_sum_modules(A, parts)[0] if parts else None
         zmat = None  # no condition: all of sum_mod is compatible
         if sum_mod is not None and ncols:
-            cond = Mat.zeros(f, mdim + pdim, ncols)
-            dM = C.diff(k)
-            if dM is not None:
-                for r in range(mdim):
-                    cond.rows[r][:mdim1] = dM.rows[r]
-            if k + 1 in eps:
-                ek1 = eps[k + 1]
-                for r in range(pdim):
-                    cond.rows[mdim + r][:mdim1] = [f.neg(x) for x in ek1.rows[r]]
-            if k + 1 in delta:
-                dk1 = delta[k + 1]
-                for r in range(pdim):
-                    cond.rows[mdim + r][mdim1:] = dk1.rows[r]
-            zmat = Mat(f, la.left_kernel_basis(cond), ncols=sum_mod.dim)
+            zmat = Mat(f, _cycle_rows(sum_mod, mdim, C.diff(k), eps.get(k + 1),
+                                      delta.get(k + 1), C.terms.get(k + 1),
+                                      pmods.get(k + 2)), ncols=sum_mod.dim)
         if sum_mod is None or (zmat is not None and zmat.nrows == 0):
             if k <= lo:
                 break
@@ -294,6 +289,46 @@ def resolve_complex(C: ModComplex, pd_bound: int = 32) -> Tuple[ProjComplex, Dic
         if d in eps and d in real_from:
             aug_min[d] = real_from[d] @ eps[d]
     return Pmin, aug_min
+
+
+def _cycle_rows(sum_mod: Module, mdim: int, dM: Optional[Mat],
+                eps: Optional[Mat], delta: Optional[Mat], M1: Optional[Module],
+                P2: Optional[Module]) -> List[List]:
+    """A basis of Z^k, the rows (m, p) of sum_mod = M^k (+) P^{k+1} (m in
+    the first mdim coordinates) with m d_M = p eps and p delta = 0, as rows
+    of sum_mod.
+
+    The condition is a module map into M^{k+1} (+) P^{k+2}, so it preserves
+    weights and Z^k is solved one vertex at a time, on the coordinates at
+    that vertex.  The rows come grouped by vertex, and within a vertex in
+    the order of a kernel basis of the whole condition."""
+    f = sum_mod.algebra.field
+    z = f.zero
+    pdim = sum_mod.dim - mdim
+    zero_m = [z] * (M1.dim if M1 is not None else 0)
+    zero_p = [z] * (P2.dim if P2 is not None else 0)
+    # the condition's row for each row of sum_mod, towards M^{k+1} and P^{k+2}
+    to_m = (dM.rows if dM is not None else [zero_m] * mdim) + \
+        ([[f.neg(x) for x in r] for r in eps.rows] if eps is not None else [zero_m] * pdim)
+    to_p = [zero_p] * mdim + (delta.rows if delta is not None else [zero_p] * pdim)
+    out = []
+    for v, rows_v in enumerate(sum_mod.positions):
+        cols_m = M1.positions[v] if M1 is not None else ()
+        cols_p = P2.positions[v] if P2 is not None else ()
+        if not rows_v:
+            continue
+        if not cols_m and not cols_p:  # no condition at v
+            out.extend([f.one if c == r else z for c in range(sum_mod.dim)]
+                       for r in rows_v)
+            continue
+        cond = [[to_m[r][c] for c in cols_m] + [to_p[r][c] for c in cols_p]
+                for r in rows_v]
+        for x in la.left_kernel_basis(Mat(f, cond, ncols=len(cols_m) + len(cols_p))):
+            row = [z] * sum_mod.dim
+            for r, val in zip(rows_v, x):
+                row[r] = val
+            out.append(row)
+    return out
 
 
 def resolve_module(M: Module, pd_bound: int = 32) -> ProjComplex:

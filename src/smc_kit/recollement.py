@@ -24,7 +24,7 @@ algebra, so the validation checks, both gluing routes and the standard
 collections all reach the same complexes and share every functor value.
 This is sound only because complexes and modules are never changed in
 place, and no caller writes into a returned value (a JStarData's maps, a
-module's arrow or path matrices, or their rows).
+module's arrow or path blocks, or their rows).
 """
 
 from __future__ import annotations
@@ -157,13 +157,13 @@ def build_recollement(A: Algebra, subset: Sequence[int], *,
 
 def _quotient_module_over_middle(spec: RecollementSpec, M: Module) -> Module:
     """Restrict a module over A/AeA to a module over A along the projection:
-    an arrow of A acts through its image, or by zero inside AeA."""
-    A = spec.algebra
-    vertex = {spec.x_proj[v]: v for v in range(A.nvert) if spec.x_proj[v] is not None}
-    zero = Mat.zeros(A.field, M.dim, M.dim)
-    arrows = [zero if spec.x_proj[a] is None else M.action(spec.x_proj[a])
-              for a in A.arrow_indices]
-    return Module(A, [vertex[w] for w in M.weights], arrows)
+    an arrow of A acts by the block of its image, or by zero inside AeA."""
+    A, proj = spec.algebra, spec.x_proj
+    vertex = {proj[v]: v for v in range(A.nvert) if proj[v] is not None}
+    dims = [0 if proj[v] is None else len(M.positions[proj[v]]) for v in range(A.nvert)]
+    blocks = [Mat.zeros(A.field, dims[A.source[a]], dims[A.target[a]])
+              if proj[a] is None else M.action(proj[a]) for a in A.arrow_indices]
+    return Module(A, [vertex[w] for w in M.weights], blocks)
 
 
 # -- the six functors ----------------------------------------------------------

@@ -492,13 +492,23 @@ def _has_perfect_matching(adj: Sequence[Sequence[bool]]) -> bool:
 def smc_iso(S: SMC, T: SMC, rng: Optional[_random.Random] = None) -> bool:
     """Objectwise isomorphism up to permutation.  Certified in both
     directions when the objects are bricks, as in any collection that
-    passes axiom 1."""
+    passes axiom 1.
+
+    is_iso runs only on the pairs whose minimal term profiles agree, in
+    row-major order: every other pair is a certified NO of is_iso that
+    draws nothing from rng, so the pairs it does run draw what they would
+    draw among all n^2."""
     if S.algebra is not T.algebra or len(S) != len(T):
         return False
     rng = rng or _random.Random(0)
     n = len(S)
-    adj = [[bool(is_iso(S.objects[a], T.objects[b], rng=rng))
-            for b in range(n)] for a in range(n)]
+    s_prof, t_prof = ([minimalize(X)[0].term_profile() for X in C.objects]
+                      for C in (S, T))
+    candidates = [[s_prof[a] == t_prof[b] for b in range(n)] for a in range(n)]
+    if not all(map(any, candidates)):
+        return False  # an object of S with no partner of its profile
+    adj = [[cand and bool(is_iso(S.objects[a], T.objects[b], rng=rng))
+            for b, cand in enumerate(row)] for a, row in enumerate(candidates)]
     return _has_perfect_matching(adj)
 
 

@@ -10,9 +10,11 @@ from smc_kit.algebra import (
     Algebra,
     Module,
     Quiver,
+    direct_sum_modules,
     module_hom_space,
     projective_cover,
     projectives_module,
+    yoneda_map,
 )
 from smc_kit.exactla import Mat, PrimeField
 from smc_kit.homotopy import (
@@ -169,7 +171,8 @@ def corner_restriction_actions(B, embed, actions, pos):
 
 def module_from_actions(A, actions):
     """The module with these action matrices: the weights read off the
-    idempotent diagonals, the arrow matrices taken as they are."""
+    idempotent diagonals, each arrow's block cut out at the positions of its
+    source and target vertices, which must hold all its nonzero entries."""
     f = A.field
     dim = actions[0].nrows
     weights = [next(i for i in range(A.nvert) if actions[i].rows[r][r] == f.one)
@@ -178,7 +181,94 @@ def module_from_actions(A, actions):
         want = Mat(f, [[f.one if c == r and weights[r] == i else f.zero
                         for c in range(dim)] for r in range(dim)], ncols=dim)
         assert actions[i] == want, "module basis is not idempotent-diagonal"
-    return Module(A, weights, [actions[a] for a in A.arrow_indices])
+    pos = [[r for r in range(dim) if weights[r] == v] for v in range(A.nvert)]
+    M = Module(A, weights, [actions[a].submatrix(pos[A.source[a]], pos[A.target[a]])
+                            for a in A.arrow_indices])
+    for a in A.arrow_indices:
+        assert dense_action(M, a) == actions[a], "arrow leaves its corner"
+    return M
+
+
+def dense_action(M, b):
+    """The dim x dim matrix of the basis element b on M: its block placed at
+    the positions of its source vertex (rows) and target vertex (columns)."""
+    A = M.algebra
+    out = Mat.zeros(A.field, M.dim, M.dim)
+    for r, brow in zip(M.positions[A.source[b]], M.action(b).rows):
+        for c, x in zip(M.positions[A.target[b]], brow):
+            out.rows[r][c] = x
+    return out
+
+
+def dense_actions(M):
+    return [dense_action(M, b) for b in range(M.algebra.dim)]
+
+
+def row_span_module(N, rows):
+    """The submodule of N spanned by rows of weight-homogeneous vectors (a
+    module map's image rows are), with its own blocks: a basis of the span
+    at each vertex, and each arrow's images of the basis at its source
+    solved for in the basis at its target."""
+    A, f = N.algebra, N.algebra.field
+    bases = []
+    for pv in N.positions:
+        at_v = [[r[c] for c in pv] for r in rows
+                if pv and any(r[c] for c in pv)]
+        bases.append(la.row_space_basis(Mat(f, at_v)) if at_v
+                     else Mat.zeros(f, 0, len(pv)))
+    blocks = []
+    for a, block in zip(A.arrow_indices, N.blocks):
+        src, tgt = bases[A.source[a]], bases[A.target[a]]
+        if src.nrows == 0 or tgt.nrows == 0:
+            blocks.append(Mat.zeros(f, src.nrows, tgt.nrows))
+            continue
+        coords = la.solve_matrix(tgt.transpose(), (src @ block).transpose())
+        assert coords is not None, "rows do not span a submodule"
+        blocks.append(coords.transpose())
+    weights = [v for v, b in enumerate(bases) for _ in range(b.nrows)]
+    return Module(A, weights, blocks)
+
+
+def random_representation(A, rng):
+    """A random module: the image of a random map from a sum of projectives
+    to a sum of injectives.  Every module is one, through its projective
+    cover and its injective envelope."""
+    f = A.field
+    N = direct_sum_modules(A, [A.injective_module(rng.randrange(A.nvert))
+                               for _ in range(rng.randint(1, 3))])[0]
+    rows = []
+    for _ in range(rng.randint(1, 4)):
+        i = rng.choice(N.weights)
+        v = [f.rand(rng) if w == i else f.zero for w in N.weights]
+        rows.extend(yoneda_map(A, i, N, v).rows)
+    return row_span_module(N, rows)
+
+
+def assert_cover_oracle(M, rows=None):
+    """projective_cover(M, rows) against the dense path matrices of M: the
+    submodule N spanned by rows (M itself for None) gets d_i - dim(N rad)_i
+    generators at each vertex i, d_i the dimension of N at i, and the cover
+    is a module map onto N."""
+    A, f = M.algebra, M.algebra.field
+    span = Mat.identity(f, M.dim) if rows is None else rows
+    verts, cover = projective_cover(M, rows)
+    dense = dense_actions(M)
+    if span.nrows:
+        rad = [r for b in A.radical_indices for r in (span @ dense[b]).rows]
+        for i in range(A.nvert):
+            n_i = la.rank(span @ dense[i])
+            rad_i = la.rank(Mat(f, rad) @ dense[i]) if rad else 0
+            assert verts.count(i) == n_i - rad_i
+    assert cover.shape[0] == sum(A.projective_module(i).dim for i in verts)
+    # surjective onto N: the cover's rows and rows span the same space
+    assert la.rank(cover) == span.nrows
+    if span.nrows:
+        assert la.rank(la.vstack([span, cover])) == span.nrows
+    # a module map: it commutes with every basis element
+    P, _ = projectives_module(A, verts)
+    for b in range(A.dim):
+        assert dense_action(P, b) @ cover == cover @ dense[b]
+    return verts, cover
 
 
 def kernel_cover_resolution(M, bound):

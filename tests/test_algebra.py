@@ -1,4 +1,7 @@
+import contextlib
+import io
 import itertools
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -8,6 +11,7 @@ import hypothesis.strategies as st
 import gen
 from smc_kit import algebra as alg
 from smc_kit import exactla as la
+from smc_kit.cli import main
 from smc_kit.config import BoundExceeded, InputError, InvariantError
 from smc_kit.exactla import Mat, PrimeField, RationalField
 from smc_kit.fixtures import random_monomial_linear_algebra
@@ -395,7 +399,7 @@ def test_validate_rejects_malformed_tables():
 def _radical_rows(M):
     """Basis of M * rad as rows."""
     A, f = M.algebra, M.algebra.field
-    rows = [list(r) for b in A.radical_indices for r in M.action(b).rows]
+    rows = [list(r) for b in A.radical_indices for r in gen.dense_action(M, b).rows]
     return la.row_space_basis(Mat(f, rows, ncols=M.dim)) if rows \
         else Mat.zeros(f, 0, M.dim)
 
@@ -404,7 +408,8 @@ def _submodule_action_reference(M, rows):
     """Action matrices on a row space, one solve per algebra basis element."""
     action = []
     for b in range(M.algebra.dim):
-        coords = la.solve_matrix(rows.transpose(), (rows @ M.action(b)).transpose())
+        coords = la.solve_matrix(rows.transpose(),
+                                 (rows @ gen.dense_action(M, b)).transpose())
         if coords is None:
             raise InputError("row space is not a submodule")
         action.append(coords.transpose())
@@ -420,7 +425,7 @@ def _top_generators_reference(M):
         pos = M.weight_positions((i,))
         if not pos:
             continue
-        current = la.row_space_basis(rad @ M.action(i)) if rad.nrows else None
+        current = la.row_space_basis(rad @ gen.dense_action(M, i)) if rad.nrows else None
         rows = [list(r) for r in current.rows] if current is not None else []
         for r in pos:
             cand = [f.one if k == r else f.zero for k in range(M.dim)]
@@ -447,7 +452,7 @@ def _assert_cover_matches_reference(M, rows):
 
 
 def _actions(M):
-    return [M.action(b) for b in range(M.algebra.dim)]
+    return gen.dense_actions(M)
 
 
 def _assert_identical(mats, refs):
@@ -515,14 +520,14 @@ def test_stacked_module_solves_against_reference(rationals, rng):
                 R, Mat(f, rows, ncols=R.dim)))
     for M in mods:
         M.validate()
-        assert isinstance(M.arrows, tuple)
+        assert isinstance(M.blocks, tuple)
         _assert_cover_matches_reference(M, Mat.identity(f, M.dim))
         verts, cover = alg.projective_cover(M, Mat.identity(f, M.dim))
         assert alg.projective_cover(M) == (verts, cover)
     picked = rng.sample(mods, 3)
     for summands in (picked, picked[:1]):
         total, _ = alg.direct_sum_modules(A, summands)
-        _assert_identical([total.action(b) for b in range(A.dim)],
+        _assert_identical(gen.dense_actions(total),
                           gen.direct_sum_actions(A, [_actions(m) for m in summands]))
     # no rows: the zero cover
     verts, cover = alg.projective_cover(P[0], Mat.zeros(f, 0, P[0].dim))
@@ -553,7 +558,7 @@ def _row_space(f, rows, ncols):
 @given(st.sampled_from([PrimeField(2), FP, QQ]), st.booleans(),
        st.randoms(use_true_random=False))
 def test_arrow_images_span_the_radical_images(f, use_two_cycle, rng):
-    # projective_cover reduces rows @ action(a) over the arrows a only
+    # projective_cover reduces the images of rows under the arrows a only
     A = two_cycle(f) if use_two_cycle else \
         random_monomial_linear_algebra(f, rng, max_vertices=5)
     subset = rng.sample(range(A.nvert), rng.randint(1, A.nvert - 1))
@@ -581,7 +586,7 @@ def test_arrow_images_span_the_radical_images(f, use_two_cycle, rng):
                 subs.append((src, Mat(f, rows, ncols=src.dim)))
         for M, rows in subs:
             def images(basis):
-                return [r for b in basis for r in (rows @ M.action(b)).rows]
+                return [r for b in basis for r in (rows @ gen.dense_action(M, b)).rows]
             _assert_identical(
                 [_row_space(f, images(B.arrow_indices), M.dim)],
                 [_row_space(f, images(B.radical_indices), M.dim)])
@@ -591,8 +596,9 @@ def test_arrow_images_span_the_radical_images(f, use_two_cycle, rng):
 
 
 def _assert_derived_actions(M, ref, rng):
-    """M.action(b) is the reference matrix of b, and yoneda_map sends the
-    path b of P_i to v @ ref[b], for every basis element b."""
+    """M.action(b), placed at the positions of its vertices, is the
+    reference matrix of b, and yoneda_map sends the path b of P_i to
+    v @ ref[b], for every basis element b."""
     B, f = M.algebra, M.algebra.field
     M.validate()
     _assert_identical(_actions(M), ref)
@@ -661,17 +667,22 @@ def _commutative_square(f):
     return alg.Algebra(f, ("1", "2", "3", "4"), labels, source, target, prod)
 
 
-def _representation(A, weights, entries):
-    """Arrow matrices with the given (arrow, row, column) entries set to 1."""
-    f, n = A.field, len(weights)
-    arrows = []
+def _representation(A, weights, entries, shapes=()):
+    """Arrow blocks with the given (arrow, row, column) entries set to 1,
+    row and column numbered among all basis vectors; shapes gives some
+    arrows a block of another shape than (d_s, d_t)."""
+    f = A.field
+    pos = [[r for r, w in enumerate(weights) if w == v] for v in range(A.nvert)]
+    shapes = dict(shapes)
+    blocks = []
     for a in A.arrow_indices:
-        m = Mat.zeros(f, n, n)
+        rows, cols = pos[A.source[a]], pos[A.target[a]]
+        m = Mat.zeros(f, *shapes.get(a, (len(rows), len(cols))))
         for b, r, c in entries:
             if b == a:
-                m.rows[r][c] = f.one
-        arrows.append(m)
-    return alg.Module(A, weights, arrows)
+                m.rows[rows.index(r)][cols.index(c)] = f.one
+        blocks.append(m)
+    return alg.Module(A, weights, blocks)
 
 
 def test_module_validate_rejects_bad_representations():
@@ -680,8 +691,9 @@ def test_module_validate_rejects_bad_representations():
         alpha, beta = (A.basis_labels.index(x) for x in ("alpha", "beta"))
         # alpha: 2 -> 1 read from the weight-1 row to the weight-0 column
         _representation(A, (0, 1), [(alpha, 1, 0)]).validate()
-        with pytest.raises(InputError, match="leaves its corner"):
-            _representation(A, (0, 1), [(alpha, 0, 1)]).validate()
+        # a block that does not fit the dimensions at the ends of its arrow
+        with pytest.raises(InputError, match="block of shape"):
+            _representation(A, (0, 1), [], shapes=[(alpha, (2, 1))]).validate()
         # beta then alpha is the killed cycle at vertex 1
         with pytest.raises(InputError, match="product table"):
             _representation(A, (0, 1), [(alpha, 1, 0), (beta, 0, 1)]).validate()
@@ -695,3 +707,73 @@ def test_module_validate_rejects_bad_representations():
         for i in range(S.nvert):
             for M in (S.projective_module(i), S.simple_module(i), S.injective_module(i)):
                 M.validate()
+
+
+# -- vertex blocks against the dense path matrices -----------------------------
+
+
+def _random_block_algebra(f, rng):
+    A = rng.choice([gen.two_cycle_algebra, gen.self_injective_cycle_algebra,
+                    lambda f: random_monomial_linear_algebra(f, rng, max_vertices=5)])(f)
+    return rng.choice([A, A.op()])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([PrimeField(2), FP, QQ]), st.randoms(use_true_random=False))
+def test_projective_cover_against_dense_oracle(f, rng):
+    A = _random_block_algebra(f, rng)
+    M = gen.random_representation(A, rng)
+    M.validate()
+    verts, cover = gen.assert_cover_oracle(M)
+    # the syzygy, as the kernel rows of the cover inside the sum of projectives
+    P, _ = alg.projectives_module(A, verts)
+    rows = la.left_kernel_basis(cover)
+    gen.assert_cover_oracle(P, Mat(f, rows, ncols=P.dim) if rows else None)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([PrimeField(2), FP, QQ]), st.randoms(use_true_random=False))
+def test_dual_and_direct_sum_blocks(f, rng):
+    A = _random_block_algebra(f, rng)
+    mods = [gen.random_representation(A, rng) for _ in range(rng.randint(1, 3))]
+    mods.append(A.projective_module(rng.randrange(A.nvert)))
+    for M in mods:
+        back = alg.dual_module(alg.dual_module(M))
+        assert back.algebra is A and back.weights == M.weights
+        _assert_identical(back.blocks, M.blocks)
+    # each arrow's block of a direct sum is block-diagonal over the summands
+    total, _ = alg.direct_sum_modules(A, mods)
+    total.validate()
+    for n, a in enumerate(A.arrow_indices):
+        s, t = A.source[a], A.target[a]
+        want = Mat.zeros(f, len(total.positions[s]), len(total.positions[t]))
+        r0 = c0 = 0
+        for M in mods:
+            block = M.blocks[n]
+            for r in range(block.nrows):
+                for c in range(block.ncols):
+                    want.rows[r0 + r][c0 + c] = block.rows[r][c]
+            r0, c0 = r0 + block.nrows, c0 + block.ncols
+        _assert_identical([total.blocks[n]], [want])
+
+
+def test_gluing_a2_builds_only_vertex_blocks(monkeypatch):
+    built = []
+    init = alg.Module.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(alg.Module, "__init__", recording_init)
+    fixture = str(Path(__file__).resolve().parent.parent / "fixtures" / "a2.json")
+    for extra in ([], ["--dual"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["glue", fixture, "R", "xstd", "ystd", *extra]) == 0
+    assert built
+    for M in built:
+        A = M.algebra
+        assert len(M.blocks) == len(A.arrow_indices)
+        for a, block in zip(A.arrow_indices, M.blocks):
+            assert block.shape == (len(M.positions[A.source[a]]),
+                                   len(M.positions[A.target[a]]))

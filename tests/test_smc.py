@@ -10,7 +10,7 @@ import gen
 from smc_kit import smc
 from smc_kit.cli import main
 from smc_kit.config import InputError, NotRigidError
-from smc_kit.exactla import PrimeField
+from smc_kit.exactla import PrimeField, RationalField
 from smc_kit.fixtures import a2_fixture, random_recollement, two_cycle_fixture
 from smc_kit.homotopy import is_iso, shift
 from smc_kit.smc import (
@@ -303,6 +303,40 @@ def test_smc_iso_permutation():
     assert not smc_iso(std, user_smc(A2, std.objects[0], std.objects[0]))
 
 
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([PrimeField(2), PrimeField(32003), RationalField()]),
+       st.randoms(use_true_random=False))
+def test_smc_iso_agrees_with_full_matching(field, rng):
+    # smc_iso runs is_iso only on pairs of equal minimal term profiles; the
+    # matching over all n^2 pairs decides the same, and on a YES leaves
+    # the rng where smc_iso leaves it
+    spec = random_recollement(field, rng, max_vertices=4)
+    if spec is None:
+        return
+    sx, sy = standard_smc(spec.x_algebra), standard_smc(spec.y_algebra)
+    g, _ = glue(sx, sy, spec, rng=rng)
+    d, _ = glue_dual(sx, sy, spec, rng=rng)
+    std = standard_smc(spec.algebra)
+    colls = [std, g, d, g.shifted(1),
+             SMC(spec.algebra, (std.objects[0],) * len(std), Certificate("user"))]
+    for i in range(len(g)):
+        try:
+            colls.append(mutate(g, i, rng.choice(("left", "right")))[0])
+        except NotRigidError:
+            pass
+    for S in colls:
+        for T in colls:
+            full_rng, rng_used = random.Random(7), random.Random(7)
+            full = _has_perfect_matching(
+                [[bool(is_iso(X, Y, rng=full_rng)) for Y in T.objects]
+                 for X in S.objects])
+            got = smc_iso(S, T, rng=rng_used)
+            assert got == full
+            if got:
+                assert rng_used.getstate() == full_rng.getstate()
+    assert smc_iso(g, d) and not smc_iso(g, g.shifted(1))
+
+
 def test_glued_t_structure_generator_checks():
     out, _ = glue(A2.x_smc, A2.y_smc, A2.spec)
     checks = glued_t_structure_checks(out, A2.x_smc, A2.y_smc, A2.spec)
@@ -395,7 +429,7 @@ def test_approximation_transport():
 def test_multi_layer_truncation():
     # a random validated instance whose truncation strips several layers;
     # deep gluing must still verify end to end
-    from smc_kit.exactla import PrimeField
+    from smc_kit.exactla import PrimeField, RationalField
     from smc_kit.fixtures import random_recollement
     from smc_kit.homotopy import cocone, minimalize
     from smc_kit.recollement import canonical_theta, i_star
@@ -422,7 +456,7 @@ def test_multi_layer_truncation():
 def test_mixed_depth_strips_topmost_first():
     # mutated quotient sides spread layers across shifts; the strip log
     # must be weakly increasing in the stripped shift (deepest first)
-    from smc_kit.exactla import PrimeField
+    from smc_kit.exactla import PrimeField, RationalField
     from smc_kit.fixtures import random_recollement
     from smc_kit.homotopy import cocone, minimalize
     from smc_kit.recollement import canonical_theta, i_star
