@@ -95,6 +95,7 @@ class Algebra:
         self.prod = tuple(tuple(row) for row in prod)
         self._label_index = {lab: i for i, lab in enumerate(self.basis_labels)}
         self._corner_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+        self._corner_dims: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._op: Optional[Algebra] = None
         self._arrows: Optional[Tuple[int, ...]] = None
         self._factors: Optional[Tuple[Optional[Tuple[int, int]], ...]] = None
@@ -214,6 +215,17 @@ class Algebra:
                 b for b in range(self.dim)
                 if self.source[b] == i and self.target[b] == j)
         return self._corner_cache[key]
+
+    @property
+    def corner_dims(self) -> Tuple[Tuple[int, ...], ...]:
+        """corner_dims[i][j] = len(corner_indices(i, j)), for every pair of
+        vertices from one pass over the basis."""
+        if self._corner_dims is None:
+            dims = [[0] * self.nvert for _ in range(self.nvert)]
+            for i, j in zip(self.source, self.target):
+                dims[i][j] += 1
+            self._corner_dims = tuple(map(tuple, dims))
+        return self._corner_dims
 
     def is_radical_vec(self, x: Vec) -> bool:
         z = self.field.zero

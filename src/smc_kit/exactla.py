@@ -391,29 +391,25 @@ def row_space_basis(m: Mat) -> Mat:
                ncols=m.ncols)
 
 
-def det(m: Mat) -> Element:
-    """Determinant of a square matrix, by Gaussian elimination in the
-    arithmetic of rref."""
-    if m.nrows != m.ncols:
+def det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix, by fraction-free Bareiss
+    elimination over Python ints: each step's division by the previous
+    pivot is exact, and the last pivot is the determinant up to the sign of
+    the row swaps."""
+    a = [list(r) for r in rows]
+    if any(len(r) != len(a) for r in a):
         raise InputError("det needs a square matrix")
-    f = m.field
-    p = _modulus(f)
-    n = m.nrows
-    a = [[x % p for x in r] for r in m.rows] if p else [list(r) for r in m.rows]
-    d = f.one
-    for c in range(n):
-        k = next((i for i in range(c, n) if a[i][c]), None)
+    sign, prev = 1, 1
+    while a:
+        k = next((i for i, r in enumerate(a) if r[0]), None)
         if k is None:
-            return f.zero
-        if k != c:
-            a[c], a[k] = a[k], a[c]
-            d = -d
-        top = a[c]
-        d *= top[c]
-        inv = f.inv(top[c])
-        for i in range(c + 1, n):
-            if a[i][c]:
-                g = a[i][c] * inv
-                a[i] = ([(x - g * y) % p for x, y in zip(a[i], top)] if p
-                        else [x - g * y for x, y in zip(a[i], top)])
-    return d % p if p else d
+            return 0
+        if k:
+            a[0], a[k] = a[k], a[0]
+            sign = -sign
+        top = a[0]
+        p = top[0]
+        a = [[(p * y - r[0] * t) // prev for y, t in zip(r[1:], top[1:])]
+             for r in a[1:]]
+        prev = p
+    return sign * prev

@@ -85,8 +85,8 @@ class ProjComplex:
     def __init__(self, algebra: Algebra, terms: Dict[int, Sequence[int]],
                  diffs: Optional[Dict[int, Entries]] = None, validate: bool = True):
         self.algebra = algebra
-        # Read-only views over tuples: the caches below (and the Hom rank memo
-        # of homotopy.homs) are sound only because a complex never changes.
+        # Read-only views over tuples: the caches below (and the Hom memo of
+        # homotopy.homs) are sound only because a complex never changes.
         self.terms: Mapping[int, Tuple[int, ...]] = MappingProxyType({
             k: tuple(v) for k, v in terms.items() if len(v) > 0})
         diffs = diffs or {}
@@ -98,13 +98,15 @@ class ProjComplex:
                     d = ent_zeros(algebra, len(self.terms[k + 1]), len(self.terms[k]))
                 frozen[k] = tuple(tuple(tuple(e) for e in row) for row in d)
         self.diffs: Mapping[int, Tuple[Tuple[Vec, ...], ...]] = MappingProxyType(frozen)
+        # lowest and highest nonzero degree; None for the zero complex
+        self.support: Optional[Tuple[int, int]] = \
+            (min(self.terms), max(self.terms)) if self.terms else None
         self._shift_cache: Dict[int, "ProjComplex"] = {}
         self._minimal_cache = None
         self._module_cache = None
-        # Y -> {n: (rank D^n, number of degree-n coordinates)} for Hom(X, Y[n]),
-        # made by the first Hom query out of X; ints only, so an entry dies
-        # with either complex.
-        self._hom_ranks: Optional[weakref.WeakKeyDictionary] = None
+        # Y -> ({n: dim Hom(X, Y[n])}, {n: rank D^n}), made by the first Hom
+        # query out of X; ints only, so an entry dies with either complex.
+        self._hom_memo: Optional[weakref.WeakKeyDictionary] = None
         if validate:
             self._validate()
 
@@ -129,13 +131,6 @@ class ProjComplex:
                     raise InputError(f"d^2 != 0 between degrees {k} and {k + 2}")
 
     # -- structure -----------------------------------------------------------
-
-    @property
-    def support(self) -> Optional[Tuple[int, int]]:
-        if not self.terms:
-            return None
-        ks = self.terms.keys()
-        return (min(ks), max(ks))
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -4,9 +4,13 @@ Hom(X, Y[n]) is computed as cohomology of the total Hom complex: one
 coordinate block per (degree, target summand, source summand) triple, with
 coordinates running over the corner basis of e_j A e_i.  The differential
 D^n is read straight off the algebra's product table.  A query computes
-only the degrees it asks for, and the rank of each D^n is memoized per
-ordered pair of complexes (complexes are immutable), so repeated queries
-on the same objects cost no elimination.
+only the degrees it asks for.  Each ordered pair of complexes (complexes
+are immutable) memoizes its finished dimensions next to the ranks of the
+D^n behind them, so a repeated query is one dict lookup per degree.  The
+number of degree-n coordinates is counted from the vertices of the terms
+and the algebra's table of corner dimensions; coordinate blocks are laid
+out, and D^n built and ranked, only when degrees n and n + 1 both have
+coordinates.
 
 The same coordinate bookkeeping powers the solvers: null-homotopy tests,
 factorization of maps through triangles, and chain maps constrained at the
@@ -149,44 +153,60 @@ class HomTable:
 def hom_window(X: ProjComplex, Y: ProjComplex) -> Tuple[int, int]:
     """Degrees n outside which Hom(X, Y[n]) vanishes, from the supports;
     (0, 0) when either complex is zero."""
-    if X.is_zero() or Y.is_zero():
+    if X.support is None or Y.support is None:
         return (0, 0)
     (ax, bx), (ay, by) = X.support, Y.support
     return (ay - bx, by - ax)
 
 
-def _rank_and_size(X: ProjComplex, Y: ProjComplex, n: int) -> Tuple[int, int]:
-    """(rank of D^n, number of degree-n coordinates), memoized on X per Y."""
-    if X._hom_ranks is None:
-        X._hom_ranks = weakref.WeakKeyDictionary()
-    memo = X._hom_ranks.get(Y)
-    if memo is None:
-        memo = X._hom_ranks[Y] = {}
-    hit = memo.get(n)
-    if hit is None:
-        dom = _MapCoords.build(X, Y, n)
-        cod = _MapCoords.build(X, Y, n + 1)
-        r = la.rank(_hom_differential(X, Y, n, dom, cod)) \
-            if dom.total and cod.total else 0
-        hit = memo[n] = (r, dom.total)
-    return hit
+def _degree_size(X: ProjComplex, Y: ProjComplex, n: int) -> int:
+    """Number of degree-n coordinates, sum over k of dim e_j A e_i for i in
+    X^k and j in Y^{k+n}: the total of _MapCoords.build(X, Y, n), read off
+    the corner dimensions without laying out a block."""
+    cdims, tgt = X.algebra.corner_dims, Y.terms
+    size = 0
+    for k, src in X.terms.items():
+        for j in tgt.get(k + n, ()):
+            row = cdims[j]
+            for i in src:
+                size += row[i]
+    return size
+
+
+def _rank(X: ProjComplex, Y: ProjComplex, n: int, ranks: Dict[int, int]) -> int:
+    """Rank of D^n, memoized in ranks; coordinates are laid out only when
+    neither degree n nor n + 1 is empty."""
+    r = ranks.get(n)
+    if r is None:
+        r = 0
+        if _degree_size(X, Y, n) and _degree_size(X, Y, n + 1):
+            dom, cod = _MapCoords.build(X, Y, n), _MapCoords.build(X, Y, n + 1)
+            r = la.rank(_hom_differential(X, Y, n, dom, cod))
+        ranks[n] = r
+    return r
 
 
 def hom_dims(X: ProjComplex, Y: ProjComplex, degrees: Iterable[int]) -> Dict[int, int]:
-    """dim Hom(X, Y[n]) for each requested n, from the two ranks it needs."""
+    """dim Hom(X, Y[n]) for each requested n.  Each answer is memoized per
+    ordered pair, so a repeated degree costs one dict lookup; a new one
+    costs the ranks of D^n and D^{n-1}, each eliminated at most once."""
     if X.algebra is not Y.algebra:
         raise InputError("Hom requires complexes over the same algebra")
-    lo, hi = hom_window(X, Y)
-    empty = X.is_zero() or Y.is_zero()
+    if X._hom_memo is None:
+        X._hom_memo = weakref.WeakKeyDictionary()
+    pair = X._hom_memo.get(Y)
+    if pair is None:
+        pair = X._hom_memo[Y] = ({}, {})
+    dims, ranks = pair
     out: Dict[int, int] = {}
     for n in degrees:
-        if empty or not lo <= n <= hi:
-            out[n] = 0
-            continue
-        r, size = _rank_and_size(X, Y, n)
-        h = size - r - (_rank_and_size(X, Y, n - 1)[0] if n > lo else 0)
-        if h < 0:
-            raise InvariantError(f"negative Hom dimension {h} in degree {n}")
+        h = dims.get(n)
+        if h is None:
+            size = _degree_size(X, Y, n)
+            h = size - _rank(X, Y, n, ranks) - _rank(X, Y, n - 1, ranks) if size else 0
+            if h < 0:
+                raise InvariantError(f"negative Hom dimension {h} in degree {n}")
+            dims[n] = h
         out[n] = h
     return out
 

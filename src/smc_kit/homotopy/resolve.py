@@ -91,11 +91,10 @@ class ModComplex:
         return self.diffs.get(k)
 
     def cohomology_dims(self) -> Dict[int, int]:
+        ranks = {k: la.rank(d) for k, d in self.diffs.items()}
         out = {}
         for k in self.terms:
-            d_out = la.rank(self.diffs[k]) if k in self.diffs else 0
-            d_in = la.rank(self.diffs[k - 1]) if k - 1 in self.diffs else 0
-            h = self.terms[k].dim - d_out - d_in
+            h = self.terms[k].dim - ranks.get(k, 0) - ranks.get(k - 1, 0)
             if h:
                 out[k] = h
         return out

@@ -20,7 +20,6 @@ from typing import Dict, List, Literal, Optional, Sequence, Tuple
 from . import exactla as la
 from .algebra import Algebra
 from .config import BoundExceeded, InputError, InvariantError, NotRigidError, SmcKitError
-from .exactla import Mat, RationalField
 from .homotopy import (
     ChainMap,
     ProjComplex,
@@ -94,13 +93,9 @@ class SMC:
     def euler_det(self) -> Optional[int]:
         """Determinant of the matrix of alternating dimension-vector classes;
         None unless there are as many objects as vertices."""
-        n = len(self.objects)
-        if n != self.algebra.nvert:
+        if len(self.objects) != self.algebra.nvert:
             return None
-        if n == 0:
-            return 1
-        m = Mat.from_int_rows(RationalField(), self.euler_matrix(), ncols=n)
-        return int(la.det(m))
+        return la.det(self.euler_matrix())
 
     @property
     def euler_unimodular(self) -> bool:

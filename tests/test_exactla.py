@@ -168,14 +168,63 @@ def test_determinism():
     rng = random.Random(1)
     m = gen.random_matrix(QQ, 5, 5, rng)
     assert la.rref(m).reduced == la.rref(gen.mat_copy(m)).reduced
-    assert la.det(m) == la.det(gen.mat_copy(m))
+    ints = [[rng.randrange(-9, 10) for _ in range(5)] for _ in range(5)]
+    assert la.det(ints) == la.det([list(r) for r in ints])
 
 
 def test_det():
-    m = Mat.from_int_rows(QQ, [[2, 0], [1, 3]])
-    assert la.det(m) == Fraction(6)
-    m = Mat.from_int_rows(QQ, [[1, 2], [2, 4]])
-    assert la.det(m) == Fraction(0)
+    assert la.det([[2, 0], [1, 3]]) == 6
+    assert la.det([[1, 2], [2, 4]]) == 0
+    assert la.det([]) == 1
+    # the first and the second pivot both need a row swap
+    assert la.det([[0, 1, 2], [3, 4, 5], [6, 7, 9]]) == -3
+    assert la.det([[1, 2, 3], [2, 4, 7], [0, 5, 1]]) == -5
+    with pytest.raises(InputError):
+        la.det([[1, 2]])
+
+
+def _fraction_det(rows):
+    """Gaussian elimination over Fractions, swapping in the first row with a
+    nonzero pivot."""
+    a = [[Fraction(x) for x in r] for r in rows]
+    n, d = len(a), Fraction(1)
+    for c in range(n):
+        k = next((i for i in range(c, n) if a[i][c]), None)
+        if k is None:
+            return Fraction(0)
+        if k != c:
+            a[c], a[k] = a[k], a[c]
+            d = -d
+        d *= a[c][c]
+        for i in range(c + 1, n):
+            g = a[i][c] / a[c][c]
+            a[i] = [x - g * y for x, y in zip(a[i], a[c])]
+    return d
+
+
+@st.composite
+def _int_square(draw):
+    """Square integer matrices with many zeros (so pivots need row swaps),
+    sometimes with a row replaced by a combination of two others."""
+    n = draw(st.integers(0, 7))
+    entry = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-10**6, 10**6))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n >= 3 and draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(n)))[:3]
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_int_square())
+def test_det_matches_fraction_gauss(rows):
+    want = _fraction_det(rows)
+    got = la.det(rows)
+    assert type(got) is int and got == want
+    # a swap of two rows flips the sign
+    if len(rows) >= 2:
+        assert la.det([rows[1], rows[0]] + rows[2:]) == -want
 
 
 def test_matmul_paths_agree():

@@ -43,6 +43,7 @@ from smc_kit.homotopy.complexes import stalk
 from smc_kit.homotopy.homs import (
     chain_maps_basis,
     _compose_into,
+    _degree_size,
     _hom_differential,
     _MapCoords,
 )
@@ -534,11 +535,10 @@ def _greedy_basis_coords(X, Y, n):
     return chosen
 
 
-def _random_pair(rationals, rng):
+def _random_pair(field, rng):
     """Two complexes, zero about one time in ten, else an iterated cone of
     random chain maps, left non-minimal (sometimes with an added contractible
     summand) so that D^{n-1} has a large image."""
-    field = RationalField() if rationals else gen.FP
     A = rng.choice([gen.a2_algebra, gen.two_cycle_algebra,
                     lambda f: random_monomial_linear_algebra(f, rng, max_vertices=4)])(field)
 
@@ -571,7 +571,7 @@ def _random_pair(rationals, rng):
 @settings(max_examples=40, deadline=None)
 @given(st.booleans(), st.randoms(use_true_random=False))
 def test_hom_dims_against_dense_window_and_oracle(rationals, rng):
-    X, Y = _random_pair(rationals, rng)
+    X, Y = _random_pair(RationalField() if rationals else gen.FP, rng)
     lo, hi = hom_window(X, Y)
     degrees = list(range(lo - 2, hi + 3)) * 2
     rng.shuffle(degrees)
@@ -590,7 +590,7 @@ def test_hom_dims_against_dense_window_and_oracle(rationals, rng):
 @settings(max_examples=40, deadline=None)
 @given(st.booleans(), st.randoms(use_true_random=False))
 def test_sparse_differential_and_basis_match_dense_build(rationals, rng):
-    X, Y = _random_pair(rationals, rng)
+    X, Y = _random_pair(RationalField() if rationals else gen.FP, rng)
     lo, hi = hom_window(X, Y)
     for n in range(lo - 2, hi + 2):
         dom, cod = _MapCoords.build(X, Y, n), _MapCoords.build(X, Y, n + 1)
@@ -615,6 +615,28 @@ def test_sparse_differential_and_basis_match_dense_build(rationals, rng):
                     assert (sparse.shape, repr(sparse.rows)) == (dense.shape, repr(dense.rows))
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([PrimeField(2), gen.FP, RationalField()]),
+       st.randoms(use_true_random=False))
+def test_degree_sizes_and_warm_dims_match_coordinate_layouts(field, rng):
+    X, Y = _random_pair(field, rng)
+    objects = [X, Y, X.shift(1), Y.shift(-1)]
+    basis = chain_maps_basis(X, Y, rng.randrange(-1, 2))
+    if basis:
+        objects.append(cone(basis[rng.randrange(len(basis))])[0])
+    for P in objects:
+        for Q in objects:
+            lo, hi = hom_window(P, Q)
+            around = range(lo - 2, hi + 3)
+            for n in around:
+                assert _degree_size(P, Q, n) == _MapCoords.build(P, Q, n).total, n
+            dense = _dense_hom_dims(P, Q)
+            cold = hom_dims(P, Q, range(lo, hi + 1))
+            warm = hom_dims(P, Q, around)
+            assert warm == {n: dense.get(n, 0) for n in around}
+            assert cold == {n: warm[n] for n in range(lo, hi + 1)}
+
+
 def test_hom_basis_skips_null_homotopic_kernel_vectors():
     # Y's contractible summand puts null-homotopic chain maps first among
     # the kernel vectors of D^0; the basis must pass over them.
@@ -634,7 +656,7 @@ def test_hom_rank_memo_dies_with_either_complex():
         X, Y = s1_complex(), gen.resolved_simple(A2, 1)
         hom_table(X, Y)
         hom_table(shift(X, 1), Y)
-        assert dict(X._hom_ranks[Y])
+        assert all(X._hom_memo[Y])  # dims and ranks
         ref = weakref.ref(Y if keep_source else X)
         if keep_source:
             del Y
@@ -643,7 +665,7 @@ def test_hom_rank_memo_dies_with_either_complex():
         gc.collect()
         assert ref() is None
         if keep_source:
-            assert len(X._hom_ranks) == 0
+            assert len(X._hom_memo) == 0
 
 
 def test_complexes_are_read_only():

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 
 import gen
+from smc_kit import exactla as la
 from smc_kit import smc
+from smc_kit.algebra import Algebra, linear_quiver
 from smc_kit.cli import main
 from smc_kit.config import InputError, NotRigidError
 from smc_kit.exactla import PrimeField, RationalField
 from smc_kit.fixtures import a2_fixture, random_recollement, two_cycle_fixture
-from smc_kit.homotopy import is_iso, shift
+from smc_kit.homotopy import homs, is_iso, shift
 from smc_kit.smc import (
     SMC,
     _has_perfect_matching,
@@ -527,3 +529,26 @@ def test_is_iso_on_collection_objects_is_certified(p, rng):
             assert is_iso(Y, X, rng=rng).isomorphic == r.isomorphic
             if r.isomorphic:
                 gen.assert_iso_witness(r, X, Y)
+
+
+def test_warm_hom_queries_build_no_coordinates_and_rank_nothing(monkeypatch):
+    A = Algebra.from_quiver(PrimeField(32003), linear_quiver(5),
+                            relations=[("a2", "a3")])
+    S = standard_smc(A)
+    T, _ = mutate(S, 1, "left")
+    first = [validate_smc(S), validate_smc(T), compare(S, T, rng=random.Random(0))]
+    calls = []
+    build, rank = homs._MapCoords.build.__func__, la.rank
+    monkeypatch.setattr(homs._MapCoords, "build", classmethod(
+        lambda cls, *args: calls.append("build") or build(cls, *args)))
+    monkeypatch.setattr(la, "rank", lambda m: calls.append("rank") or rank(m))
+    # a warm degree is read from the memo: not even its size is counted
+    size = homs._degree_size
+    monkeypatch.setattr(homs, "_degree_size",
+                        lambda *args: calls.append("size") or size(*args))
+    second = [validate_smc(S), validate_smc(T), compare(S, T, rng=random.Random(0))]
+    assert calls == []
+    assert second == first and first[2] == "geq"
+    # the wrappers do count: a fresh collection lays out and ranks
+    validate_smc(mutate(S, 2, "left")[0])
+    assert set(calls) == {"build", "rank", "size"}
