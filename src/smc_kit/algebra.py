@@ -13,8 +13,10 @@ relied on everywhere downstream:
   vectors of weight ``v`` are ``positions[v]``, and a basis element ``b``
   from ``s`` to ``t`` acts by the ``d_s x d_t`` matrix ``action(b)`` on
   their coordinates, ``x -> x @ action(b)`` for a row ``x`` of weight ``s``;
-* maps of right modules multiply on the right of row vectors, so the
-  composite "f then g" has matrix ``F @ G``;
+* a map of right modules M -> N is a ``ModMap``: one ``d_v(M) x d_v(N)``
+  block per vertex v, over the coordinates in ``positions[v]`` order.  It
+  multiplies on the right of row vectors, so the composite "f then g" is
+  ``compose_maps(F, G)``, the blockwise ``F_v @ G_v``;
 * Hom(e_i A, e_j A) = e_j A e_i acting by left multiplication.
 """
 
@@ -28,6 +30,7 @@ from .config import BoundExceeded, InputError, InvariantError
 from .exactla import Field, Mat
 
 Vec = Tuple  # coefficient tuple over the algebra basis
+ModMap = Tuple[Mat, ...]  # a module map: one block per vertex
 
 
 # Characters of the element and object grammars; a label containing one
@@ -573,10 +576,6 @@ class Module:
             self._paths[b] = Mat.identity(A.field, len(self.positions[b]))
         return _along_prefixes(A, b, self._paths, lambda m, a: m @ self._paths[a])
 
-    def weight_positions(self, vertices) -> List[int]:
-        """Positions of the basis vectors whose weight lies in vertices."""
-        return [r for r, w in enumerate(self.weights) if w in vertices]
-
     def validate(self):
         """Each arrow s -> t has a d_s x d_t block, and every path times an
         arrow acts as their product (zero for -1); as the arrows generate
@@ -616,34 +615,39 @@ def _along_prefixes(A: Algebra, b: int, memo: Dict, step):
     return memo[chain[0] if chain else b]
 
 
-def yoneda_map(A: Algebra, i: int, target: Module, v: Sequence) -> Mat:
-    """The module map P_i -> target sending the generator to the row v,
-    of which only the coordinates at vertex i are read.  The path p * a
-    goes to the image of p times the block of a, which lands at the
-    positions of the target vertex of a."""
-    f, pos = A.field, target.positions
-    memo = {i: [v[c] for c in pos[i]]}
-    rows = []
+def yoneda_map(A: Algebra, i: int, target: Module, v: Sequence) -> ModMap:
+    """The module map P_i -> target sending the generator to v, a vector in
+    the coordinates of target at vertex i.  The path p * a goes to the image
+    of p times the block of a, a row of the block at the target vertex of a."""
+    memo = {i: list(v)}
+    rows: List[List] = [[] for _ in range(A.nvert)]
     for b in A.projective_module(i).basis_in_algebra:
-        local = _along_prefixes(A, b, memo, lambda r, a: la.vec_mat(r, target.action(a)))
-        row = [f.zero] * target.dim
-        for c, x in zip(pos[A.target[b]], local):
-            row[c] = x
-        rows.append(row)
-    return Mat(f, rows, ncols=target.dim)
+        rows[A.target[b]].append(
+            _along_prefixes(A, b, memo, lambda r, a: la.vec_mat(r, target.action(a))))
+    return tuple(Mat(A.field, r, ncols=len(p)) for r, p in zip(rows, target.positions))
 
 
-def projective_cover(M: Module, rows: Optional[Mat] = None
-                     ) -> Tuple[List[int], Mat]:
+def compose_maps(F: ModMap, G: ModMap) -> ModMap:
+    """The module map "F then G", one product per vertex."""
+    return tuple(f @ g for f, g in zip(F, G))
+
+
+def map_rank(F: ModMap) -> int:
+    """Rank of a module map: the sum of the ranks of its blocks."""
+    return sum(la.rank(b) for b in F if b.nrows and b.ncols)
+
+
+def projective_cover(M: Module, rows: Optional[Sequence[Sequence]] = None
+                     ) -> Tuple[List[int], ModMap]:
     """Projective cover of the submodule of M spanned by rows, or of M itself
     when rows is None.
 
-    rows must be linearly independent, each supported on one vertex weight,
-    and span a submodule (a kernel basis of a module map is all three).
-    Returns the vertices of the cover and the cover map into M.  Its
-    generators are the rows that lift a basis of the top, picked per vertex
-    in ascending order and, within a vertex, in the order of rows (of the
-    identity, for M itself).
+    rows holds, per vertex v, rows in the coordinates of M at v; together
+    they must be linearly independent and span a submodule (the blocks of a
+    kernel basis of a module map are both).  Returns the vertices of the
+    cover and the cover map into M.  Its generators are the rows that lift a
+    basis of the top, picked per vertex in ascending order and, within a
+    vertex, in the order of rows (of the identity, for M itself).
 
     Everything happens at one vertex at a time, in the coordinates of that
     vertex.  The radical of the submodule N at a vertex t is spanned by the
@@ -654,20 +658,8 @@ def projective_cover(M: Module, rows: Optional[Mat] = None
     N*a.
     """
     A, f = M.algebra, M.algebra.field
-    pos = M.positions
-    # per vertex v: the rows of weight v as rows of M (full; None for the
-    # identity) and in the coordinates at v (local)
-    full: Optional[List[List]] = None
-    if rows is None:
-        local = [Mat.identity(f, len(pv)).rows if pv else [] for pv in pos]
-    else:
-        full = [[] for _ in range(A.nvert)]
-        for r in rows.rows:
-            ws = {M.weights[c] for c, x in enumerate(r) if x}
-            if len(ws) != 1:
-                raise InvariantError("row basis is not idempotent-homogeneous")
-            full[ws.pop()].append(r)
-        local = [[[r[c] for c in pv] for r in fv] for pv, fv in zip(pos, full)]
+    local = rows if rows is not None else \
+        [Mat.identity(f, len(pv)).rows for pv in M.positions]
     images: List[List] = [[] for _ in range(A.nvert)]
     for a, block in zip(A.arrow_indices, M.blocks):
         at_s = local[A.source[a]]
@@ -682,22 +674,19 @@ def projective_cover(M: Module, rows: Optional[Mat] = None
         # v that is every row, as the rows are independent.
         picked = range(len(cand))
         if cand and images[v]:
-            stacked = images[v] + cand
+            stacked = images[v] + list(cand)
             pivots = la.rref(Mat(f, [list(col) for col in zip(*stacked)],
                                  ncols=len(stacked))).pivots
             picked = [j - len(images[v]) for j in pivots if j >= len(images[v])]
-        gens.extend((v, full[v][j] if full is not None else
-                     [f.one if c == pos[v][j] else f.zero for c in range(M.dim)])
-                    for j in picked)
-    cover = Mat(f, [row for i, r in gens for row in yoneda_map(A, i, M, r).rows],
-                ncols=M.dim)
+        gens.extend((v, cand[j]) for j in picked)
+    blocks: List[List] = [[] for _ in range(A.nvert)]
+    for i, r in gens:
+        for rows_w, block in zip(blocks, yoneda_map(A, i, M, r)):
+            rows_w.extend(block.rows)
+    cover = tuple(Mat(f, r, ncols=len(p)) for r, p in zip(blocks, M.positions))
     # the image of the cover at each vertex is all of the submodule there
-    image: List[List] = [[] for _ in range(A.nvert)]
-    weights = (w for i, _ in gens for w in A.projective_module(i).weights)
-    for row, w in zip(cover.rows, weights):
-        image[w].append([row[c] for c in pos[w]])
-    for img, loc in zip(image, local):
-        if (la.rank(Mat(f, img)) if img else 0) != len(loc):
+    for block, loc in zip(cover, local):
+        if (la.rank(block) if block.nrows else 0) != len(loc):
             raise InvariantError("cover is not surjective")
     return [i for i, _ in gens], cover
 
@@ -706,20 +695,12 @@ def zero_module(A: Algebra) -> Module:
     return Module(A, (), [Mat.zeros(A.field, 0, 0) for _ in A.arrow_indices])
 
 
-def direct_sum_modules(A: Algebra, mods: Sequence[Module]) -> Tuple[Module, List[Tuple[int, int]]]:
-    """Direct sum and the (start, stop) block slices of the summands.  The
-    positions of each summand stay contiguous, so each arrow's block is
-    block-diagonal over the summands."""
-    f = A.field
-    dims = [m.dim for m in mods]
-    slices = []
-    start = 0
-    for d in dims:
-        slices.append((start, start + d))
-        start += d
+def direct_sum_modules(A: Algebra, mods: Sequence[Module]) -> Module:
+    """Direct sum.  The positions of each summand stay contiguous, so each
+    arrow's block is block-diagonal over the summands."""
     if len(mods) == 1:
-        return mods[0], slices  # a module is never changed in place
-    z = f.zero
+        return mods[0]  # a module is never changed in place
+    z = A.field.zero
     widths = [[len(p) for p in m.positions] for m in mods]
     totals = [sum(w[v] for w in widths) for v in range(A.nvert)]
     blocks = []
@@ -730,13 +711,12 @@ def direct_sum_modules(A: Algebra, mods: Sequence[Module]) -> Tuple[Module, List
             after = totals[t] - before - w[t]
             rows.extend([z] * before + r + [z] * after for r in m.blocks[n].rows)
             before += w[t]
-        blocks.append(Mat(f, rows, ncols=totals[t]))
-    return Module(A, [w for m in mods for w in m.weights], blocks), slices
+        blocks.append(Mat(A.field, rows, ncols=totals[t]))
+    return Module(A, [w for m in mods for w in m.weights], blocks)
 
 
-def projectives_module(A: Algebra, verts: Sequence[int]) -> Tuple[Module, List[Tuple[int, int]]]:
-    mods = [A.projective_module(i) for i in verts]
-    return direct_sum_modules(A, mods)
+def projectives_module(A: Algebra, verts: Sequence[int]) -> Module:
+    return direct_sum_modules(A, [A.projective_module(i) for i in verts])
 
 
 def dual_module(M: Module) -> Module:
@@ -746,21 +726,21 @@ def dual_module(M: Module) -> Module:
     return Module(M.algebra.op(), M.weights, [m.transpose() for m in M.blocks])
 
 
-def module_hom_space(M: Module, N: Module) -> List[Mat]:
-    """Basis of Hom_A(M, N): the weight-preserving matrices F, one block
-    F_v from the coordinates of M at v to those of N at v per vertex, with
+def module_hom_space(M: Module, N: Module) -> List[ModMap]:
+    """Basis of Hom_A(M, N): the module maps F, one block F_v from the
+    coordinates of M at v to those of N at v per vertex, with
     block(a) @ F_t = F_s @ block(a) for every arrow a: s -> t."""
     A, f = M.algebra, M.algebra.field
     if N.algebra is not A:
         raise InputError("modules over different algebras")
-    # the unknowns F[r][c] with r and c of equal weight, in row-major order;
+    # the unknowns F_v[i][j], numbered in the row-major order of M's basis;
     # var[v][i][j] is the unknown of the i-th row and j-th column at v
     var: List[List[List[int]]] = [[] for _ in range(A.nvert)]
-    cells = []
-    for r, w in enumerate(M.weights):
-        var[w].append(list(range(len(cells), len(cells) + len(N.positions[w]))))
-        cells.extend((r, c) for c in N.positions[w])
-    nvars = len(cells)
+    nvars = 0
+    for w in M.weights:
+        width = len(N.positions[w])
+        var[w].append(list(range(nvars, nvars + width)))
+        nvars += width
     if nvars == 0:
         return []
     rows = []
@@ -778,13 +758,9 @@ def module_hom_space(M: Module, N: Module) -> List[Mat]:
                         coeff[vs[i][k]] = f.sub(coeff[vs[i][k]], brow[j])
                 rows.append(coeff)
     sys = Mat(f, rows, ncols=nvars) if rows else Mat.zeros(f, 0, nvars)
-    basis = []
-    for x in la.kernel_basis(sys):
-        F = Mat.zeros(f, M.dim, N.dim)
-        for (r, c), val in zip(cells, x):
-            F.rows[r][c] = val
-        basis.append(F)
-    return basis
+    return [tuple(Mat(f, [[x[c] for c in cells] for cells in var_v], ncols=len(pv))
+                  for var_v, pv in zip(var, N.positions))
+            for x in la.kernel_basis(sys)]
 
 
 def projective_dimension(M: Module, bound: int = 32) -> Optional[int]:

@@ -100,6 +100,36 @@ class Workspace:
         raise InputError(f"unresolved object name {base!r}")
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise InputError(f"{what} must be a JSON object")
+    return value
+
+
+def _list(value, what: str, strings: bool = False) -> list:
+    """value as a list, of strings only when strings is set."""
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a JSON list")
+    for v in value:
+        if strings and not isinstance(v, str):
+            raise InputError(f"{what}: entry {v!r} is not a string")
+    return value
+
+
+def _name(doc: dict, what: str) -> str:
+    name = doc.get("algebra")
+    if not isinstance(name, str) or not name:
+        raise InputError(f"{what}: 'algebra' must name an algebra")
+    return name
+
+
+def _degree(key: str, what: str) -> int:
+    try:
+        return int(key)
+    except ValueError:
+        raise InputError(f"{what}: degree {key!r} is not an integer") from None
+
+
 def parse_workspace(doc: dict, field_override=None, pd_bound: int = 32) -> Workspace:
     if not isinstance(doc, dict):
         raise InputError("workspace must be a JSON object")
@@ -109,63 +139,68 @@ def parse_workspace(doc: dict, field_override=None, pd_bound: int = 32) -> Works
     field = get_field(field_override if field_override is not None
                       else doc.get("field", 32003))
     ws = Workspace(field, {}, {}, {}, {}, {}, pd_bound=pd_bound)
-    for name, adoc in doc.get("algebras", {}).items():
+    sections = {key: _object(doc.get(key, {}), repr(key))
+                for key in ("algebras", "recollements", "complexes", "smcs")}
+    for name, adoc in sections["algebras"].items():
+        what = f"algebra {name!r}"
+        adoc = _object(adoc, what)
         try:
-            verts = tuple(str(v) for v in adoc["vertices"])
+            verts = tuple(str(v) for v in _list(adoc["vertices"], f"{what}: 'vertices'"))
             arrows = tuple((str(a["label"]), str(a["source"]), str(a["target"]))
-                           for a in adoc.get("arrows", []))
+                           for a in (_object(a, f"{what}: arrow")
+                                     for a in _list(adoc.get("arrows", []),
+                                                    f"{what}: 'arrows'")))
             quiver = Quiver(verts, arrows)
-            rels = [tuple(r.split("*")) for r in adoc.get("relations", [])]
+            rels = [tuple(r.split("*")) for r in
+                    _list(adoc.get("relations", []), f"{what}: 'relations'", True)]
             ws.algebras[name] = Algebra.from_quiver(field, quiver, rels)
         except KeyError as exc:
-            raise InputError(f"algebra {name!r}: missing key {exc}") from None
-    for name, rdoc in doc.get("recollements", {}).items():
-        alg_name = rdoc.get("algebra")
+            raise InputError(f"{what}: missing key {exc}") from None
+    for name, rdoc in sections["recollements"].items():
+        what = f"recollement {name!r}"
+        alg_name = _name(_object(rdoc, what), what)
         if alg_name not in ws.algebras:
-            raise InputError(f"recollement {name!r}: unknown algebra {alg_name!r}")
+            raise InputError(f"{what}: unknown algebra {alg_name!r}")
         A = ws.algebras[alg_name]
         subset = []
-        for v in rdoc.get("idempotents", []):
+        for v in _list(rdoc.get("idempotents", []), f"{what}: 'idempotents'"):
             try:
                 subset.append(list(A.vertex_labels).index(str(v)))
             except ValueError:
-                raise InputError(f"recollement {name!r}: unknown vertex {v!r}") \
-                    from None
+                raise InputError(f"{what}: unknown vertex {v!r}") from None
         ws.recollements[name] = build_recollement(A, subset, pd_bound=pd_bound)
-    for name, cdoc in doc.get("complexes", {}).items():
-        alg_name = cdoc.get("algebra")
-        A = ws.resolve_algebra(alg_name) if alg_name else None
-        if A is None:
-            raise InputError(f"complex {name!r}: missing algebra")
+    for name, cdoc in sections["complexes"].items():
+        what = f"complex {name!r}"
+        alg_name = _name(_object(cdoc, what), what)
+        A = ws.resolve_algebra(alg_name)
         terms: Dict[int, Tuple[int, ...]] = {}
-        for deg_str, verts in cdoc.get("terms", {}).items():
+        for deg_str, verts in _object(cdoc.get("terms", {}), f"{what}: 'terms'").items():
             idx = []
-            for v in verts:
+            for v in _list(verts, f"{what}: term {deg_str!r}"):
                 try:
                     idx.append(list(A.vertex_labels).index(str(v)))
                 except ValueError:
-                    raise InputError(f"complex {name!r}: unknown vertex {v!r}") \
-                        from None
-            terms[int(deg_str)] = tuple(idx)
+                    raise InputError(f"{what}: unknown vertex {v!r}") from None
+            terms[_degree(deg_str, what)] = tuple(idx)
         diffs = {}
-        for deg_str, rows in cdoc.get("diffs", {}).items():
-            k = int(deg_str)
-            diffs[k] = [[A.parse_element(e) for e in row] for row in rows]
+        for deg_str, rows in _object(cdoc.get("diffs", {}), f"{what}: 'diffs'").items():
+            entry = f"{what}: differential {deg_str!r}"
+            diffs[_degree(deg_str, what)] = [
+                [A.parse_element(e) for e in _list(row, entry, True)]
+                for row in _list(rows, entry)]
         try:
             cplx = ProjComplex(A, terms, diffs)
         except InputError as exc:
-            raise InputError(f"complex {name!r}: {exc}") from None
+            raise InputError(f"{what}: {exc}") from None
         ws.complexes[name] = (alg_name, cplx)
-    for name, sdoc in doc.get("smcs", {}).items():
+    for name, sdoc in sections["smcs"].items():
+        what = f"smc {name!r}"
+        alg_name = _name(_object(sdoc, what), what)
         ws.smc_docs[name] = sdoc
-        alg_name = sdoc.get("algebra")
-        if not alg_name:
-            raise InputError(f"smc {name!r}: missing algebra")
-        A = ws.resolve_algebra(alg_name)
-        objs = tuple(ws.resolve_object(alg_name, expr)
-                     for expr in sdoc.get("objects", []))
-        ws.smcs[name] = SMC(A, objs, Certificate("user", f"workspace smc {name}"),
-                            tuple(sdoc.get("objects", [])))
+        exprs = tuple(_list(sdoc.get("objects", []), f"{what}: 'objects'", True))
+        objs = tuple(ws.resolve_object(alg_name, expr) for expr in exprs)
+        ws.smcs[name] = SMC(ws.resolve_algebra(alg_name), objs,
+                            Certificate("user", f"workspace smc {name}"), exprs)
     return ws
 
 
@@ -356,6 +391,14 @@ def cmd_paper_examples(args) -> int:
     return 0 if payload["all_passed"] else 1
 
 
+def _non_negative(text: str) -> int:
+    """A resource flag's value: a non-negative int (argparse exits 2 else)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="smc-kit",
@@ -365,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", default=None,
                    help="override the workspace field: a prime or 'rationals'")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--pd-bound", type=int, default=DEFAULT_LIMITS.pd_bound)
+    p.add_argument("--pd-bound", type=_non_negative, default=DEFAULT_LIMITS.pd_bound)
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("validate", help="validate a named collection")
@@ -401,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("smc")
     sp.add_argument("object")
     sp.add_argument("--threshold", type=int, default=1)
-    sp.add_argument("--strip-cap", type=int, default=DEFAULT_LIMITS.strip_cap)
+    sp.add_argument("--strip-cap", type=_non_negative, default=DEFAULT_LIMITS.strip_cap)
     sp.set_defaults(fn=cmd_truncate)
 
     sp = sub.add_parser("hom", help="graded Hom dimensions between objects")

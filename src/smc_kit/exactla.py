@@ -221,13 +221,12 @@ class Mat:
         return Mat(f, [[f.add(a, b) for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)],
                    ncols=self.ncols)
 
+    def columns(self, lo: int, hi: int) -> "Mat":
+        return Mat(self.field, [r[lo:hi] for r in self.rows], ncols=hi - lo)
+
     def transpose(self):
         return Mat(self.field, [[self.rows[i][j] for i in range(self.nrows)]
                                 for j in range(self.ncols)], ncols=self.nrows)
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]):
-        return Mat(self.field, [[self.rows[i][j] for j in col_idx] for i in row_idx],
-                   ncols=len(col_idx))
 
     # -- misc --------------------------------------------------------------
 

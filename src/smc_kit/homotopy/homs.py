@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .. import exactla as la
-from ..algebra import Algebra, yoneda_map
+from ..algebra import Algebra, ModMap, yoneda_map
 from ..config import InputError, InvariantError
 from ..exactla import Mat
 from .complexes import (
@@ -44,8 +44,8 @@ from .complexes import (
 from .resolve import (
     ModComplex,
     cohomology_dims,
-    module_realization,
     realize_chain_map,
+    summand_offsets,
 )
 
 
@@ -408,7 +408,8 @@ def is_iso(X: ProjComplex, Y: ProjComplex,
         return IsoResult(False, False, note=note)
     # a chain map whose scalar profiles are invertible is an isomorphism
     # degreewise; check that on its module realization
-    if any(la.rank(m) < m.nrows for m in realize_chain_map(found).values()):
+    if any(la.rank(b) < b.nrows for F in realize_chain_map(found).values()
+           for b in F if b.nrows):
         raise InvariantError("chain map with invertible scalar profiles "
                              "has a singular component")
     return IsoResult(True, True, witness=found, note="invertible chain map witness")
@@ -420,119 +421,107 @@ def is_iso(X: ProjComplex, Y: ProjComplex,
 def solve_corner_constrained(src: ProjComplex, tgt: ProjComplex,
                              subset: Sequence[int],
                              Z: ProjComplex, Zreal: ModComplex,
-                             R: Optional[Dict[int, Mat]],
-                             P: Optional[Dict[int, Mat]], W: ModComplex,
-                             Q: Dict[int, Mat]) -> Optional[ChainMap]:
+                             R: Optional[Dict[int, ModMap]],
+                             P: Optional[Dict[int, ModMap]], W: ModComplex,
+                             Q: Dict[int, ModMap]) -> Optional[ChainMap]:
     """Chain map phi: src -> tgt with R . corner(phi) . P homotopic to Q.
 
     Z is a complex of projectives over the corner algebra whose realization
     is the domain of the constraint; R: Z -> corner(src) and P: corner(tgt)
     -> W are fixed module maps (None = identity), Q: Z -> W is the target.
-    The homotopy runs through Hom(Z^k, W^{k-1}), parametrized by generators
-    of the projective summands of Z (Yoneda).
+    Vertex n of the corner algebra is subset[n] of the algebra, so every
+    map involved is one block per n, and the constraint is one equation per
+    entry of each block.  The homotopy runs through Hom(Z^k, W^{k-1}),
+    parametrized by generators of the projective summands of Z (Yoneda).
     """
-    A = src.algebra
+    A, B = src.algebra, W.algebra
     fld = A.field
     zero = fld.zero
 
     coords_phi = _MapCoords.build(src, tgt, 0)
     d_phi = _hom_differential(src, tgt, 0, coords_phi, _MapCoords.build(src, tgt, 1))
 
-    src_corner = {k: _corner_rows(A, src.term(k), subset) for k in src.terms}
-    tgt_corner = {k: _corner_rows(A, tgt.term(k), subset) for k in tgt.terms}
-
     # homotopy variables after those of phi: Hom_B(Z^k, W^{k-1}) through
     # the generators of the summands of Z (Yoneda), one per unit of W^{k-1}
-    h_vars: List[Tuple[int, Tuple[int, int], Mat]] = []  # (k, rows in Z^k, map)
-    _, zslices = module_realization(Z)
+    h_vars: List[Tuple[int, int, ModMap]] = []  # (k, summand of Z^k, map)
     for k, verts in Z.terms.items():
         Wk1 = W.module(k - 1)
         for s_idx, f_vert in enumerate(verts):
-            for q in Wk1.positions[f_vert]:
-                unit = [fld.one if i == q else zero for i in range(Wk1.dim)]
-                h_vars.append((k, zslices[k][s_idx], yoneda_map(W.algebra, f_vert, Wk1, unit)))
+            width = len(Wk1.positions[f_vert])
+            for q in range(width):
+                unit = [fld.one if c == q else zero for c in range(width)]
+                h_vars.append((k, s_idx, yoneda_map(B, f_vert, Wk1, unit)))
     nphi = coords_phi.total
     nvars = nphi + len(h_vars)
 
-    # the chain-map equations D(phi) = 0, then per degree k one equation per
-    # entry of the Z^k x W^k constraint R corner(phi) P - (d h + h d) = Q
+    # the chain-map equations D(phi) = 0, then per degree k and vertex n one
+    # equation per entry of the block of R corner(phi) P - (d h + h d) = Q
     rows = [list(r) + [zero] * len(h_vars) for r in d_phi.rows]
     rhs = [zero] * len(rows)
-    eq_ids: Dict[int, int] = {}
+    eq_ids: Dict[Tuple[int, int], int] = {}
     for k in sorted(set(Z.terms) | set(Q.keys())):
-        dimZ, dimW = Zreal.dim(k), W.dim(k)
-        if dimZ == 0 or dimW == 0:
-            continue
-        eq_ids[k] = len(rows)
-        rows.extend([zero] * nvars for _ in range(dimZ * dimW))
-        qk = Q.get(k)
-        rhs.extend(qk.rows[r][c] if qk is not None else zero
-                   for r in range(dimZ) for c in range(dimW))
+        zk, wk, qk = Zreal.module(k), W.module(k), Q.get(k)
+        for n, (pz, pw) in enumerate(zip(zk.positions, wk.positions)):
+            if pz and pw:
+                eq_ids[k, n] = len(rows)
+                rows.extend([zero] * nvars for _ in range(len(pz) * len(pw)))
+                rhs.extend(qk[n].rows[r][c] if qk is not None else zero
+                           for r in range(len(pz)) for c in range(len(pw)))
 
-    def add_block(k: int, r_off: int, c_off: int, block: Mat, var: int,
+    def add_block(k: int, n: int, r_off: int, c_off: int, block: Mat, var: int,
                   negate: bool = False):
-        """Add +-block at (r_off, c_off) of the degree-k constraint, as the
-        coefficients of the variable var."""
-        eq0, dimW = eq_ids[k], W.dim(k)
+        """Add +-block at (r_off, c_off) of the block at n of the degree-k
+        constraint, as the coefficients of the variable var."""
+        eq0, width = eq_ids[k, n], len(W.module(k).positions[n])
         for r, brow in enumerate(block.rows):
             for c, v in enumerate(brow):
                 if v != zero:
-                    row = rows[eq0 + (r_off + r) * dimW + c_off + c]
+                    row = rows[eq0 + (r_off + r) * width + c_off + c]
                     row[var] = fld.add(row[var], fld.neg(v) if negate else v)
 
-    # phi contributions: R^k @ corner(phi)^k @ P^k
+    # phi contributions: R^k @ corner(phi)^k @ P^k, per vertex
+    src_off = {k: summand_offsets(A, v) for k, v in src.terms.items()}
+    tgt_off = {k: summand_offsets(A, v) for k, v in tgt.terms.items()}
     for (k, t, s, corner), off in zip(coords_phi.blocks, coords_phi.offsets):
-        if k not in eq_ids:
-            continue
-        s_lo, src_rows = src_corner[k][s]
-        t_lo, tgt_rows = tgt_corner[k][t]
-        if not src_rows or not tgt_rows:
-            continue
-        r_mat = R.get(k) if R is not None else None
-        if r_mat is not None:
-            r_cols = r_mat.submatrix(range(r_mat.nrows), range(s_lo, s_lo + len(src_rows)))
-        p_mat = P.get(k) if P is not None else None
-        if p_mat is not None:
-            p_rows = p_mat.submatrix(range(t_lo, t_lo + len(tgt_rows)), range(p_mat.ncols))
-        tgt_pos = {b: c for c, b in enumerate(tgt_rows)}
-        for pos, belt in enumerate(corner):
-            # left multiplication by the path belt on the corners: a 0/1 block
-            block = Mat.zeros(fld, len(src_rows), len(tgt_rows))
-            for i, j, x in A.products(A.basis_vec(belt), src_rows, tgt_pos, True):
-                block.rows[i][j] = fld.add(block.rows[i][j], x)
-            if r_mat is not None:
-                block = r_cols @ block
-            if p_mat is not None:
-                block = block @ p_rows
-            # without R (P) the block sits at the summand's rows (columns)
-            add_block(k, s_lo if r_mat is None else 0, t_lo if p_mat is None else 0,
-                      block, off + pos)
+        i, j = src.term(k)[s], tgt.term(k)[t]
+        r_map = R.get(k) if R is not None else None
+        p_map = P.get(k) if P is not None else None
+        for n, v in enumerate(subset):
+            src_rows, tgt_rows = A.corner_indices(i, v), A.corner_indices(j, v)
+            if (k, n) not in eq_ids or not src_rows or not tgt_rows:
+                continue
+            s_lo, t_lo = src_off[k][s][v], tgt_off[k][t][v]
+            for pos, belt in enumerate(corner):
+                # left multiplication by the path belt: a 0/1 block
+                prod = A.prod[belt]
+                block = Mat(fld, [[fld.one if prod[b] == c else zero for c in tgt_rows]
+                                  for b in src_rows], ncols=len(tgt_rows))
+                if r_map is not None:
+                    block = r_map[n].columns(s_lo, s_lo + len(src_rows)) @ block
+                if p_map is not None:
+                    block = block @ Mat(fld, p_map[n].rows[t_lo:t_lo + len(tgt_rows)],
+                                        ncols=p_map[n].ncols)
+                # without R (P) the block sits at the summand's rows (columns)
+                add_block(k, n, s_lo if r_map is None else 0,
+                          t_lo if p_map is None else 0, block, off + pos)
 
     # homotopy contributions: -(h^k @ d_W^{k-1}) at degree k and
     # -(d_Z^{k-1} @ h^k) at degree k-1, h^k nonzero on one summand's rows
-    for var, (k, (lo, hi), hmat) in enumerate(h_vars, nphi):
-        dW = W.diff(k - 1)
-        if dW is not None and k in eq_ids:
-            add_block(k, lo, 0, hmat @ dW, var, negate=True)
-        dZ = Zreal.diff(k - 1)
-        if dZ is not None and (k - 1) in eq_ids:
-            add_block(k - 1, 0, 0, dZ.submatrix(range(dZ.nrows), range(lo, hi)) @ hmat,
-                      var, negate=True)
+    z_off = {k: summand_offsets(B, v) for k, v in Z.terms.items()}
+    for var, (k, s_idx, hmap) in enumerate(h_vars, nphi):
+        dW, dZ = W.diff(k - 1), Zreal.diff(k - 1)
+        for n, h in enumerate(hmap):
+            lo = z_off[k][s_idx][n]
+            if not h.nrows:
+                continue
+            if dW is not None and (k, n) in eq_ids:
+                add_block(k, n, lo, 0, h @ dW[n], var, negate=True)
+            if dZ is not None and (k - 1, n) in eq_ids:
+                add_block(k - 1, n, 0, 0, dZ[n].columns(lo, lo + h.nrows) @ h,
+                          var, negate=True)
 
     sol = la.solve(Mat(fld, rows, ncols=nvars), rhs)
     if sol is None:
         return None
     return ChainMap(src, tgt, coords_phi.to_entries(src, tgt, 0, sol[:nphi]))
 
-
-def _corner_rows(A: Algebra, verts: Sequence[int], subset) -> List[Tuple[int, List[int]]]:
-    """For each summand P_i, its start inside the corner realization and its
-    corner paths (basis paths of P_i with target in the subset)."""
-    sub = set(subset)
-    out = []
-    pos = 0
-    for i in verts:
-        rows = [b for b in A.projective_module(i).basis_in_algebra if A.target[b] in sub]
-        out.append((pos, rows))
-        pos += len(rows)
-    return out

@@ -34,7 +34,7 @@ import weakref
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import Algebra, Module, global_dimension, projective_dimension
+from .algebra import Algebra, ModMap, Module, global_dimension, projective_dimension
 from .config import BoundExceeded, InputError, InvariantError, SmcKitError
 from .exactla import Mat
 from .homotopy import (
@@ -176,9 +176,13 @@ def i_star(spec: RecollementSpec, X: ProjComplex) -> ProjComplex:
         raise InputError("i_star expects a complex over the quotient algebra")
     if X.is_zero():
         return zero_complex(spec.algebra)
-    real, _ = module_realization(X)
+    real = module_realization(X)
     terms = {k: _quotient_module_over_middle(spec, m) for k, m in real.terms.items()}
-    C = ModComplex(spec.algebra, terms, dict(real.diffs), validate=False)
+    # a vertex of A/AeA keeps its coordinates; one inside AeA has none
+    A, proj = spec.algebra, spec.x_proj
+    diffs = {k: tuple(Mat.zeros(A.field, 0, 0) if proj[v] is None else d[proj[v]]
+                      for v in range(A.nvert)) for k, d in real.diffs.items()}
+    C = ModComplex(A, terms, diffs, validate=False)
     P, _ = resolve_complex(C, pd_bound=spec.pd_bound)
     return P
 
@@ -212,20 +216,20 @@ def _embed_vec(spec: RecollementSpec, vec) -> Tuple:
     return tuple(out)
 
 
-def corner_complex(spec: RecollementSpec, T: ProjComplex) -> Tuple[ModComplex, Dict[int, List[int]]]:
-    """T e as a complex of eAe-modules, with the slicing positions."""
+def corner_complex(spec: RecollementSpec, T: ProjComplex) -> ModComplex:
+    """T e as a complex of eAe-modules."""
     return corner_of_proj_complex(T, spec.y_algebra, spec.y_embed, spec.subset)
 
 
 def j_upper_shriek_full(spec: RecollementSpec, T: ProjComplex
-                        ) -> Tuple[ProjComplex, Dict[int, Mat]]:
+                        ) -> Tuple[ProjComplex, Dict[int, ModMap]]:
     """(Z, q) with Z over eAe minimal and q: realization(Z) -> corner(T) a
     degreewise comparison quasi-isomorphism."""
     if T.algebra is not spec.algebra:
         raise InputError("j_upper_shriek expects a complex over the middle algebra")
     if T.is_zero() or spec.y_algebra.dim == 0:
         return zero_complex(spec.y_algebra), {}
-    C, _ = corner_complex(spec, T)
+    C = corner_complex(spec, T)
     return resolve_complex(C, pd_bound=spec.pd_bound)
 
 
@@ -238,8 +242,8 @@ class JStarData:
     cplx: ProjComplex
     # W = dual of the opposite-side resolution; the canonical corner model
     W: ModComplex
-    P: Dict[int, Mat]       # corner(realization of cplx) -> W
-    Q: Dict[int, Mat]       # realization of the input -> W
+    P: Dict[int, ModMap]    # corner(realization of cplx) -> W
+    Q: Dict[int, ModMap]    # realization of the input -> W
 
 
 @_per_spec
@@ -252,38 +256,28 @@ def j_lower_star_full(spec: RecollementSpec, Y: ProjComplex) -> JStarData:
     if Y.is_zero():
         return JStarData(zero_complex(A), ModComplex(B, {}, {}, validate=False),
                          {}, {})
-    y_real, _ = module_realization(Y)
+    y_real = module_realization(Y)
     dy = dual_mod_complex(y_real)                      # over B^op
     r_b, q_b = resolve_complex(dy, pd_bound=spec.pd_bound)  # proj over B^op
-    A_op = A.op()
-    j_op = _embed_complex(spec, r_b, A_op)              # proj over A^op
-    j_real, _ = module_realization(j_op)
-    inj = dual_mod_complex(j_real)                      # injectives over A
+    j_op = _embed_complex(spec, r_b, A.op())            # proj over A^op
+    inj = dual_mod_complex(module_realization(j_op))    # injectives over A
     res, q_i = resolve_complex(inj, pd_bound=spec.pd_bound)
-    rb_real, _ = module_realization(r_b)
-    W = dual_mod_complex(rb_real)                       # over B, the corner model
+    W = dual_mod_complex(module_realization(r_b))      # over B, the corner model
     # The dual basis of inj is indexed by the realization basis of the
-    # opposite projectives, so its e-corner sits at the A^op corner positions
-    # (target in A^op = source in A).  That corner must be W on the nose
-    # (same coordinates, same differentials); everything downstream relies on it.
-    for k, d in W.diffs.items():
-        ipos_k = inj.module(k).weight_positions(spec.subset)
-        ipos_k1 = inj.module(k + 1).weight_positions(spec.subset)
-        if inj.diff(k).submatrix(ipos_k, ipos_k1) != d:
-            raise InvariantError("corner of the injective complex drifted from W")
-    res_real, _ = module_realization(res)
-    res_pos = {k: M.weight_positions(spec.subset) for k, M in res_real.terms.items()}
-    P: Dict[int, Mat] = {}
-    for k, q in q_i.items():
-        ipos = inj.module(k).weight_positions(spec.subset)
-        P[k] = q.submatrix(res_pos.get(k, []), ipos)
-        if W.dim(k) != len(ipos):
+    # opposite projectives, so at each vertex subset[n] its coordinates are
+    # those of W at n (target in A^op = source in A).  That corner must be W
+    # on the nose (same coordinates, same differentials); everything
+    # downstream relies on it.
+    sub = spec.subset
+    for k in inj.terms:
+        if [len(inj.terms[k].positions[v]) for v in sub] != \
+                [len(p) for p in W.module(k).positions]:
             raise InvariantError("corner model misaligned with dual resolution")
-    Q: Dict[int, Mat] = {}
-    for m in y_real.terms:
-        qb = q_b.get(-m)
-        if qb is not None:
-            Q[m] = qb.transpose()
+    for k, d in W.diffs.items():
+        if tuple(inj.diff(k)[v] for v in sub) != d:
+            raise InvariantError("corner of the injective complex drifted from W")
+    P = {k: tuple(q[v] for v in sub) for k, q in q_i.items()}
+    Q = {m: tuple(b.transpose() for b in q_b[-m]) for m in y_real.terms if -m in q_b}
     return JStarData(res, W, P, Q)
 
 
@@ -297,7 +291,7 @@ def canonical_theta(spec: RecollementSpec, Y: ProjComplex) -> ChainMap:
     its cocone realizes i_* i^! j_!(Y) and its cone i_* i^* j_*(Y)."""
     src = j_lower_shriek(spec, Y)
     data = j_lower_star_full(spec, Y)
-    y_real, _ = module_realization(Y)
+    y_real = module_realization(Y)
     theta = solve_corner_constrained(src, data.cplx, spec.subset, Y, y_real,
                                      None, data.P, data.W, data.Q)
     if theta is None:
@@ -316,8 +310,8 @@ class CanonicalTriangles:
 def canonical_triangles(spec: RecollementSpec, T: ProjComplex) -> CanonicalTriangles:
     A = spec.algebra
     Z, q_t = j_upper_shriek_full(spec, T)
-    corner_t, _ = corner_complex(spec, T)
-    z_real, _ = module_realization(Z)
+    corner_t = corner_complex(spec, T)
+    z_real = module_realization(Z)
     if Z.is_zero():
         jz = zero_complex(A)
         counit = ChainMap(jz, T, {})

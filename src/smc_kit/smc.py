@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random as _random
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Dict, List, Literal, Optional, Sequence, Tuple
 
 from . import exactla as la
@@ -89,10 +90,11 @@ class SMC:
     def euler_matrix(self) -> List[List[int]]:
         return [list(o.euler_class()) for o in self.objects]
 
-    @property
+    @cached_property
     def euler_det(self) -> Optional[int]:
         """Determinant of the matrix of alternating dimension-vector classes;
-        None unless there are as many objects as vertices."""
+        None unless there are as many objects as vertices.  Computed once: a
+        collection's objects never change."""
         if len(self.objects) != self.algebra.nvert:
             return None
         return la.det(self.euler_matrix())

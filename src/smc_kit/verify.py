@@ -15,7 +15,7 @@ from __future__ import annotations
 import random as _random
 import time
 from dataclasses import dataclass
-from typing import List, Literal
+from typing import List, Literal, Tuple
 
 from .config import SmcKitError
 from .fixtures import a2_fixture, two_cycle_fixture
@@ -146,13 +146,18 @@ def check_conditional_order(S: SMC, Sp: SMC, i: int, j: int) -> CheckReport:
     return _timed("conditional mutation order", f"i={i}, j={j}", run)
 
 
-def _glue_mutated(S_X: SMC, S_Y: SMC, R: RecollementSpec, side: str,
-                  index: int, direction: str) -> SMC:
+def _routes(S_X: SMC, S_Y: SMC, R: RecollementSpec, glued: SMC, side: str,
+            index: int, direction: str) -> Tuple[SMC, SMC]:
+    """The two routes round the gluing-mutation square for the object index
+    of one side: (glue after mutating it, mutation of glued, the gluing of
+    S_X and S_Y, at its position there)."""
     if side == "x":
-        mu, _ = mutate(S_X, index, direction)
-        return glue(mu, S_Y, R)[0]
-    mu, _ = mutate(S_Y, index, direction)
-    return glue(S_X, mu, R)[0]
+        after = glue(mutate(S_X, index, direction)[0], S_Y, R)[0]
+        pos = index
+    else:
+        after = glue(S_X, mutate(S_Y, index, direction)[0], R)[0]
+        pos = len(S_X) + index
+    return after, mutate(glued, pos, direction)[0]
 
 
 def commute_condition(glued: SMC, m: int, j: int, direction: str) -> bool:
@@ -181,16 +186,14 @@ def check_glue_mutation_commute(S_X: SMC, S_Y: SMC, R: RecollementSpec,
         if side == "x":
             if not is_rigid(S_X, index):
                 return "precondition-failed", "object not rigid"
-            lhs = _glue_mutated(S_X, S_Y, R, "x", index, direction)
-            rhs, _ = mutate(glued, index, direction)
+            lhs, rhs = _routes(S_X, S_Y, R, glued, "x", index, direction)
             if smc_iso(lhs, rhs):
                 return "pass", ""
             return "fail", "quotient-side commutation failed"
         if not is_rigid(S_Y, index):
             return "precondition-failed", "object not rigid"
         cond = commute_condition(glued, m, index, direction)
-        lhs = _glue_mutated(S_X, S_Y, R, "y", index, direction)
-        rhs, _ = mutate(glued, m + index, direction)
+        lhs, rhs = _routes(S_X, S_Y, R, glued, "y", index, direction)
         if cond:
             if smc_iso(lhs, rhs):
                 return "pass", "condition holds and results agree"
@@ -213,13 +216,9 @@ def check_intermediate_order(S_X: SMC, S_Y: SMC, R: RecollementSpec,
         S = S_X if side == "x" else S_Y
         if not is_rigid(S, index):
             return "precondition-failed", "object not rigid"
-        m = len(S_X)
         glued, _ = glue(S_X, S_Y, R)
-        plus_side = _glue_mutated(S_X, S_Y, R, side, index, "left")
-        minus_side = _glue_mutated(S_X, S_Y, R, side, index, "right")
-        pos = index if side == "x" else m + index
-        mu_plus, _ = mutate(glued, pos, "left")
-        mu_minus, _ = mutate(glued, pos, "right")
+        plus_side, mu_plus = _routes(S_X, S_Y, R, glued, side, index, "left")
+        minus_side, mu_minus = _routes(S_X, S_Y, R, glued, side, index, "right")
         for label, a, b in (("S^- >= S_T", minus_side, glued),
                             ("S_T >= S^+", glued, plus_side),
                             ("mu^+(S_T) >= S^+", mu_plus, plus_side),
@@ -242,8 +241,7 @@ def check_first_m_terms(S_X: SMC, S_Y: SMC, R: RecollementSpec, j: int,
         m = len(S_X)
         glued, _ = glue(S_X, S_Y, R)
         cond = commute_condition(glued, m, j, direction)
-        lhs = _glue_mutated(S_X, S_Y, R, "y", j, direction)
-        rhs, _ = mutate(glued, m + j, direction)
+        lhs, rhs = _routes(S_X, S_Y, R, glued, "y", j, direction)
         rng = _random.Random(0)
         same = all(is_iso(lhs.objects[t], rhs.objects[t], rng=rng).isomorphic
                    for t in range(m))
@@ -358,8 +356,8 @@ def run_paper_examples(field=32003, pd_bound: int = 32) -> List[CheckReport]:
         glued, _ = glue(S_X, a2.y_smc, a2.spec)   # {S2[1], P1}
         if commute_condition(glued, 1, 0, "left"):
             return "fail", "condition unexpectedly holds"
-        mu, _ = mutate(glued, 1, "left")          # {S1, P1[1]}
-        other, _ = glue(S_X, mutate(a2.y_smc, 0, "left")[0], a2.spec)
+        # mu = {S1, P1[1]}
+        other, mu = _routes(S_X, a2.y_smc, a2.spec, glued, "y", 0, "left")
         if smc_iso(mu, other, rng=rng):
             return "fail", "the two routes agree"
         expected = SMC(a2.algebra, (a2.complexes["S1"],
@@ -372,12 +370,12 @@ def run_paper_examples(field=32003, pd_bound: int = 32) -> List[CheckReport]:
     add("diagram (3), left mutation differs", "a2", diagram3_plus)
 
     def diagram3_minus():
-        S_X = a2.x_smc.shifted(1)
-        glued, _ = glue(S_X, a2.y_smc.shifted(1), a2.spec)  # {S2[1], S1[1]}
+        S_X, S_Y = a2.x_smc.shifted(1), a2.y_smc.shifted(1)
+        glued, _ = glue(S_X, S_Y, a2.spec)  # {S2[1], S1[1]}
         if commute_condition(glued, 1, 0, "right"):
             return "fail", "dual condition unexpectedly holds"
-        mu, _ = mutate(glued, 1, "right")                   # {P1[1], S1}
-        other, _ = glue(S_X, mutate(a2.y_smc.shifted(1), 0, "right")[0], a2.spec)
+        # mu = {P1[1], S1}
+        other, mu = _routes(S_X, S_Y, a2.spec, glued, "y", 0, "right")
         if smc_iso(mu, other, rng=rng):
             return "fail", "the two routes agree"
         expected = SMC(a2.algebra, (shift(a2.complexes["P1"], 1),

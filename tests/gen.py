@@ -166,7 +166,7 @@ def quotient_restriction_actions(A, proj, actions):
 def corner_restriction_actions(B, embed, actions, pos):
     """M e over eAe: each basis element of eAe acts as its path of A,
     restricted to the positions pos of M e."""
-    return [actions[embed[c]].submatrix(pos, pos) for c in range(B.dim)]
+    return [submatrix(actions[embed[c]], pos, pos) for c in range(B.dim)]
 
 
 def module_from_actions(A, actions):
@@ -182,7 +182,7 @@ def module_from_actions(A, actions):
                         for c in range(dim)] for r in range(dim)], ncols=dim)
         assert actions[i] == want, "module basis is not idempotent-diagonal"
     pos = [[r for r in range(dim) if weights[r] == v] for v in range(A.nvert)]
-    M = Module(A, weights, [actions[a].submatrix(pos[A.source[a]], pos[A.target[a]])
+    M = Module(A, weights, [submatrix(actions[a], pos[A.source[a]], pos[A.target[a]])
                             for a in A.arrow_indices])
     for a in A.arrow_indices:
         assert dense_action(M, a) == actions[a], "arrow leaves its corner"
@@ -204,16 +204,53 @@ def dense_actions(M):
     return [dense_action(M, b) for b in range(M.algebra.dim)]
 
 
+# -- the dense adapter: module maps and vertex rows in a module's basis ---------
+
+
+def dense_map(M, N, F):
+    """The dim M x dim N matrix of the module map F: M -> N, its block at
+    each vertex placed at the positions of M (rows) and of N (columns)."""
+    out = Mat.zeros(M.algebra.field, M.dim, N.dim)
+    for pm, pn, block in zip(M.positions, N.positions, F):
+        for r, brow in zip(pm, block.rows):
+            for c, x in zip(pn, brow):
+                out.rows[r][c] = x
+    return out
+
+
+def dense_rows(M, rows):
+    """Rows given per vertex in the coordinates of M there, as rows of M,
+    vertex after vertex."""
+    f = M.algebra.field
+    out = []
+    for pv, rows_v in zip(M.positions, rows):
+        for r in rows_v:
+            row = [f.zero] * M.dim
+            for c, x in zip(pv, r):
+                row[c] = x
+            out.append(row)
+    return Mat(f, out, ncols=M.dim)
+
+
+def kernel_rows(F):
+    """The kernel of a module map, as a left kernel basis per vertex."""
+    return [la.left_kernel_basis(b) for b in F]
+
+
+def submatrix(m, row_idx, col_idx):
+    return Mat(m.field, [[m.rows[i][j] for j in col_idx] for i in row_idx],
+               ncols=len(col_idx))
+
+
 def row_span_module(N, rows):
-    """The submodule of N spanned by rows of weight-homogeneous vectors (a
-    module map's image rows are), with its own blocks: a basis of the span
-    at each vertex, and each arrow's images of the basis at its source
-    solved for in the basis at its target."""
+    """The submodule of N spanned by rows, given per vertex in the
+    coordinates of N there, with its own blocks: a basis of the span at each
+    vertex, and each arrow's images of the basis at its source solved for in
+    the basis at its target."""
     A, f = N.algebra, N.algebra.field
     bases = []
-    for pv in N.positions:
-        at_v = [[r[c] for c in pv] for r in rows
-                if pv and any(r[c] for c in pv)]
+    for pv, rows_v in zip(N.positions, rows):
+        at_v = [r for r in rows_v if any(r)]
         bases.append(la.row_space_basis(Mat(f, at_v)) if at_v
                      else Mat.zeros(f, 0, len(pv)))
     blocks = []
@@ -235,12 +272,13 @@ def random_representation(A, rng):
     cover and its injective envelope."""
     f = A.field
     N = direct_sum_modules(A, [A.injective_module(rng.randrange(A.nvert))
-                               for _ in range(rng.randint(1, 3))])[0]
-    rows = []
+                               for _ in range(rng.randint(1, 3))])
+    rows = [[] for _ in range(A.nvert)]
     for _ in range(rng.randint(1, 4)):
         i = rng.choice(N.weights)
-        v = [f.rand(rng) if w == i else f.zero for w in N.weights]
-        rows.extend(yoneda_map(A, i, N, v).rows)
+        v = [f.rand(rng) for _ in N.positions[i]]
+        for rows_w, block in zip(rows, yoneda_map(A, i, N, v)):
+            rows_w.extend(block.rows)
     return row_span_module(N, rows)
 
 
@@ -250,8 +288,10 @@ def assert_cover_oracle(M, rows=None):
     generators at each vertex i, d_i the dimension of N at i, and the cover
     is a module map onto N."""
     A, f = M.algebra, M.algebra.field
-    span = Mat.identity(f, M.dim) if rows is None else rows
-    verts, cover = projective_cover(M, rows)
+    span = Mat.identity(f, M.dim) if rows is None else dense_rows(M, rows)
+    verts, blocks = projective_cover(M, rows)
+    P = projectives_module(A, verts)
+    cover = dense_map(P, M, blocks)
     dense = dense_actions(M)
     if span.nrows:
         rad = [r for b in A.radical_indices for r in (span @ dense[b]).rows]
@@ -265,10 +305,9 @@ def assert_cover_oracle(M, rows=None):
     if span.nrows:
         assert la.rank(la.vstack([span, cover])) == span.nrows
     # a module map: it commutes with every basis element
-    P, _ = projectives_module(A, verts)
     for b in range(A.dim):
         assert dense_action(P, b) @ cover == cover @ dense[b]
-    return verts, cover
+    return verts, blocks
 
 
 def kernel_cover_resolution(M, bound):
@@ -277,19 +316,19 @@ def kernel_cover_resolution(M, bound):
     than bound.  An independent reference for the stalk-complex resolver."""
     if M.dim == 0:
         return []
-    A, f = M.algebra, M.algebra.field
-    verts, cur_map = projective_cover(M, Mat.identity(f, M.dim))
-    current, _ = projectives_module(A, verts)
+    A = M.algebra
+    verts, cur_map = projective_cover(M)
+    current = projectives_module(A, verts)
     out = [verts]
     while True:
-        rows = la.left_kernel_basis(cur_map)
-        if not rows:
+        rows = kernel_rows(cur_map)
+        if not any(rows):
             return out
         if len(out) > bound:
             return None
         # P_n -> P_{n-1}: the cover of the kernel rows, inside P_{n-1}
-        kverts, cur_map = projective_cover(current, Mat(f, rows, ncols=current.dim))
-        current, _ = projectives_module(A, kverts)
+        kverts, cur_map = projective_cover(current, rows)
+        current = projectives_module(A, kverts)
         out.append(kverts)
 
 
@@ -336,15 +375,18 @@ def hom_dim_oracle(X: ProjComplex, Y: ProjComplex, n: int) -> int:
         return 0
     A = X.algebra
     f = A.field
-    rx, _ = module_realization(X)
-    ry, _ = module_realization(Y)
+    rx, ry = module_realization(X), module_realization(Y)
 
     def hom_block_basis(k, shiftn):
         mk = rx.module(k)
         nk = ry.module(k + shiftn)
         if mk.dim == 0 or nk.dim == 0:
             return []
-        return module_hom_space(mk, nk)
+        return [dense_map(mk, nk, F) for F in module_hom_space(mk, nk)]
+
+    def dense_diff(real, k):
+        d = real.diff(k)
+        return None if d is None else dense_map(real.terms[k], real.terms[k + 1], d)
 
     def space(shiftn):
         # list of (degree, basis list); coordinates concatenated
@@ -372,10 +414,10 @@ def hom_dim_oracle(X: ProjComplex, Y: ProjComplex, n: int) -> int:
         for k, basis in dom:
             for fb in basis:
                 img = {}
-                dy = ry.diff(k + shiftn)
+                dy = dense_diff(ry, k + shiftn)
                 if dy is not None and (k in cod_basis):
                     img[k] = fb @ dy
-                dx = rx.diff(k - 1)
+                dx = dense_diff(rx, k - 1)
                 if dx is not None and (k - 1) in cod_basis:
                     contrib = dx @ fb
                     prev = img.get(k - 1)

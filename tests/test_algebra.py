@@ -12,7 +12,7 @@ import gen
 from smc_kit import algebra as alg
 from smc_kit import exactla as la
 from smc_kit.cli import main
-from smc_kit.config import BoundExceeded, InputError, InvariantError
+from smc_kit.config import BoundExceeded, InputError
 from smc_kit.exactla import Mat, PrimeField, RationalField
 from smc_kit.fixtures import random_monomial_linear_algebra
 from smc_kit.homotopy import (
@@ -69,6 +69,13 @@ def test_one_loop_without_relations_exceeds_path_cap():
     q = alg.Quiver(("v",), (("x", "v", "v"),))
     with pytest.raises(BoundExceeded, match="exceeds 8 basis paths"):
         alg.Algebra.from_quiver(FP, q, path_cap=8)
+
+
+def test_default_path_cap_is_4096():
+    # with no path_cap given, a one-loop quiver stops at the default cap
+    q = alg.Quiver(("v",), (("x", "v", "v"),))
+    with pytest.raises(BoundExceeded, match="exceeds 4096 basis paths"):
+        alg.Algebra.from_quiver(FP, q)
 
 
 def test_relation_must_be_path():
@@ -145,7 +152,7 @@ def test_yoneda_dimension_formula():
         for M in mods:
             for i in range(A.nvert):
                 homs = alg.module_hom_space(A.projective_module(i), M)
-                assert len(homs) == len(M.weight_positions((i,)))
+                assert len(homs) == len(M.positions[i])
 
 
 def test_hom_spaces_paper_algebra():
@@ -185,10 +192,10 @@ def test_resolution_minimality():
     for i in range(B.nvert):
         P = resolve_module(B.simple_module(i))
         assert P.is_minimal()
-        real, _ = module_realization(P)
-        for k, mat in real.diffs.items():
+        real = module_realization(P)
+        for k, d in real.diffs.items():
             rad = _radical_rows(real.terms[k + 1])
-            for row in mat.rows:
+            for row in gen.dense_map(real.terms[k], real.terms[k + 1], d).rows:
                 grown = Mat(B.field, rad.rows + [row], ncols=rad.ncols)
                 assert la.rank(grown) == rad.nrows, \
                     "differential does not land in the radical"
@@ -301,10 +308,10 @@ def test_random_linear_algebras_structural_properties(n, rng):
     assert alg.global_dimension(A) is not None
     # Yoneda: dim Hom(P_i, M) = dim M e_i on a random projective sum
     verts = [rng.randrange(A.nvert) for _ in range(2)]
-    M, _ = alg.projectives_module(A, verts)
+    M = alg.projectives_module(A, verts)
     for i in range(A.nvert):
         assert len(alg.module_hom_space(A.projective_module(i), M)) == \
-            len(M.weight_positions((i,)))
+            len(M.positions[i])
 
 
 def test_rationals_give_same_dimensions():
@@ -422,7 +429,7 @@ def _top_generators_reference(M):
     rad = _radical_rows(M)
     gens = []
     for i in range(A.nvert):
-        pos = M.weight_positions((i,))
+        pos = M.positions[i]
         if not pos:
             continue
         current = la.row_space_basis(rad @ gen.dense_action(M, i)) if rad.nrows else None
@@ -437,17 +444,20 @@ def _top_generators_reference(M):
 
 def _assert_cover_matches_reference(M, rows):
     """projective_cover(M, rows) against the greedy top generators of the
-    submodule spanned by rows, built with its own action matrices and moved
-    back to M's coordinates."""
+    submodule spanned by rows (per vertex), built with its own action
+    matrices and moved back to M's coordinates."""
     A = M.algebra
-    sub = gen.module_from_actions(A, _submodule_action_reference(M, rows))
+    dense = gen.dense_rows(M, rows)
+    sub = gen.module_from_actions(A, _submodule_action_reference(M, dense))
     sub.validate()
-    gens = [(i, (Mat(A.field, [v], ncols=sub.dim) @ rows).rows[0])
+    gens = [(i, (Mat(A.field, [v], ncols=sub.dim) @ dense).rows[0])
             for i, v in _top_generators_reference(sub)]
     verts, cover = alg.projective_cover(M, rows)
     assert verts == [i for i, _ in gens]
-    _assert_identical([cover], [la.vstack([alg.yoneda_map(A, i, M, v)
-                                           for i, v in gens])])
+    _assert_identical(
+        [gen.dense_map(alg.projectives_module(A, verts), M, cover)],
+        [la.vstack([gen.dense_map(A.projective_module(i), M, alg.yoneda_map(
+            A, i, M, [v[c] for c in M.positions[i]])) for i, v in gens])])
     return sub
 
 
@@ -461,24 +471,15 @@ def _assert_identical(mats, refs):
         [(m.shape, repr(m.rows)) for m in refs]
 
 
-def _random_combination(rng, f, vectors, ncols):
-    out = [f.zero] * ncols
-    for v in vectors:
-        c = f.rand(rng)
-        out = [f.add(x, f.mul(c, y)) for x, y in zip(out, v)]
-    return out
-
-
 def _random_map_from_projectives(A, rng, verts, N):
     """A random module map P_{verts[0]} + ... -> N, stacked Yoneda maps."""
     f = A.field
-    blocks = []
+    rows = [[] for _ in range(A.nvert)]
     for i in verts:
-        units = [[f.one if k == r else f.zero for k in range(N.dim)]
-                 for r in N.weight_positions((i,))]
-        v = _random_combination(rng, f, units, N.dim)
-        blocks.append(alg.yoneda_map(A, i, N, v))
-    return la.vstack(blocks)
+        v = [f.rand(rng) for _ in N.positions[i]]
+        for rows_w, block in zip(rows, alg.yoneda_map(A, i, N, v)):
+            rows_w.extend(block.rows)
+    return tuple(Mat(f, r, ncols=len(p)) for r, p in zip(rows, N.positions))
 
 
 def _radical_module(P):
@@ -495,17 +496,15 @@ def test_stacked_module_solves_against_reference(rationals, rng):
     P = [A.projective_module(i) for i in range(nv)]
     targets = P + [A.simple_module(i) for i in range(nv)] + \
         [_radical_module(Pi) for Pi in P if _radical_rows(Pi).nrows] + \
-        [alg.projectives_module(A, [rng.randrange(nv) for _ in range(2)])[0]]
+        [alg.projectives_module(A, [rng.randrange(nv) for _ in range(2)])]
     mods = list(targets)
     for _ in range(3):
         verts = [rng.randrange(nv) for _ in range(rng.randint(1, 2))]
-        src, _ = alg.projectives_module(A, verts)
+        src = alg.projectives_module(A, verts)
         N = rng.choice(targets)
-        F = _random_map_from_projectives(A, rng, verts, N)
-        rows = la.left_kernel_basis(F)
-        if rows:
-            mods.append(_assert_cover_matches_reference(
-                src, Mat(f, rows, ncols=src.dim)))
+        rows = gen.kernel_rows(_random_map_from_projectives(A, rng, verts, N))
+        if any(rows):
+            mods.append(_assert_cover_matches_reference(src, rows))
     # a map out of a radical, found by solving the intertwiner equations
     R = _radical_module(P[0])
     N = rng.choice(targets)
@@ -513,37 +512,27 @@ def test_stacked_module_solves_against_reference(rationals, rng):
     if homs:
         F = homs[0]
         for H in homs[1:]:
-            F = F + gen.mat_scale(H, f.rand(rng))
-        rows = la.left_kernel_basis(F)
-        if rows:
-            mods.append(_assert_cover_matches_reference(
-                R, Mat(f, rows, ncols=R.dim)))
+            c = f.rand(rng)
+            F = tuple(x + gen.mat_scale(y, c) for x, y in zip(F, H))
+        rows = gen.kernel_rows(F)
+        if any(rows):
+            mods.append(_assert_cover_matches_reference(R, rows))
     for M in mods:
         M.validate()
         assert isinstance(M.blocks, tuple)
-        _assert_cover_matches_reference(M, Mat.identity(f, M.dim))
-        verts, cover = alg.projective_cover(M, Mat.identity(f, M.dim))
+        identity = [Mat.identity(f, len(p)).rows for p in M.positions]
+        _assert_cover_matches_reference(M, identity)
+        verts, cover = alg.projective_cover(M, identity)
         assert alg.projective_cover(M) == (verts, cover)
     picked = rng.sample(mods, 3)
     for summands in (picked, picked[:1]):
-        total, _ = alg.direct_sum_modules(A, summands)
+        total = alg.direct_sum_modules(A, summands)
         _assert_identical(gen.dense_actions(total),
                           gen.direct_sum_actions(A, [_actions(m) for m in summands]))
     # no rows: the zero cover
-    verts, cover = alg.projective_cover(P[0], Mat.zeros(f, 0, P[0].dim))
-    assert verts == [] and cover.shape == (0, P[0].dim)
-
-
-def test_non_homogeneous_rows_raise():
-    for field in (FP, QQ):
-        A = two_cycle(field)
-        P = A.projective_module(0)
-        # e_1 + beta: supported on the weights of both vertices
-        (pos0,), (pos1,) = P.weight_positions((0,)), P.weight_positions((1,))
-        rows = Mat(field, [[field.one if k in (pos0, pos1) else field.zero
-                            for k in range(P.dim)]], ncols=P.dim)
-        with pytest.raises(InvariantError):
-            alg.projective_cover(P, rows)
+    verts, cover = alg.projective_cover(P[0], [[] for _ in range(nv)])
+    assert verts == [] and [b.shape for b in cover] == \
+        [(0, len(p)) for p in P[0].positions]
 
 
 # -- M * rad from the arrows alone ---------------------------------------------
@@ -579,11 +568,11 @@ def test_arrow_images_span_the_radical_images(f, use_two_cycle, rng):
         subs = [(M, Mat.identity(f, M.dim)) for M in mods]
         for _ in range(2):
             verts = [rng.randrange(nv) for _ in range(rng.randint(1, 2))]
-            src, _ = alg.projectives_module(B, verts)
-            rows = la.left_kernel_basis(
+            src = alg.projectives_module(B, verts)
+            rows = gen.kernel_rows(
                 _random_map_from_projectives(B, rng, verts, rng.choice(mods)))
-            if rows:
-                subs.append((src, Mat(f, rows, ncols=src.dim)))
+            if any(rows):
+                subs.append((src, gen.dense_rows(src, rows)))
         for M, rows in subs:
             def images(basis):
                 return [r for b in basis for r in (rows @ gen.dense_action(M, b)).rows]
@@ -606,7 +595,8 @@ def _assert_derived_actions(M, ref, rng):
         v = [f.rand(rng) for _ in range(M.dim)]
         want = [(Mat(f, [v], ncols=M.dim) @ ref[b]).rows[0]
                 for b in B.projective_module(i).basis_in_algebra]
-        _assert_identical([alg.yoneda_map(B, i, M, v)],
+        got = alg.yoneda_map(B, i, M, [v[c] for c in M.positions[i]])
+        _assert_identical([gen.dense_map(B.projective_module(i), M, got)],
                           [Mat(f, want, ncols=M.dim)])
 
 
@@ -627,7 +617,7 @@ def test_derived_actions_against_dense_reference(f, use_two_cycle, rng):
                      (B.simple_module(i), gen.simple_actions(B, i)),
                      (B.injective_module(i), gen.injective_actions(B, i))]
         picked = rng.sample(refs, min(3, len(refs)))
-        total, _ = alg.direct_sum_modules(B, [M for M, _ in picked])
+        total = alg.direct_sum_modules(B, [M for M, _ in picked])
         refs.append((total, gen.direct_sum_actions(B, [r for _, r in picked])))
         if nv > 1:
             sub = rng.sample(range(nv), rng.randint(1, nv - 1))
@@ -645,9 +635,11 @@ def test_derived_actions_against_dense_reference(f, use_two_cycle, rng):
             ref = gen.direct_sum_actions(B, [gen.projective_actions(B, i) for i in verts])
             pos = [r for r in range(ref[0].nrows)
                    if any(ref[v].rows[r][r] == f.one for v in sub)]
-            cplx, positions = corner_of_proj_complex(
+            cplx = corner_of_proj_complex(
                 ProjComplex(B, {0: verts}), C, embed, sorted(sub))
-            assert positions[0] == pos
+            # the corner keeps the order of the coordinates at the subset
+            assert [sorted(sub)[w] for w in cplx.module(0).weights] == \
+                [next(v for v in sub if ref[v].rows[r][r] == f.one) for r in pos]
             refs.append((cplx.module(0), gen.corner_restriction_actions(C, embed, ref, pos)))
         for M, ref in refs:
             _assert_derived_actions(M, ref, rng)
@@ -726,9 +718,9 @@ def test_projective_cover_against_dense_oracle(f, rng):
     M.validate()
     verts, cover = gen.assert_cover_oracle(M)
     # the syzygy, as the kernel rows of the cover inside the sum of projectives
-    P, _ = alg.projectives_module(A, verts)
-    rows = la.left_kernel_basis(cover)
-    gen.assert_cover_oracle(P, Mat(f, rows, ncols=P.dim) if rows else None)
+    P = alg.projectives_module(A, verts)
+    rows = gen.kernel_rows(cover)
+    gen.assert_cover_oracle(P, rows if any(rows) else None)
 
 
 @settings(max_examples=30, deadline=None)
@@ -742,7 +734,7 @@ def test_dual_and_direct_sum_blocks(f, rng):
         assert back.algebra is A and back.weights == M.weights
         _assert_identical(back.blocks, M.blocks)
     # each arrow's block of a direct sum is block-diagonal over the summands
-    total, _ = alg.direct_sum_modules(A, mods)
+    total = alg.direct_sum_modules(A, mods)
     total.validate()
     for n, a in enumerate(A.arrow_indices):
         s, t = A.source[a], A.target[a]

@@ -158,6 +158,54 @@ def test_mutate_force_required(tmp_path, capsys):
     assert main(["mutate", str(p), "nonrigid", "0", "left", "--force"]) == 0
 
 
+def _set(path, value):
+    """A workspace edit: the a2 fixture with the entry at path set to value."""
+    def edit(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = value
+    return edit
+
+
+_X = ("complexes", "X")
+
+
+@pytest.mark.parametrize("edit, named", [
+    (_set(_X, {"algebra": "A", "terms": {"x": ["1"]}}), "degree 'x'"),
+    (_set(_X, {"algebra": "A", "terms": {"0": ["2"], "1": ["1"]},
+               "diffs": {"one": [["a"]]}}), "degree 'one'"),
+    (_set(("algebras", "A", "relations"), [1]), "'relations': entry 1"),
+    (_set(("smcs", "standard", "objects"), ["simple:1", 2]), "'objects': entry 2"),
+    (_set(("algebras",), []), "'algebras' must be a JSON object"),
+    (_set(("smcs",), "standard"), "'smcs' must be a JSON object"),
+    (_set(("algebras", "A", "arrows"), ["a"]), "arrow must be a JSON object"),
+    (_set(("algebras", "A", "vertices"), "12"), "'vertices' must be a JSON list"),
+    (_set(("recollements", "R", "idempotents"), "1"), "'idempotents' must be a JSON list"),
+    (_set(("smcs", "standard", "objects"), "simple:1"), "'objects' must be a JSON list"),
+    (_set(_X, {"algebra": "A", "terms": {"0": "2"}}), "term '0' must be a JSON list"),
+])
+def test_workspace_schema_errors_exit_2(tmp_path, capsys, edit, named):
+    doc = json.loads(Path(A2_WS).read_text())
+    edit(doc)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", str(p), "standard"]) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--pd-bound", "-1", "hom", A2_WS, "A", "proj:1", "proj:2"],
+    ["truncate", TC_WS, "standard", "S1res", "--threshold", "0", "--strip-cap", "-1"],
+    ["truncate", TC_WS, "standard", "S1res", "--strip-cap", "-1"],
+])
+def test_negative_resource_flags_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "is negative" in capsys.readouterr().err
+
+
 def test_order_command(capsys):
     assert main(["order", A2_WS, "standard", "glued_order"]) == 0
     out = capsys.readouterr().out

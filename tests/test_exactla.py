@@ -127,7 +127,7 @@ def test_solve_matrix_exact_or_none(f, m, n, k, r, bad, rng):
         assert mat @ sol == b
     for j in range(k):
         col = la.solve(mat, [row[j] for row in b.rows])
-        one = la.solve_matrix(mat, b.submatrix(range(m), [j]))
+        one = la.solve_matrix(mat, gen.submatrix(b, range(m), [j]))
         assert col == (None if one is None else [row[0] for row in one.rows])
 
 

@@ -1,11 +1,15 @@
-"""Every name a library module imports is used in it (no linter is a
-dependency, so the check walks the syntax tree with the standard library).
+"""Every name a library module imports is used in it, and every function,
+method and class it defines is named somewhere else (no linter is a
+dependency, so the checks walk the syntax tree with the standard library).
 Package ``__init__.py`` files re-export their imports and are skipped."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "smc_kit"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "smc_kit"
 
 
 def _unused_imports(tree: ast.Module):
@@ -37,3 +41,20 @@ def test_no_unused_imports_in_src():
         for line, name in _unused_imports(ast.parse(path.read_text())):
             found.append(f"{path.relative_to(SRC)}:{line} {name}")
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def test_every_definition_is_named_elsewhere():
+    # a name must occur more often in src/, scripts/, perfbench/ and tests/
+    # than it is defined in src/smc_kit; dunders are called by Python
+    defined = Counter()
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and not (node.name.startswith("__") and node.name.endswith("__")):
+                defined[node.name] += 1
+    words = Counter()
+    for top in ("src", "scripts", "perfbench", "tests"):
+        for path in (ROOT / top).rglob("*.py"):
+            words.update(re.findall(r"\w+", path.read_text()))
+    unnamed = sorted(name for name, n in defined.items() if words[name] <= n)
+    assert not unnamed, "defined but never named elsewhere: " + ", ".join(unnamed)

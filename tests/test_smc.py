@@ -52,6 +52,16 @@ def test_standard_simples_pass():
         assert "theorem-backed" in rep.generation
 
 
+def test_euler_det_is_computed_once_per_collection(monkeypatch):
+    calls = []
+    det = la.det
+    monkeypatch.setattr(la, "det", lambda rows: calls.append(rows) or det(rows))
+    S = user_smc(TC, *TC.standard.objects)
+    reports = [validate_smc(S) for _ in range(3)]
+    assert len(calls) == 1
+    assert [r.euler_det for r in reports] == [det(S.euler_matrix())] * 3
+
+
 def test_non_smc_paper_sets_fail():
     # {S2, eA} and {S2, I1} over the two-cycle algebra are not collections
     S2 = TC.complexes["S2"]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 import gen
 from smc_kit import exactla as la
+from smc_kit.algebra import projectives_module
 from smc_kit.exactla import Mat, RationalField
 from smc_kit.fixtures import random_monomial_linear_algebra
 from smc_kit.homotopy import (
@@ -39,7 +40,7 @@ def _dense_realization(B, src_verts, tgt_verts, entries):
     for s, sbasis in enumerate(src_bases):
         c0 = 0
         for t, tbasis in enumerate(tgt_bases):
-            block = gen.lrow(B, entries[t][s]).submatrix(sbasis, tbasis)
+            block = gen.submatrix(gen.lrow(B, entries[t][s]), sbasis, tbasis)
             for r, brow in enumerate(block.rows):
                 for c, x in enumerate(brow):
                     if x != f.zero:
@@ -53,7 +54,7 @@ def _dense_inverse(B, x, v):
     """invert_in_corner through a submatrix of the dense rrow matrix."""
     f = B.field
     idx = B.corner_indices(v, v)
-    sub = gen.rrow(B, x).submatrix(idx, idx)
+    sub = gen.submatrix(gen.rrow(B, x), idx, idx)
     sol = la.solve(sub.transpose(), [f.one if b == v else f.zero for b in idx])
     y = list(B.zero_vec())
     for pos, b in enumerate(idx):
@@ -83,7 +84,8 @@ def test_products_match_dense_multiplication(rationals, use_two_cycle, rng):
         # entries anywhere in B, so products landing outside a target
         # summand must be dropped by both routes
         entries = [[_sparse_vec(B, rng, range(B.dim)) for _ in src] for _ in tgt]
-        got = realize_entry_matrix(B, src, tgt, entries)
+        got = gen.dense_map(projectives_module(B, src), projectives_module(B, tgt),
+                            realize_entry_matrix(B, src, tgt, entries))
         want = _dense_realization(B, src, tgt, entries)
         # repr tells 0 from Fraction(0), so equal entries must share a type
         assert (got.shape, repr(got.rows)) == (want.shape, repr(want.rows))
