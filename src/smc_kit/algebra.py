@@ -659,7 +659,7 @@ def projective_cover(M: Module, rows: Optional[Sequence[Sequence]] = None
     """
     A, f = M.algebra, M.algebra.field
     local = rows if rows is not None else \
-        [Mat.identity(f, len(pv)).rows for pv in M.positions]
+        [Mat.identity(f, len(pv)).rows if pv else [] for pv in M.positions]
     images: List[List] = [[] for _ in range(A.nvert)]
     for a, block in zip(A.arrow_indices, M.blocks):
         at_s = local[A.source[a]]

@@ -18,6 +18,7 @@ the degrees of the result.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import exactla as la
@@ -122,7 +123,7 @@ def summand_offsets(A: Algebra, verts: Sequence[int]) -> List[List[int]]:
     last of the len(verts) + 1 lists holds the sizes of the blocks."""
     out = [[0] * A.nvert]
     for i in verts:
-        out.append([x + d for x, d in zip(out[-1], A.corner_dims[i])])
+        out.append(list(map(add, out[-1], A.corner_dims[i])))
     return out
 
 
@@ -141,14 +142,18 @@ def realize_entry_matrix(A: Algebra, src_verts: Sequence[int],
         tgt_cols.append({P.basis_in_algebra[r]: off[v] + n
                          for v, pv in enumerate(P.positions) for n, r in enumerate(pv)})
     for s, (i, off) in enumerate(zip(src_verts, src_off)):
+        nonzero = [(cols, entries[t][s]) for t, cols in enumerate(tgt_cols)
+                   if any(entries[t][s])]
+        if not nonzero:
+            continue
         P = A.projective_module(i)
         # left multiplication keeps the end vertex: the block and row of each path
         place = [None] * P.dim
         for v, pv in enumerate(P.positions):
             for n, r in enumerate(pv):
                 place[r] = (out[v].rows, off[v] + n)
-        for t, cols in enumerate(tgt_cols):
-            for r, c, x in A.products(entries[t][s], P.basis_in_algebra, cols, True):
+        for cols, e in nonzero:
+            for r, c, x in A.products(e, P.basis_in_algebra, cols, True):
                 block, row = place[r]
                 block[row][c] = f.add(block[row][c], x)
     return tuple(out)
@@ -251,11 +256,14 @@ def resolve_complex(C: ModComplex, pd_bound: int = 32) -> Tuple[ProjComplex, Dic
         # P_k -> Z^k inside M_k (+) P_{k+1}: the coordinates of M_k come
         # first at each vertex
         vlist, into_sum = projective_cover(direct_sum_modules(A, parts), zrows)
-        if Mk is not None:
+        if Pk1 is None:
+            eps[k] = into_sum
+        elif Mk is None:
+            delta[k] = into_sum
+        else:
             eps[k] = tuple(b.columns(0, len(p)) for b, p in zip(into_sum, Mk.positions))
-        if Pk1 is not None:
-            delta[k] = tuple(b.columns(b.ncols - len(p), b.ncols)
-                             for b, p in zip(into_sum, Pk1.positions))
+            delta[k] = tuple(b.columns(len(p), b.ncols)
+                             for b, p in zip(into_sum, Mk.positions))
         verts[k] = vlist
         pmods[k] = projectives_module(A, vlist)
         k -= 1
@@ -298,8 +306,8 @@ def _cycle_rows(A: Algebra, Mk: Optional[Module], Pk1: Optional[Module],
         dp = len(Pk1.positions[v]) if Pk1 is not None else 0
         wm = len(M1.positions[v]) if M1 is not None else 0
         wp = len(P2.positions[v]) if P2 is not None else 0
-        if not wm and not wp:  # no condition at v
-            out.append(Mat.identity(f, dm + dp).rows)
+        if not dm + dp or not wm + wp:  # no rows, or no condition at v
+            out.append(Mat.identity(f, dm + dp).rows if dm + dp else [])
             continue
         zero_m, zero_p = [z] * wm, [z] * wp
         to_m = (dM[v].rows if dM is not None else [zero_m] * dm) + \
@@ -307,7 +315,7 @@ def _cycle_rows(A: Algebra, Mk: Optional[Module], Pk1: Optional[Module],
              else [zero_m] * dp)
         to_p = [zero_p] * dm + (delta[v].rows if delta is not None else [zero_p] * dp)
         cond = [a + b for a, b in zip(to_m, to_p)]
-        out.append(la.left_kernel_basis(Mat(f, cond, ncols=wm + wp)) if cond else [])
+        out.append(la.left_kernel_basis(Mat(f, cond, ncols=wm + wp)))
     return out
 
 
