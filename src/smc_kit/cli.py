@@ -7,6 +7,12 @@ of path labels, e.g. "2*alpha + beta"), and named collections whose
 objects are either complex names or the builtins simple:V / proj:V /
 inj:V, each with an optional shift suffix "[n]".
 
+Loading a workspace checks the shape and names of the whole document and
+builds its algebras and the complexes over them.  Each recollement (its
+global dimensions, functors and sample checks), each collection, and each
+complex over an outer algebra R.x / R.y is built when a command first reads
+it, once per workspace, so --pd-bound applies to what the command reads.
+
 Exit codes: 0 success, 1 mathematical check failed, 2 input error,
 3 resource bound exceeded, 4 internal invariant failed (a bug).
 """
@@ -17,8 +23,8 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from dataclasses import dataclass, field as dc_field
+from typing import Callable, Dict, List, Tuple
 
 from .algebra import Algebra, Quiver
 from .config import (
@@ -48,56 +54,110 @@ from .verify import run_paper_examples
 
 SCHEMA = "smc-kit/1"
 _OBJ_RE = re.compile(r"^(?P<base>[^\[\]]+?)(\[(?P<shift>-?\d+)\])?$")
+_BUILTINS = ("simple", "proj", "inj")
 
 
 @dataclass
 class Workspace:
+    """A checked workspace document.  The accessors recollement,
+    named_complex and smc build an entry on first read and keep it."""
+
     field: Field
     algebras: Dict[str, Algebra]
-    recollements: Dict[str, RecollementSpec]
-    complexes: Dict[str, Tuple[str, ProjComplex]]
+    # name -> (algebra name, idempotent vertex indices)
+    recollement_docs: Dict[str, Tuple[str, Tuple[int, ...]]]
+    # name -> (algebra name, vertex labels per degree, entries per degree)
+    complex_docs: Dict[str, Tuple[str, dict, dict]]
     smc_docs: Dict[str, dict]
-    smcs: Dict[str, SMC]
-    # bound on the projective dimension of each module the builtins resolve
-    pd_bound: int = 32
+    # bound on the projective dimension of each module the builtins and
+    # the recollements resolve
+    pd_bound: int = DEFAULT_LIMITS.pd_bound
+    # (kind, name) -> the recollement, complex or collection built for it
+    _built: dict = dc_field(default_factory=dict, init=False, repr=False)
+
+    def _memo(self, kind: str, name: str, build: Callable):
+        key = (kind, name)
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
+
+    def recollement(self, name: str) -> RecollementSpec:
+        if name not in self.recollement_docs:
+            raise InputError(f"unknown recollement {name!r}")
+        alg_name, subset = self.recollement_docs[name]
+        return self._memo("recollement", name, lambda: build_recollement(
+            self.algebras[alg_name], subset, pd_bound=self.pd_bound))
+
+    def named_complex(self, name: str) -> ProjComplex:
+        alg_name, terms, diffs = self.complex_docs[name]
+        what = f"complex {name!r}"
+
+        def build():
+            A = self.resolve_algebra(alg_name)
+            idx = {k: tuple(_vertex(A, v, what) for v in verts)
+                   for k, verts in terms.items()}
+            try:
+                return ProjComplex(A, idx, {
+                    k: [[A.parse_element(e) for e in row] for row in rows]
+                    for k, rows in diffs.items()})
+            except InputError as exc:
+                raise InputError(f"{what}: {exc}") from None
+        return self._memo("complex", name, build)
+
+    def smc(self, name: str) -> SMC:
+        if name not in self.smc_docs:
+            raise InputError(f"unknown smc {name!r}")
+        alg_name = self.smc_docs[name]["algebra"]
+        exprs = tuple(self.smc_docs[name].get("objects", []))
+        return self._memo("smc", name, lambda: SMC(
+            self.resolve_algebra(alg_name),
+            tuple(self.resolve_object(alg_name, expr) for expr in exprs),
+            Certificate("user", f"workspace smc {name}"), exprs))
+
+    def _check_algebra_name(self, name: str) -> None:
+        rec_name, dot, side = name.rpartition(".")
+        if name not in self.algebras and not (
+                dot and rec_name in self.recollement_docs and side in ("x", "y")):
+            raise InputError(f"unknown algebra {name!r} (use a name or R.x / R.y)")
 
     def resolve_algebra(self, name: str) -> Algebra:
+        self._check_algebra_name(name)
         if name in self.algebras:
             return self.algebras[name]
-        if "." in name:
-            rec_name, side = name.rsplit(".", 1)
-            if rec_name in self.recollements and side in ("x", "y"):
-                spec = self.recollements[rec_name]
-                return spec.x_algebra if side == "x" else spec.y_algebra
-        raise InputError(f"unknown algebra {name!r} (use a name or R.x / R.y)")
+        rec_name, _, side = name.rpartition(".")
+        spec = self.recollement(rec_name)
+        return spec.x_algebra if side == "x" else spec.y_algebra
 
-    def resolve_object(self, alg_name: str, expr: str) -> ProjComplex:
-        A = self.resolve_algebra(alg_name)
+    def _parse_object(self, expr: str) -> Tuple[str, int]:
+        """The base name and shift of an object expression, checked against
+        the workspace's complex names and the builtin kinds."""
         m = _OBJ_RE.match(expr.strip())
         if not m:
             raise InputError(f"cannot parse object expression {expr!r}")
         base = m.group("base").strip()
-        n = int(m.group("shift")) if m.group("shift") else 0
-        if base in self.complexes:
-            owner, cplx = self.complexes[base]
-            if self.resolve_algebra(owner) is not A:
+        if base not in self.complex_docs:
+            if ":" not in base:
+                raise InputError(f"unresolved object name {base!r}")
+            kind = base.split(":", 1)[0]
+            if kind not in _BUILTINS:
+                raise InputError(f"unknown builtin {kind!r} (simple/proj/inj)")
+        return base, int(m.group("shift")) if m.group("shift") else 0
+
+    def resolve_object(self, alg_name: str, expr: str) -> ProjComplex:
+        A = self.resolve_algebra(alg_name)
+        base, n = self._parse_object(expr)
+        if base in self.complex_docs:
+            owner = self.complex_docs[base][0]
+            if owner != alg_name and self.resolve_algebra(owner) is not A:
                 raise InputError(f"complex {base!r} lives over {owner!r}, "
                                  f"not {alg_name!r}")
-            return shift(cplx, n)
-        if ":" in base:
-            kind, vert = base.split(":", 1)
-            try:
-                idx = list(A.vertex_labels).index(vert)
-            except ValueError:
-                raise InputError(f"unknown vertex {vert!r} in {expr!r}") from None
-            if kind == "proj":
-                return shift(stalk(A, idx), n)
-            if kind == "simple":
-                return shift(resolve_module(A.simple_module(idx), self.pd_bound), n)
-            if kind == "inj":
-                return shift(resolve_module(A.injective_module(idx), self.pd_bound), n)
-            raise InputError(f"unknown builtin {kind!r} (simple/proj/inj)")
-        raise InputError(f"unresolved object name {base!r}")
+            return shift(self.named_complex(base), n)
+        kind, vert = base.split(":", 1)
+        idx = _vertex(A, vert, f"object {expr!r}")
+        if kind == "proj":
+            return shift(stalk(A, idx), n)
+        module = A.simple_module(idx) if kind == "simple" else A.injective_module(idx)
+        return shift(resolve_module(module, self.pd_bound), n)
 
 
 def _object(value, what: str) -> dict:
@@ -130,7 +190,15 @@ def _degree(key: str, what: str) -> int:
         raise InputError(f"{what}: degree {key!r} is not an integer") from None
 
 
-def parse_workspace(doc: dict, field_override=None, pd_bound: int = 32) -> Workspace:
+def _vertex(A: Algebra, label: str, what: str) -> int:
+    try:
+        return A.vertex_labels.index(label)
+    except ValueError:
+        raise InputError(f"{what}: unknown vertex {label!r}") from None
+
+
+def parse_workspace(doc: dict, field_override=None,
+                    pd_bound: int = DEFAULT_LIMITS.pd_bound) -> Workspace:
     if not isinstance(doc, dict):
         raise InputError("workspace must be a JSON object")
     if doc.get("schema") != SCHEMA:
@@ -138,7 +206,7 @@ def parse_workspace(doc: dict, field_override=None, pd_bound: int = 32) -> Works
                          f"expected {SCHEMA!r}")
     field = get_field(field_override if field_override is not None
                       else doc.get("field", 32003))
-    ws = Workspace(field, {}, {}, {}, {}, {}, pd_bound=pd_bound)
+    ws = Workspace(field, {}, {}, {}, {}, pd_bound=pd_bound)
     sections = {key: _object(doc.get(key, {}), repr(key))
                 for key in ("algebras", "recollements", "complexes", "smcs")}
     for name, adoc in sections["algebras"].items():
@@ -162,45 +230,32 @@ def parse_workspace(doc: dict, field_override=None, pd_bound: int = 32) -> Works
         if alg_name not in ws.algebras:
             raise InputError(f"{what}: unknown algebra {alg_name!r}")
         A = ws.algebras[alg_name]
-        subset = []
-        for v in _list(rdoc.get("idempotents", []), f"{what}: 'idempotents'"):
-            try:
-                subset.append(list(A.vertex_labels).index(str(v)))
-            except ValueError:
-                raise InputError(f"{what}: unknown vertex {v!r}") from None
-        ws.recollements[name] = build_recollement(A, subset, pd_bound=pd_bound)
+        ws.recollement_docs[name] = (alg_name, tuple(
+            _vertex(A, str(v), what)
+            for v in _list(rdoc.get("idempotents", []), f"{what}: 'idempotents'")))
     for name, cdoc in sections["complexes"].items():
         what = f"complex {name!r}"
         alg_name = _name(_object(cdoc, what), what)
-        A = ws.resolve_algebra(alg_name)
-        terms: Dict[int, Tuple[int, ...]] = {}
+        ws._check_algebra_name(alg_name)
+        terms = {}
         for deg_str, verts in _object(cdoc.get("terms", {}), f"{what}: 'terms'").items():
-            idx = []
-            for v in _list(verts, f"{what}: term {deg_str!r}"):
-                try:
-                    idx.append(list(A.vertex_labels).index(str(v)))
-                except ValueError:
-                    raise InputError(f"{what}: unknown vertex {v!r}") from None
-            terms[_degree(deg_str, what)] = tuple(idx)
+            labels = [str(v) for v in _list(verts, f"{what}: term {deg_str!r}")]
+            terms[_degree(deg_str, what)] = labels
         diffs = {}
         for deg_str, rows in _object(cdoc.get("diffs", {}), f"{what}: 'diffs'").items():
             entry = f"{what}: differential {deg_str!r}"
-            diffs[_degree(deg_str, what)] = [
-                [A.parse_element(e) for e in _list(row, entry, True)]
-                for row in _list(rows, entry)]
-        try:
-            cplx = ProjComplex(A, terms, diffs)
-        except InputError as exc:
-            raise InputError(f"{what}: {exc}") from None
-        ws.complexes[name] = (alg_name, cplx)
+            diffs[_degree(deg_str, what)] = [_list(row, entry, True)
+                                             for row in _list(rows, entry)]
+        ws.complex_docs[name] = (alg_name, terms, diffs)
+        if alg_name in ws.algebras:
+            ws.named_complex(name)
     for name, sdoc in sections["smcs"].items():
         what = f"smc {name!r}"
         alg_name = _name(_object(sdoc, what), what)
+        ws._check_algebra_name(alg_name)
+        for expr in _list(sdoc.get("objects", []), f"{what}: 'objects'", True):
+            ws._parse_object(expr)
         ws.smc_docs[name] = sdoc
-        exprs = tuple(_list(sdoc.get("objects", []), f"{what}: 'objects'", True))
-        objs = tuple(ws.resolve_object(alg_name, expr) for expr in exprs)
-        ws.smcs[name] = SMC(ws.resolve_algebra(alg_name), objs,
-                            Certificate("user", f"workspace smc {name}"), exprs)
     return ws
 
 
@@ -213,7 +268,8 @@ def serialize_complex(A: Algebra, cplx: ProjComplex) -> dict:
     return {"terms": terms, "diffs": diffs}
 
 
-def load_workspace(path: str, field_override=None, pd_bound: int = 32) -> Workspace:
+def load_workspace(path: str, field_override=None,
+                   pd_bound: int = DEFAULT_LIMITS.pd_bound) -> Workspace:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -236,7 +292,7 @@ def _emit(payload: dict, lines: List[str], as_json: bool):
             print(ln)
 
 
-def _smc_summary(ws: Workspace, S: SMC) -> List[dict]:
+def _smc_summary(S: SMC) -> List[dict]:
     out = []
     for i, obj in enumerate(S.objects):
         out.append({"name": S.name_of(i), **serialize_complex(S.algebra, obj)})
@@ -244,10 +300,7 @@ def _smc_summary(ws: Workspace, S: SMC) -> List[dict]:
 
 
 def cmd_validate(args) -> int:
-    ws = load_workspace(args.workspace, args.field, args.pd_bound)
-    if args.smc not in ws.smcs:
-        raise InputError(f"unknown smc {args.smc!r}")
-    S = ws.smcs[args.smc]
+    S = load_workspace(args.workspace, args.field, args.pd_bound).smc(args.smc)
     rep = validate_smc(S)
     payload = {"smc": args.smc, "report": rep.to_dict()}
     lines = [f"smc {args.smc!r}: axioms(1)&(3) "
@@ -266,19 +319,10 @@ def cmd_validate(args) -> int:
     return 0 if ok else 1
 
 
-def _resolve_recollement(ws: Workspace, name: str) -> RecollementSpec:
-    if name not in ws.recollements:
-        raise InputError(f"unknown recollement {name!r}")
-    return ws.recollements[name]
-
-
 def cmd_glue(args) -> int:
     ws = load_workspace(args.workspace, args.field, args.pd_bound)
-    spec = _resolve_recollement(ws, args.recollement)
-    for nm in (args.smc_x, args.smc_y):
-        if nm not in ws.smcs:
-            raise InputError(f"unknown smc {nm!r}")
-    S_X, S_Y = ws.smcs[args.smc_x], ws.smcs[args.smc_y]
+    spec = ws.recollement(args.recollement)
+    S_X, S_Y = ws.smc(args.smc_x), ws.smc(args.smc_y)
     fn = glue_dual if args.dual else glue
     out, report = fn(S_X, S_Y, spec, deep=True)
     rep = validate_smc(out)
@@ -286,7 +330,7 @@ def cmd_glue(args) -> int:
     iso_to_other = smc_iso(out, other)
     payload = {
         "route": "dual" if args.dual else "primal",
-        "objects": _smc_summary(ws, out),
+        "objects": _smc_summary(out),
         "validation": rep.to_dict(),
         "triangles_verified": report.all_verified(),
         "iso_to_other_route": iso_to_other,
@@ -310,14 +354,11 @@ def cmd_glue(args) -> int:
 
 
 def cmd_mutate(args) -> int:
-    ws = load_workspace(args.workspace, args.field, args.pd_bound)
-    if args.smc not in ws.smcs:
-        raise InputError(f"unknown smc {args.smc!r}")
-    S = ws.smcs[args.smc]
+    S = load_workspace(args.workspace, args.field, args.pd_bound).smc(args.smc)
     out, step = mutate(S, args.index, args.direction, force=args.force)
     payload = {"direction": args.direction, "index": args.index,
                "multiplicities": step.multiplicities,
-               "objects": _smc_summary(ws, out)}
+               "objects": _smc_summary(out)}
     lines = [f"mutation ({args.direction}) at index {args.index}:"]
     for obj in payload["objects"]:
         lines.append(f"  {obj['name']}: terms {obj['terms']}")
@@ -328,10 +369,7 @@ def cmd_mutate(args) -> int:
 
 def cmd_order(args) -> int:
     ws = load_workspace(args.workspace, args.field, args.pd_bound)
-    for nm in (args.smc_a, args.smc_b):
-        if nm not in ws.smcs:
-            raise InputError(f"unknown smc {nm!r}")
-    rel = compare(ws.smcs[args.smc_a], ws.smcs[args.smc_b])
+    rel = compare(ws.smc(args.smc_a), ws.smc(args.smc_b))
     pretty = {"equal": "=", "geq": ">=", "leq": "<=",
               "incomparable": "incomparable with"}[rel]
     _emit({"relation": rel},
@@ -341,9 +379,7 @@ def cmd_order(args) -> int:
 
 def cmd_truncate(args) -> int:
     ws = load_workspace(args.workspace, args.field, args.pd_bound)
-    if args.smc not in ws.smcs:
-        raise InputError(f"unknown smc {args.smc!r}")
-    S = ws.smcs[args.smc]
+    S = ws.smc(args.smc)
     alg_name = ws.smc_docs[args.smc].get("algebra")
     T = ws.resolve_object(alg_name, args.object)
     tri = truncate(T, list(S.objects), threshold=args.threshold,

@@ -22,9 +22,11 @@ TC_WS = str(ROOT / "fixtures" / "two_cycle.json")
 def test_fixture_workspaces_parse():
     for path in (A2_WS, TC_WS):
         ws = load_workspace(path)
-        assert ws.smcs
-        for name, spec in ws.recollements.items():
-            assert spec.validated
+        assert ws.smc_docs and ws.recollement_docs
+        for name in ws.recollement_docs:
+            assert ws.recollement(name).validated
+        for name, sdoc in ws.smc_docs.items():
+            assert len(ws.smc(name)) == len(sdoc["objects"])
 
 
 def test_round_trip():
@@ -32,14 +34,15 @@ def test_round_trip():
     ws = load_workspace(TC_WS)
     doc = json.loads(Path(TC_WS).read_text())
     doc["complexes"] = {
-        name: {**serialize_complex(ws.resolve_algebra(alg_name), cplx),
+        name: {**serialize_complex(ws.resolve_algebra(alg_name),
+                                   ws.named_complex(name)),
                "algebra": alg_name}
-        for name, (alg_name, cplx) in ws.complexes.items()}
+        for name, (alg_name, _, _) in ws.complex_docs.items()}
     ws2 = parse_workspace(doc)
-    assert set(ws2.smcs) == set(ws.smcs)
-    assert set(ws2.complexes) == set(ws.complexes)
-    for name, (alg_name, c1) in ws.complexes.items():
-        _, c2 = ws2.complexes[name]
+    assert set(ws2.smc_docs) == set(ws.smc_docs)
+    assert set(ws2.complex_docs) == set(ws.complex_docs)
+    for name, (alg_name, _, _) in ws.complex_docs.items():
+        c1, c2 = ws.named_complex(name), ws2.named_complex(name)
         assert c1.terms == c2.terms and c1.diffs == c2.diffs
         # serialize is stable
         assert serialize_complex(ws2.resolve_algebra(alg_name), c2) == \
@@ -238,6 +241,60 @@ def test_hom_command(capsys):
     assert main(["--json", "hom", TC_WS, "A", "simple:2", "proj:1"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["dims"].get("0") == 1
+
+
+def _count_recollement_builds(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    build = cli.build_recollement
+    monkeypatch.setattr(cli, "build_recollement", counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv, code, builds", [
+    (["validate", TC_WS, "standard"], 0, 0),
+    (["validate", TC_WS, "naive_lower"], 1, 0),
+    (["mutate", A2_WS, "glued_order", "0", "left"], 0, 0),
+    (["order", A2_WS, "standard", "glued_order"], 0, 0),
+    (["truncate", TC_WS, "standard", "S1res"], 0, 0),
+    (["hom", TC_WS, "A", "simple:2", "proj:1"], 0, 0),
+    # R is read three times (argument, R.x, R.y) and built once
+    (["glue", A2_WS, "R", "xstd", "ystd"], 0, 1),
+    (["glue", A2_WS, "R", "xstd", "ystd", "--dual"], 0, 1),
+])
+def test_recollements_are_built_only_when_read(monkeypatch, capsys, argv, code, builds):
+    calls = _count_recollement_builds(monkeypatch)
+    assert main(argv) == code
+    assert len(calls) == builds
+
+
+def test_pd_bound_applies_to_what_is_read(capsys):
+    # the two-cycle algebra has global dimension 2, so its recollement
+    # exceeds the bound, but hom between projective stalks never reads it
+    assert main(["--pd-bound", "1", "hom", TC_WS, "A", "proj:1", "proj:2"]) == 0
+    capsys.readouterr()
+    assert main(["--pd-bound", "1", "glue", TC_WS, "R", "xstd", "ystd"]) == 3
+    assert "resource bound exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("complexes, objects", [
+    ({}, ["simple:9"]),
+    ({"Xbad": {"algebra": "R.x", "terms": {"0": ["9"]}}}, ["Xbad"]),
+])
+def test_deferred_entry_errors_surface_when_read(tmp_path, capsys, complexes, objects):
+    # entries over R.x are built only when read, so only glue meets the error
+    doc = json.loads(Path(A2_WS).read_text())
+    doc["complexes"] = complexes
+    doc["smcs"]["xbad"] = {"algebra": "R.x", "objects": objects}
+    p = tmp_path / "xbad.json"
+    p.write_text(json.dumps(doc))
+    assert main(["glue", str(p), "R", "xbad", "ystd"]) == 2
+    assert "unknown vertex '9'" in capsys.readouterr().err
+    assert main(["validate", str(p), "standard"]) == 0
 
 
 def test_pd_bound_reaches_builtin_objects(tmp_path, capsys):
