@@ -243,18 +243,6 @@ def test_hom_command(capsys):
     assert payload["dims"].get("0") == 1
 
 
-def _count_recollement_builds(monkeypatch):
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return build(*args, **kwargs)
-
-    build = cli.build_recollement
-    monkeypatch.setattr(cli, "build_recollement", counted)
-    return calls
-
-
 @pytest.mark.parametrize("argv, code, builds", [
     (["validate", TC_WS, "standard"], 0, 0),
     (["validate", TC_WS, "naive_lower"], 1, 0),
@@ -267,7 +255,14 @@ def _count_recollement_builds(monkeypatch):
     (["glue", A2_WS, "R", "xstd", "ystd", "--dual"], 0, 1),
 ])
 def test_recollements_are_built_only_when_read(monkeypatch, capsys, argv, code, builds):
-    calls = _count_recollement_builds(monkeypatch)
+    calls = []
+    build = cli.build_recollement
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_recollement", counted)
     assert main(argv) == code
     assert len(calls) == builds
 
