@@ -15,7 +15,7 @@ import random
 import sys
 import time
 
-from smc_kit.exactla import get_field
+from smc_kit.exactla import DEFAULT_PRIME, get_field
 from smc_kit.fixtures import random_recollement
 from smc_kit.smc import (
     glue,
@@ -33,7 +33,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--count", type=int, default=20)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--field", default="32003")
+    ap.add_argument("--field", default=str(DEFAULT_PRIME))
     args = ap.parse_args()
     rng = random.Random(args.seed)
     field = get_field(args.field if not args.field.isdigit() else int(args.field))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import exactla as la
-from .config import BoundExceeded, InputError, InvariantError
+from .config import DEFAULT_LIMITS, BoundExceeded, InputError, InvariantError, PdBoundExceeded
 from .exactla import Field, Mat
 
 Vec = Tuple  # coefficient tuple over the algebra basis
@@ -763,19 +763,22 @@ def module_hom_space(M: Module, N: Module) -> List[ModMap]:
             for x in la.kernel_basis(sys)]
 
 
-def projective_dimension(M: Module, bound: int = 32) -> Optional[int]:
-    """Length of the minimal projective resolution of M; None past bound."""
+def projective_dimension(M: Module, bound: int = DEFAULT_LIMITS.pd_bound) -> Optional[int]:
+    """Length of the minimal projective resolution of M; None past bound.
+    Any other BoundExceeded (the summand cap) propagates: it says nothing
+    about the length."""
     from .homotopy.resolve import resolve_module  # resolve imports this module
     if M.dim == 0:
         return 0
     try:
         return -min(resolve_module(M, bound).terms)
-    except BoundExceeded:
+    except PdBoundExceeded:
         return None
 
 
-def global_dimension(A: Algebra, bound: int = 32) -> Optional[int]:
-    """Max projective dimension over the simples; None when the bound is hit."""
+def global_dimension(A: Algebra, bound: int = DEFAULT_LIMITS.pd_bound) -> Optional[int]:
+    """Max projective dimension over the simples; None when the bound is hit
+    (see projective_dimension)."""
     if A.dim == 0:
         return 0
     worst = 0

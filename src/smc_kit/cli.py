@@ -13,6 +13,11 @@ global dimensions, functors and sample checks), each collection, and each
 complex over an outer algebra R.x / R.y is built when a command first reads
 it, once per workspace, so --pd-bound applies to what the command reads.
 
+main(argv) is the entry point of the console script and of in-process
+callers alike: it returns the exit code and prints to stdout and stderr.
+Its argument parser is built on the first call and shared, read-only, by
+every later call in the process; usage errors and --help raise SystemExit.
+
 Exit codes: 0 success, 1 mathematical check failed, 2 input error,
 3 resource bound exceeded, 4 internal invariant failed (a bug).
 """
@@ -20,6 +25,7 @@ Exit codes: 0 success, 1 mathematical check failed, 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -35,7 +41,7 @@ from .config import (
     NotRigidError,
     SmcKitError,
 )
-from .exactla import Field, get_field
+from .exactla import DEFAULT_PRIME, Field, get_field
 from .homotopy import ProjComplex, hom_table, resolve_module, shift
 from .homotopy.complexes import stalk
 from .recollement import RecollementSpec, build_recollement
@@ -205,7 +211,7 @@ def parse_workspace(doc: dict, field_override=None,
         raise InputError(f"unsupported schema {doc.get('schema')!r}; "
                          f"expected {SCHEMA!r}")
     field = get_field(field_override if field_override is not None
-                      else doc.get("field", 32003))
+                      else doc.get("field", DEFAULT_PRIME))
     ws = Workspace(field, {}, {}, {}, {}, pd_bound=pd_bound)
     sections = {key: _object(doc.get(key, {}), repr(key))
                 for key in ("algebras", "recollements", "complexes", "smcs")}
@@ -416,7 +422,7 @@ def cmd_hom(args) -> int:
 
 
 def cmd_paper_examples(args) -> int:
-    field = args.field if args.field is not None else 32003
+    field = args.field if args.field is not None else DEFAULT_PRIME
     reports = run_paper_examples(field, args.pd_bound)
     payload = {"reports": [r.to_dict() for r in reports],
                "all_passed": all(r.passed for r in reports)}
@@ -435,7 +441,10 @@ def _non_negative(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process on first use and shared by
+    every main call: callers must not modify it."""
     p = argparse.ArgumentParser(
         prog="smc-kit",
         description="simple-minded collections over quiver algebras: "

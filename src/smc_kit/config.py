@@ -14,7 +14,13 @@ class InputError(SmcKitError):
 
 
 class BoundExceeded(SmcKitError):
-    """A configured resource bound (pd length, strip cap, path cap) was hit."""
+    """A configured resource bound (pd length, strip cap, path cap, summand
+    cap) was hit."""
+
+
+class PdBoundExceeded(BoundExceeded):
+    """A resolution needs a term past its pd bound, so the projective
+    dimension it resolves exceeds that bound."""
 
 
 class NotRigidError(SmcKitError):
@@ -31,10 +37,19 @@ class InvariantError(AssertionError):
 
 @dataclass(frozen=True)
 class Limits:
-    """Defaults of the CLI's resource flags: --pd-bound and --strip-cap."""
+    """The package's default resource limits, read by the library's
+    keyword defaults and the CLI's flags alike.
+
+    pd_bound: length of a projective resolution (--pd-bound).
+    strip_cap: layers one truncation may strip (truncate --strip-cap).
+    summand_cap: projective summands one resolution may place.  It has no
+    flag: it keeps a resolution whose syzygies grow exponentially from
+    exhausting memory before pd_bound is reached.
+    """
 
     pd_bound: int = 32
     strip_cap: int = 10_000
+    summand_cap: int = 1_000
 
 
 DEFAULT_LIMITS = Limits()

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .algebra import Algebra, Quiver, linear_quiver
-from .config import BoundExceeded, SmcKitError
-from .exactla import Field, get_field
+from .config import DEFAULT_LIMITS, BoundExceeded, SmcKitError
+from .exactla import DEFAULT_PRIME, Field, get_field
 from .homotopy import ProjComplex, resolve_module
 from .homotopy.complexes import stalk
 from .recollement import RecollementSpec, build_recollement
@@ -54,13 +54,14 @@ def _make_fixture(name: str, A: Algebra, subset: Tuple[int, ...], pd_bound: int)
                    standard_smc(A))
 
 
-def a2_fixture(field=32003, pd_bound: int = 32) -> Fixture:
+def a2_fixture(field=DEFAULT_PRIME, pd_bound: int = DEFAULT_LIMITS.pd_bound) -> Fixture:
     f = get_field(field)
     A = Algebra.from_quiver(f, Quiver(("1", "2"), (("a", "1", "2"),)))
     return _make_fixture("a2", A, (0,), pd_bound)
 
 
-def two_cycle_fixture(field=32003, pd_bound: int = 32) -> Fixture:
+def two_cycle_fixture(field=DEFAULT_PRIME,
+                      pd_bound: int = DEFAULT_LIMITS.pd_bound) -> Fixture:
     f = get_field(field)
     q = Quiver(("1", "2"), (("alpha", "2", "1"), ("beta", "1", "2")))
     A = Algebra.from_quiver(f, q, relations=[("beta", "alpha")])

@@ -34,7 +34,7 @@ from ..algebra import (
     projectives_module,
     zero_module,
 )
-from ..config import BoundExceeded, InputError, InvariantError
+from ..config import DEFAULT_LIMITS, BoundExceeded, InputError, InvariantError, PdBoundExceeded
 from ..exactla import Mat
 from .complexes import (
     ChainMap,
@@ -218,14 +218,16 @@ def cohomology_dims(X: ProjComplex) -> Dict[int, int]:
     return module_realization(X).cohomology_dims()
 
 
-def resolve_complex(C: ModComplex, pd_bound: int = 32) -> Tuple[ProjComplex, Dict[int, ModMap]]:
+def resolve_complex(C: ModComplex, pd_bound: int = DEFAULT_LIMITS.pd_bound
+                    ) -> Tuple[ProjComplex, Dict[int, ModMap]]:
     """Minimal complex of projectives quasi-isomorphic to C, plus the
     comparison map.
 
     The second component maps the realization of the result onto C degreewise
     (a surjection onto cycles-and-lifts, quasi-iso overall).  Raises
-    BoundExceeded when a term would be needed below degree lo - pd_bound,
-    lo the lowest degree of C.
+    PdBoundExceeded when a term would be needed below degree lo - pd_bound,
+    lo the lowest degree of C, and BoundExceeded once the terms hold more
+    than DEFAULT_LIMITS.summand_cap projective summands.
     """
     A = C.algebra
     sup = C.support
@@ -236,6 +238,7 @@ def resolve_complex(C: ModComplex, pd_bound: int = 32) -> Tuple[ProjComplex, Dic
     pmods: Dict[int, Module] = {}
     eps: Dict[int, ModMap] = {}
     delta: Dict[int, ModMap] = {}
+    placed, cap = 0, DEFAULT_LIMITS.summand_cap
     k = hi
     while True:
         Mk, Pk1 = C.terms.get(k), pmods.get(k + 1)
@@ -251,7 +254,7 @@ def resolve_complex(C: ModComplex, pd_bound: int = 32) -> Tuple[ProjComplex, Dic
             k -= 1
             continue
         if k < lo - pd_bound:
-            raise BoundExceeded(
+            raise PdBoundExceeded(
                 f"hyperprojective resolution exceeds pd bound {pd_bound}")
         # P_k -> Z^k inside M_k (+) P_{k+1}: the coordinates of M_k come
         # first at each vertex
@@ -264,6 +267,11 @@ def resolve_complex(C: ModComplex, pd_bound: int = 32) -> Tuple[ProjComplex, Dic
             eps[k] = tuple(b.columns(0, len(p)) for b, p in zip(into_sum, Mk.positions))
             delta[k] = tuple(b.columns(len(p), b.ncols)
                              for b, p in zip(into_sum, Mk.positions))
+        placed += len(vlist)
+        if placed > cap:
+            raise BoundExceeded(
+                f"hyperprojective resolution exceeds the summand cap of {cap} "
+                f"projective summands (reached degree {k})")
         verts[k] = vlist
         pmods[k] = projectives_module(A, vlist)
         k -= 1
@@ -319,7 +327,7 @@ def _cycle_rows(A: Algebra, Mk: Optional[Module], Pk1: Optional[Module],
     return out
 
 
-def resolve_module(M: Module, pd_bound: int = 32) -> ProjComplex:
+def resolve_module(M: Module, pd_bound: int = DEFAULT_LIMITS.pd_bound) -> ProjComplex:
     """The minimal projective resolution of M, in degrees -pd M .. 0.
 
     The first resolution found is kept on M, which is sound because a module
@@ -330,7 +338,7 @@ def resolve_module(M: Module, pd_bound: int = 32) -> ProjComplex:
         P, _ = resolve_complex(stalk_complex(M), pd_bound)
         M._resolution = P
     elif -min(P.terms, default=0) > pd_bound:
-        raise BoundExceeded(
+        raise PdBoundExceeded(
             f"hyperprojective resolution exceeds pd bound {pd_bound}")
     return P
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import Algebra, ModMap, Module, global_dimension, projective_dimension
-from .config import BoundExceeded, InputError, InvariantError, SmcKitError
+from .config import DEFAULT_LIMITS, BoundExceeded, InputError, InvariantError, SmcKitError
 from .exactla import Mat
 from .homotopy import (
     ChainMap,
@@ -85,7 +85,7 @@ class RecollementSpec:
     y_algebra: Algebra
     y_embed: Tuple[int, ...]
     report: RecollementReport
-    pd_bound: int = 32
+    pd_bound: int = DEFAULT_LIMITS.pd_bound
     # input complex -> {functor: value}, filled by the _per_spec functors
     _memo: weakref.WeakKeyDictionary = dc_field(
         default_factory=weakref.WeakKeyDictionary, init=False, repr=False,
@@ -109,7 +109,7 @@ def _per_spec(functor):
 
 
 def build_recollement(A: Algebra, subset: Sequence[int], *,
-                      pd_bound: int = 32) -> RecollementSpec:
+                      pd_bound: int = DEFAULT_LIMITS.pd_bound) -> RecollementSpec:
     """The recollement of A at the idempotent of subset, sample-validated.
 
     pd_bound bounds every projective dimension resolved: the global
@@ -337,7 +337,8 @@ def canonical_triangles(spec: RecollementSpec, T: ProjComplex) -> CanonicalTrian
 # -- validation ----------------------------------------------------------------
 
 
-def resolved_simples(alg: Algebra, pd_bound: int = 32) -> List[ProjComplex]:
+def resolved_simples(alg: Algebra,
+                     pd_bound: int = DEFAULT_LIMITS.pd_bound) -> List[ProjComplex]:
     """The simple modules of alg as minimal complexes of projectives."""
     return [resolve_module(alg.simple_module(i), pd_bound)
             for i in range(alg.nvert)]

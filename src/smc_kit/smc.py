@@ -20,7 +20,14 @@ from typing import Dict, List, Literal, Optional, Sequence, Tuple
 
 from . import exactla as la
 from .algebra import Algebra
-from .config import BoundExceeded, InputError, InvariantError, NotRigidError, SmcKitError
+from .config import (
+    DEFAULT_LIMITS,
+    BoundExceeded,
+    InputError,
+    InvariantError,
+    NotRigidError,
+    SmcKitError,
+)
 from .homotopy import (
     ChainMap,
     ProjComplex,
@@ -184,8 +191,8 @@ def validate_smc(S: SMC) -> SmcReport:
 
 def _homs_vanish_up_to(X: ProjComplex, Y: ProjComplex, top: int) -> bool:
     """Hom(X, Y[n]) = 0 for every n <= top (exhaustive over the window)."""
-    lo, _ = hom_window(X, Y)
-    return not any(hom_dims(X, Y, range(lo, top + 1)).values())
+    lo, hi = hom_window(X, Y)
+    return not any(hom_dims(X, Y, range(lo, min(top, hi) + 1)).values())
 
 
 def member_filt_geq(T: ProjComplex, objects: Sequence[ProjComplex], m: int = 0) -> bool:
@@ -225,7 +232,7 @@ class TruncationTriangle:
 
 
 def truncate(T: ProjComplex, objects: Sequence[ProjComplex], threshold: int = 1,
-             cap: int = 10_000) -> TruncationTriangle:
+             cap: int = DEFAULT_LIMITS.strip_cap) -> TruncationTriangle:
     """Strip topmost layers Hom(T, S_i[-b]) with b >= threshold.
 
     Always removes the largest b first; the output is unique up to
@@ -239,8 +246,9 @@ def truncate(T: ProjComplex, objects: Sequence[ProjComplex], threshold: int = 1,
     while True:
         best: Optional[Tuple[int, int]] = None
         for idx, S_i in enumerate(objects):
-            lo, _ = hom_window(current, S_i)
-            for n, d in hom_dims(current, S_i, range(lo, 1 - threshold)).items():
+            lo, hi = hom_window(current, S_i)
+            degrees = range(lo, min(hi + 1, 1 - threshold))
+            for n, d in hom_dims(current, S_i, degrees).items():
                 if d and (best is None or -n > best[0]):
                     best = (-n, idx)
         if best is None:

@@ -17,7 +17,8 @@ import time
 from dataclasses import dataclass
 from typing import List, Literal, Tuple
 
-from .config import SmcKitError
+from .config import DEFAULT_LIMITS, SmcKitError
+from .exactla import DEFAULT_PRIME
 from .fixtures import a2_fixture, two_cycle_fixture
 from .algebra import module_hom_space
 from .homotopy import hom_dims, is_iso, shift
@@ -255,7 +256,8 @@ def check_first_m_terms(S_X: SMC, S_Y: SMC, R: RecollementSpec, j: int,
 # -- the worked examples ---------------------------------------------------------
 
 
-def run_paper_examples(field=32003, pd_bound: int = 32) -> List[CheckReport]:
+def run_paper_examples(field=DEFAULT_PRIME,
+                       pd_bound: int = DEFAULT_LIMITS.pd_bound) -> List[CheckReport]:
     """The built-in fixtures, end to end; all must pass.  pd_bound bounds
     every projective dimension the fixtures resolve."""
     reports: List[CheckReport] = []

@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from smc_kit import cli
+from smc_kit import cli, smc
 from smc_kit.config import InvariantError
+from smc_kit.homotopy import hom_window
 from smc_kit.cli import (
+    build_parser,
     load_workspace,
     main,
     parse_workspace,
@@ -230,6 +232,27 @@ def test_truncate_honours_strip_cap(capsys):
     assert "strip cap 0 exceeded" in capsys.readouterr().err
 
 
+def test_truncate_asks_only_for_degrees_in_the_hom_window(monkeypatch, capsys):
+    hom_dims = smc.hom_dims
+
+    def checked(X, Y, degrees):
+        # fail at once rather than walk a billion degrees
+        lo, hi = hom_window(X, Y)
+        assert not degrees or lo <= degrees[0] <= degrees[-1] <= hi, (degrees, lo, hi)
+        return hom_dims(X, Y, degrees)
+
+    monkeypatch.setattr(smc, "hom_dims", checked)
+    for far, near in (("1000000000", "10"), ("-1000000000", "-10")):
+        payloads = []
+        for threshold in (far, near):
+            assert main(["--json", "truncate", TC_WS, "standard", "S1res",
+                         f"--threshold={threshold}"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload.pop("threshold") == int(threshold)
+            payloads.append(payload)
+        assert payloads[0] == payloads[1]
+
+
 def test_strip_cap_is_not_a_global_flag():
     # glue truncates with the default cap, so it does not accept the flag
     with pytest.raises(SystemExit) as exc:
@@ -329,6 +352,30 @@ def test_paper_examples_honours_pd_bound(capsys):
     assert "resource bound" in capsys.readouterr().err
     assert main(["paper-examples"]) == 0
     assert "all checks passed" in capsys.readouterr().out
+
+
+def test_main_is_reentrant_over_the_shared_parser(capsys):
+    assert build_parser() is build_parser()
+    # a bound of 1 or --json left over from the first call would make the
+    # second exit 3 (simple:1 has pd 2) or print JSON
+    assert main(["--json", "--pd-bound", "1", "hom", TC_WS, "A", "proj:1", "proj:2"]) == 0
+    json.loads(capsys.readouterr().out)
+    assert main(["hom", TC_WS, "A", "simple:1", "proj:1"]) == 0
+    assert capsys.readouterr().out.startswith("graded Hom dimensions")
+
+    assert main(["glue", A2_WS, "R", "xstd", "ystd", "--dual"]) == 0
+    assert "(dual route)" in capsys.readouterr().out
+    assert main(["glue", A2_WS, "R", "xstd", "ystd"]) == 0
+    assert "(primal route)" in capsys.readouterr().out
+
+    assert main(["truncate", TC_WS, "standard", "S1res", "--threshold", "0",
+                 "--strip-cap", "0"]) == 3
+    assert main(["truncate", TC_WS, "standard", "S1res"]) == 0
+
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["glue"])
+        assert exc.value.code == 2
 
 
 def test_console_script_entry():
