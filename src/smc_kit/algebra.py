@@ -17,7 +17,11 @@ relied on everywhere downstream:
   block per vertex v, over the coordinates in ``positions[v]`` order.  It
   multiplies on the right of row vectors, so the composite "f then g" is
   ``compose_maps(F, G)``, the blockwise ``F_v @ G_v``;
-* Hom(e_i A, e_j A) = e_j A e_i acting by left multiplication.
+* Hom(e_i A, e_j A) = e_j A e_i acting by left multiplication;
+* an element of A (a ``Vec``) is a dict from basis indices to coefficients
+  that stores no zero coefficient, so ``{}`` is zero and ``==`` is equality
+  of elements.  An element is never changed in place once built: helpers
+  may return one of their arguments, and entry matrices share them.
 """
 
 from __future__ import annotations
@@ -27,9 +31,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import exactla as la
 from .config import DEFAULT_LIMITS, BoundExceeded, InputError, InvariantError, PdBoundExceeded
-from .exactla import Field, Mat
+from .exactla import Element, Field, Mat
 
-Vec = Tuple  # coefficient tuple over the algebra basis
+Vec = Dict[int, Element]  # an element: {basis index: nonzero coefficient}
 ModMap = Tuple[Mat, ...]  # a module map: one block per vertex
 
 
@@ -154,44 +158,48 @@ class Algebra:
         return self._factors
 
     def zero_vec(self) -> Vec:
-        return (self.field.zero,) * self.dim
+        return {}
 
     def basis_vec(self, i: int) -> Vec:
-        f = self.field
-        return tuple(f.one if j == i else f.zero for j in range(self.dim))
+        return {i: self.field.one}
 
     def add_vec(self, x: Vec, y: Vec) -> Vec:
-        f = self.field
-        return tuple(f.add(a, b) for a, b in zip(x, y))
+        if not x:
+            return y  # elements are never mutated, so sharing one is safe
+        if not y:
+            return x
+        add = self.field.add
+        out = dict(x)
+        for i, c in y.items():
+            c = add(out.pop(i), c) if i in out else c
+            if c:
+                out[i] = c
+        return out
 
     def sub_vec(self, x: Vec, y: Vec) -> Vec:
-        f = self.field
-        return tuple(f.sub(a, b) for a, b in zip(x, y))
+        return self.add_vec(x, self.neg_vec(y))
 
     def neg_vec(self, x: Vec) -> Vec:
-        f = self.field
-        return tuple(f.neg(a) for a in x)
+        neg = self.field.neg
+        return {i: neg(c) for i, c in x.items()}
 
     def scale_vec(self, c, x: Vec) -> Vec:
-        f = self.field
-        return tuple(f.mul(c, a) for a in x)
+        mul = self.field.mul
+        return {i: v for i, a in x.items() if (v := mul(c, a))}
 
     def is_zero_vec(self, x: Vec) -> bool:
-        return not any(x)
+        return not x
 
     def mul_vec(self, x: Vec, y: Vec) -> Vec:
         f = self.field
-        acc = [f.zero] * self.dim
-        ys = [(j, yj) for j, yj in enumerate(y) if yj]
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
+        acc: Vec = {}
+        for i, xi in x.items():
             row = self.prod[i]
-            for j, yj in ys:
+            for j, yj in y.items():
                 k = row[j]
                 if k >= 0:
-                    acc[k] = f.add(acc[k], f.mul(xi, yj))
-        return tuple(acc)
+                    acc[k] = f.add(acc[k], f.mul(xi, yj)) if k in acc else f.mul(xi, yj)
+        return {k: c for k, c in acc.items() if c}
 
     def products(self, x: Vec, basis: Sequence[int], pos: Dict[int, int],
                  left: bool):
@@ -199,9 +207,7 @@ class Algebra:
         path basis[i] to the path k with pos[k] = j, as a*b (left) or b*a
         (right); products landing outside pos are dropped."""
         prod = self.prod
-        for a, c in enumerate(x):
-            if not c:
-                continue
+        for a, c in x.items():
             row = prod[a]
             for i, b in enumerate(basis):
                 k = row[b] if left else prod[b][a]
@@ -231,8 +237,7 @@ class Algebra:
         return self._corner_dims
 
     def is_radical_vec(self, x: Vec) -> bool:
-        z = self.field.zero
-        return all(x[i] == z for i in range(self.nvert))
+        return all(i >= self.nvert for i in x)
 
     def invert_in_corner(self, x: Vec, vertex: int) -> Vec:
         """Inverse of x in the local algebra e_v A e_v; x must be a unit."""
@@ -246,21 +251,18 @@ class Algebra:
         sol = la.solve(mt, [f.one if b == vertex else f.zero for b in idx])
         if sol is None:
             raise InputError("element is not invertible in its corner")
-        y = list(self.zero_vec())
-        for pos, b in enumerate(idx):
-            y[b] = sol[pos]
-        y = tuple(y)
-        if self.mul_vec(x, y)[vertex] != f.one:
+        y = {b: c for b, c in zip(idx, sol) if c}
+        if self.mul_vec(x, y).get(vertex) != f.one:
             raise InvariantError("corner inverse does not invert")
         return y
 
     def parse_element(self, text: str) -> Vec:
         """Linear combination string, e.g. '2*alpha + beta*alpha - 3*e_1'."""
         f = self.field
-        acc = list(self.zero_vec())
+        acc: Vec = {}
         text = text.strip()
         if text in ("0", ""):
-            return tuple(acc)
+            return acc
         # split into signed terms
         terms = []
         cur, sign = "", 1
@@ -292,15 +294,13 @@ class Algebra:
             if label not in self._label_index:
                 raise InputError(f"unknown basis label {label!r}")
             b = self._label_index[label]
-            acc[b] = f.add(acc[b], coeff)
-        return tuple(acc)
+            acc[b] = f.add(acc.get(b, f.zero), coeff)
+        return {b: c for b, c in acc.items() if c}
 
     def element_str(self, x: Vec) -> str:
         f = self.field
         parts = []
-        for i, c in enumerate(x):
-            if c == f.zero:
-                continue
+        for i, c in sorted(x.items()):
             if c == f.one:
                 parts.append(self.basis_labels[i])
             else:

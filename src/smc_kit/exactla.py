@@ -2,7 +2,8 @@
 
 Every computation upstream (module homs, homotopy classes, truncation
 triangles) bottoms out in the row reductions here, so arithmetic is exact:
-Python ints reduced mod p, or Fractions.  There is one elimination and one
+Python ints reduced mod p, or rationals as Python ints while integral and
+Fractions once a division makes them so.  There is one elimination and one
 product for every field, written with native operators over lists.  Python
 ints do not overflow, so every prime takes the same path.  The matrices
 that reach this module are small (a median of a few entries, rarely more
@@ -105,10 +106,14 @@ class PrimeField:
 
 
 class RationalField:
-    """Exact rationals via fractions.Fraction."""
+    """Exact rationals as Python ints or Fractions.  The constants, from_int,
+    rand and the inverse of +-1 are ints, so integral work stays in int
+    arithmetic; a Fraction enters only through the inverse of any other
+    value.  Mixed int/Fraction arithmetic is exact, and an integral Fraction
+    equals, hashes and prints as its int, so the two are one rational."""
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def add(self, a, b):
         return a + b
@@ -125,16 +130,16 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / Fraction(a)
+        return int(a) if a in (1, -1) else 1 / Fraction(a)
 
     def from_int(self, n: int):
-        return Fraction(n)
+        return n
 
     RAND_MAX = 20  # rand draws uniformly from the integers -RAND_MAX..RAND_MAX
     sample_size = 2 * RAND_MAX + 1
 
     def rand(self, rng):
-        return Fraction(rng.randrange(-self.RAND_MAX, self.RAND_MAX + 1))
+        return rng.randrange(-self.RAND_MAX, self.RAND_MAX + 1)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

@@ -3,7 +3,10 @@
 A complex stores, per degree, the ordered multiset of projective indices
 (= vertices) and a differential matrix whose (t, s) entry is an algebra
 element of e_{j_t} A e_{i_s}, acting on e_{i_s}A by left multiplication.
-Sign conventions, fixed once:
+An entry is a sparse ``Vec`` (see algebra): its keys lie in that corner,
+``{}`` is a zero entry, and as elements are never changed in place, entry
+matrices of complexes and chain maps share them.  Sign conventions, fixed
+once:
 
 * shift by one negates the differential: d_{X[1]} = -d_X;
 * the cone of f: X -> Y has degree-k term X^{k+1} (+) Y^k and differential
@@ -44,9 +47,8 @@ def ent_matmul(A: Algebra, left: Entries, right: Entries) -> Entries:
             acc = A.zero_vec()
             for u in range(k):
                 x, y = left[t][u], right[u][s]
-                if A.is_zero_vec(x) or A.is_zero_vec(y):
-                    continue
-                acc = A.add_vec(acc, A.mul_vec(x, y))
+                if x and y:
+                    acc = A.add_vec(acc, A.mul_vec(x, y))
             out[t][s] = acc
     return out
 
@@ -68,7 +70,7 @@ def ent_scale(A: Algebra, c, x: Entries) -> Entries:
 
 
 def ent_is_zero(A: Algebra, x: Entries) -> bool:
-    return all(A.is_zero_vec(a) for r in x for a in r)
+    return all(not a for r in x for a in r)
 
 
 def ent_identity(A: Algebra, verts: Sequence[int]) -> Entries:
@@ -96,7 +98,7 @@ class ProjComplex:
                 d = diffs.get(k)
                 if d is None:
                     d = ent_zeros(algebra, len(self.terms[k + 1]), len(self.terms[k]))
-                frozen[k] = tuple(tuple(tuple(e) for e in row) for row in d)
+                frozen[k] = tuple(map(tuple, d))
         self.diffs: Mapping[int, Tuple[Tuple[Vec, ...], ...]] = MappingProxyType(frozen)
         # lowest and highest nonzero degree; None for the zero complex
         self.support: Optional[Tuple[int, int]] = \
@@ -118,12 +120,13 @@ class ProjComplex:
                 raise InputError(f"differential at degree {k} has wrong shape")
             for t, row in enumerate(d):
                 for s, e in enumerate(row):
-                    corner = set(A.corner_indices(tgt[t], src[s]))
-                    if any(c != A.field.zero and i not in corner
-                           for i, c in enumerate(e)):
+                    if not set(e) <= set(A.corner_indices(tgt[t], src[s])):
                         raise InputError(
                             f"entry ({t},{s}) at degree {k} is not in "
                             f"e_{tgt[t]} A e_{src[s]}")
+                    if not all(e.values()):
+                        raise InputError(
+                            f"entry ({t},{s}) at degree {k} stores a zero coefficient")
         for k in self.diffs:
             if k + 1 in self.diffs:
                 sq = ent_matmul(A, self.diffs[k + 1], self.diffs[k])
@@ -214,7 +217,7 @@ class ChainMap:
         A = source.algebra
         for k, m in comps.items():
             if source.term(k) and target.term(k) and not ent_is_zero(A, m):
-                self.comps[k] = [[tuple(e) for e in row] for row in m]
+                self.comps[k] = [list(row) for row in m]
         if validate:
             self._validate()
 
@@ -409,30 +412,35 @@ def minimalize(X: ProjComplex) -> Tuple[ProjComplex, ChainMap]:
     """Homotopy-equivalent complex with radical differentials.
 
     Returns (X_min, X_min -> X), a homotopy equivalence; it is the one map
-    callers read, so the inverse equivalence is never built.  Relies on the
+    callers read, so the inverse equivalence is never built.  An X that is
+    already minimal is its own model, with the identity.  Relies on the
     corners e_i A e_i being local.
     """
     if X._minimal_cache is not None:
         return X._minimal_cache
     A = X.algebra
-    f_field = A.field
-    terms = {k: list(v) for k, v in X.terms.items()}
-    diffs = {k: [list(row) for row in d] for k, d in X.diffs.items()}
-    from_comps: Dict[int, Entries] = {k: ent_identity(A, v) for k, v in X.terms.items()}
 
-    def find_unit():
+    def find_unit(terms, diffs):
         for k, d in diffs.items():
             src, tgt = terms[k], terms[k + 1]
             for t in range(len(tgt)):
                 for s in range(len(src)):
-                    if src[s] == tgt[t] and d[t][s][src[s]] != f_field.zero:
+                    if src[s] == tgt[t] and src[s] in d[t][s]:
                         return k, t, s
         return None
 
-    while True:
-        hit = find_unit()
-        if hit is None:
-            break
+    hit = find_unit(X.terms, X.diffs)
+    if hit is None:
+        # already minimal: X is its own minimal model, sharing its Hom memos
+        if not X.is_minimal():
+            raise InvariantError("minimal model has a non-radical differential entry")
+        X._minimal_cache = (X, identity_map(X))
+        return X._minimal_cache
+    terms = {k: list(v) for k, v in X.terms.items()}
+    diffs = {k: [list(row) for row in d] for k, d in X.diffs.items()}
+    from_comps: Dict[int, Entries] = {k: ent_identity(A, v) for k, v in X.terms.items()}
+
+    while hit is not None:
         k, t, s = hit
         vert = terms[k][s]
         u = diffs[k][t][s]
@@ -479,6 +487,7 @@ def minimalize(X: ProjComplex) -> Tuple[ProjComplex, ChainMap]:
                 del terms[deg]
                 diffs.pop(deg, None)
                 diffs.pop(deg - 1, None)
+        hit = find_unit(terms, diffs)
 
     clean_terms = {k: tuple(v) for k, v in terms.items() if v}
     clean_diffs = {k: d for k, d in diffs.items()

@@ -88,10 +88,8 @@ class _MapCoords:
         for (k, t, s, corner), off in zip(self.blocks, self.offsets):
             if k not in comps:
                 comps[k] = ent_zeros(A, len(Y.term(k + n)), len(X.term(k)))
-            vec = list(A.zero_vec())
-            for pos, b in enumerate(corner):
-                vec[b] = coords[off + pos]
-            comps[k][t][s] = A.add_vec(comps[k][t][s], tuple(vec))
+            block = coords[off:off + len(corner)]
+            comps[k][t][s] = {b: c for b, c in zip(corner, block) if c}
         return comps
 
     def from_map(self, f: ChainMap, n: int) -> List:
@@ -104,7 +102,7 @@ class _MapCoords:
                 continue
             e = comp[t][s]
             for pos, b in enumerate(corner):
-                out[off + pos] = e[b]
+                out[off + pos] = e.get(b, fld.zero)
         return out
 
 

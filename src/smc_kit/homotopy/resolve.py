@@ -142,8 +142,9 @@ def realize_entry_matrix(A: Algebra, src_verts: Sequence[int],
         tgt_cols.append({P.basis_in_algebra[r]: off[v] + n
                          for v, pv in enumerate(P.positions) for n, r in enumerate(pv)})
     for s, (i, off) in enumerate(zip(src_verts, src_off)):
+        # the entry itself, not any(entry): the key 0 (e_0) is falsy
         nonzero = [(cols, entries[t][s]) for t, cols in enumerate(tgt_cols)
-                   if any(entries[t][s])]
+                   if entries[t][s]]
         if not nonzero:
             continue
         P = A.projective_module(i)
@@ -174,20 +175,15 @@ def entries_from_realized(A: Algebra, src_verts: Sequence[int],
 
     The (t, s) entry is read off the image of the generator e_i of the s-th
     summand P_i, the first of its rows in the block at i: sliced to the t-th
-    summand P_j, it is the coefficient vector of an element of e_j A e_i.
+    summand P_j, it holds the coefficients of an element of e_j A e_i.
     """
-    f = A.field
     out = [[A.zero_vec() for _ in src_verts] for _ in tgt_verts]
     for s, (i, off) in enumerate(zip(src_verts, summand_offsets(A, src_verts))):
         row = F[i].rows[off[i]]
         c0 = 0
         for t, j in enumerate(tgt_verts):
-            vec = [f.zero] * A.dim
             corner = A.corner_indices(j, i)
-            for b, val in zip(corner, row[c0:]):
-                if val:
-                    vec[b] = val
-            out[t][s] = tuple(vec)
+            out[t][s] = {b: val for b, val in zip(corner, row[c0:c0 + len(corner)]) if val}
             c0 += len(corner)
     return out
 

@@ -18,13 +18,14 @@ simples of the outer algebras and recorded in a report; a spec that fails
 them is returned unvalidated rather than rejected.
 
 i_*, j_* and theta are memoized per spec, keyed by the input complex
-object (an entry dies with its input), and resolve_module keeps each
+object (an entry dies with its input), as are the gluing items of
+smc.glue and smc.glue_dual without deep; resolve_module keeps each
 module's resolution; the simples, projectives and injectives are cached per
 algebra, so the validation checks, both gluing routes and the standard
 collections all reach the same complexes and share every functor value.
 This is sound only because complexes and modules are never changed in
 place, and no caller writes into a returned value (a JStarData's maps, a
-module's arrow or path blocks, or their rows).
+gluing item, a module's arrow or path blocks, or their rows).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import weakref
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import Algebra, ModMap, Module, global_dimension, projective_dimension
+from .algebra import Algebra, ModMap, Module, Vec, global_dimension, projective_dimension
 from .config import DEFAULT_LIMITS, BoundExceeded, InputError, InvariantError, SmcKitError
 from .exactla import Mat
 from .homotopy import (
@@ -207,13 +208,8 @@ def _embed_complex(spec: RecollementSpec, Y: ProjComplex,
     return ProjComplex(algebra, terms, diffs)
 
 
-def _embed_vec(spec: RecollementSpec, vec) -> Tuple:
-    A = spec.algebra
-    out = [A.field.zero] * A.dim
-    for i, c in enumerate(vec):
-        if c != A.field.zero:
-            out[spec.y_embed[i]] = c
-    return tuple(out)
+def _embed_vec(spec: RecollementSpec, vec: Vec) -> Vec:
+    return {spec.y_embed[i]: c for i, c in vec.items()}
 
 
 def corner_complex(spec: RecollementSpec, T: ProjComplex) -> ModComplex:

@@ -14,7 +14,7 @@ window it used.
 from __future__ import annotations
 
 import random as _random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
 from typing import Dict, List, Literal, Optional, Sequence, Tuple
 
@@ -319,7 +319,7 @@ def _glue(S_X: SMC, S_Y: SMC, R: RecollementSpec, new_item, deep: bool,
     rng = rng or _random.Random(0)
     _check_side_inputs(S_X, S_Y, R)
     images = _quotient_images(R, S_X)
-    items = [new_item(R, j, Y, images, deep, rng)
+    items = [_glued_item(R, new_item, j, Y, images, deep, rng)
              for j, Y in enumerate(S_Y.objects)]
     names = tuple(f"i({S_X.name_of(i)})" for i in range(len(S_X.objects))) + \
         tuple(f"{prefix}{j + 1}" for j in range(len(items)))
@@ -327,6 +327,22 @@ def _glue(S_X: SMC, S_Y: SMC, R: RecollementSpec, new_item, deep: bool,
     out = SMC(R.algebra, tuple(images) + tuple(item.w for item in items),
               Certificate("glued" if R.validated else "user", detail), names)
     return out, GluingReport(items)
+
+
+def _glued_item(R: RecollementSpec, new_item, j: int, Y: ProjComplex,
+                images: List[ProjComplex], deep: bool, rng) -> GluingItem:
+    """new_item(R, j, Y, images, deep, rng).  Without deep it draws nothing
+    from rng, so it is made once per route and quotient images and kept in
+    R._memo[Y] beside the functor values (it dies with Y); a hit made for
+    another position j is restamped.  Items are never changed in place."""
+    if deep:
+        return new_item(R, j, Y, images, deep, rng)
+    values = R._memo.setdefault(Y, {})
+    key = (new_item, tuple(images))
+    if key not in values:
+        values[key] = new_item(R, j, Y, images, deep, rng)
+    item = values[key]
+    return item if item.y_index == j else replace(item, y_index=j)
 
 
 def _w_item(R: RecollementSpec, j: int, Y: ProjComplex,

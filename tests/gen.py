@@ -80,13 +80,21 @@ def rand_nonzero(field, rng):
     return Fraction(n if rng.random() < 0.5 else -n)
 
 
+def dense(A, x):
+    """The coordinates of the element x over the whole basis of A."""
+    return [x.get(b, A.field.zero) for b in range(A.dim)]
+
+
+def sparse(coords):
+    """The element with the coordinates coords: its nonzero ones."""
+    return {b: c for b, c in enumerate(coords) if c}
+
+
 def lrow(A, x):
     """Row-convention left multiplication: row_b = coords of x * b."""
     f = A.field
     rows = [[f.zero] * A.dim for _ in range(A.dim)]
-    for i, xi in enumerate(x):
-        if xi == f.zero:
-            continue
+    for i, xi in x.items():
         for b, k in enumerate(A.prod[i]):
             if k >= 0:
                 rows[b][k] = f.add(rows[b][k], xi)
@@ -97,9 +105,7 @@ def rrow(A, x):
     """Row-convention right multiplication: row_b = coords of b * x."""
     f = A.field
     rows = [[f.zero] * A.dim for _ in range(A.dim)]
-    for j, xj in enumerate(x):
-        if xj == f.zero:
-            continue
+    for j, xj in x.items():
         for b, row in enumerate(A.prod):
             k = row[j]
             if k >= 0:

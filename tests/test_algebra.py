@@ -256,6 +256,100 @@ def test_parse_element():
         A.parse_element("beta*alpha")
 
 
+# -- the element helpers against dense coordinate vectors ---------------------
+
+
+ELEMENT_FIELDS = [PrimeField(2), FP, PrimeField(2**61 - 1), QQ]
+
+
+def _coeff(f, rng):
+    """A random coefficient, zero included; a Fraction over Q at times."""
+    c = f.rand(rng)
+    d = f.rand(rng)
+    return f.mul(c, f.inv(d)) if d and rng.random() < 0.3 else c
+
+
+def _dense_mul(A, x, y):
+    f = A.field
+    out = [f.zero] * A.dim
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            k = A.prod[i][j]
+            if k >= 0 and xi and yj:
+                out[k] = f.add(out[k], f.mul(xi, yj))
+    return out
+
+
+def _dense_str(A, x):
+    """element_str as written over dense coordinates, in basis order."""
+    f = A.field
+    parts = [A.basis_labels[i] if c == f.one else f"{c}*{A.basis_labels[i]}"
+             for i, c in enumerate(x) if c != f.zero]
+    return " + ".join(parts) if parts else "0"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ELEMENT_FIELDS), st.randoms(use_true_random=False))
+def test_element_helpers_match_dense_coordinates(f, rng):
+    A = rng.choice([lambda: random_monomial_linear_algebra(f, rng, max_vertices=5),
+                    lambda: two_cycle(f), lambda: gen.self_injective_cycle_algebra(f)])()
+    dx = [_coeff(f, rng) if rng.random() < 0.5 else f.zero for _ in range(A.dim)]
+    # y cancels some coordinates of x, so sums must drop zeros
+    dy = [f.neg(a) if rng.random() < 0.3 else
+          (_coeff(f, rng) if rng.random() < 0.5 else f.zero) for a in dx]
+    x, y, c = gen.sparse(dx), gen.sparse(dy), _coeff(f, rng)
+    results = [(A.add_vec(x, y), [f.add(a, b) for a, b in zip(dx, dy)]),
+               (A.sub_vec(x, y), [f.sub(a, b) for a, b in zip(dx, dy)]),
+               (A.neg_vec(x), [f.neg(a) for a in dx]),
+               (A.scale_vec(c, x), [f.mul(c, a) for a in dx]),
+               (A.mul_vec(x, y), _dense_mul(A, dx, dy)),
+               (A.mul_vec(y, x), _dense_mul(A, dy, dx)),
+               (A.zero_vec(), [f.zero] * A.dim)]
+    # (e_s + p)(p - e_t) holds p - p for a path p: s -> t, a cancellation
+    p = rng.choice(A.radical_indices)
+    du = gen.dense(A, A.add_vec(A.basis_vec(A.source[p]), A.basis_vec(p)))
+    dw = gen.dense(A, A.sub_vec(A.basis_vec(p), A.basis_vec(A.target[p])))
+    results.append((A.mul_vec(gen.sparse(du), gen.sparse(dw)), _dense_mul(A, du, dw)))
+    lab = A.basis_labels[p]
+    results.append((A.parse_element(f"{lab} - {lab} + 0*{lab}"), [f.zero] * A.dim))
+    for got, want in results:
+        assert all(got.values())  # no zero coefficient is stored
+        assert gen.dense(A, got) == want
+    assert A.is_zero_vec(x) == (not any(dx))
+    assert A.is_radical_vec(x) == (not any(dx[:A.nvert]))
+    # products: the coordinates of x*b (left) or b*x (right) inside pos
+    basis = rng.sample(range(A.dim), rng.randint(0, A.dim))
+    targets = rng.sample(range(A.dim), rng.randint(0, A.dim))
+    pos = {k: j for j, k in enumerate(targets)}
+    for left in (True, False):
+        got = [[f.zero] * len(targets) for _ in basis]
+        for i, j, cc in A.products(x, basis, pos, left):
+            got[i][j] = f.add(got[i][j], cc)
+        want = []
+        for b in basis:
+            e = gen.dense(A, A.basis_vec(b))
+            prod = _dense_mul(A, dx, e) if left else _dense_mul(A, e, dx)
+            want.append([prod[k] for k in targets])
+        assert got == want
+    # a unit of a local corner: its inverse on both sides
+    v = rng.randrange(A.nvert)
+    du = [f.zero] * A.dim
+    for b in A.corner_indices(v, v):
+        du[b] = _coeff(f, rng)
+    du[v] = du[v] or f.one
+    inv = A.invert_in_corner(gen.sparse(du), v)
+    assert all(inv.values()) and set(inv) <= set(A.corner_indices(v, v))
+    e_v = gen.dense(A, A.basis_vec(v))
+    assert _dense_mul(A, du, gen.dense(A, inv)) == e_v == _dense_mul(A, gen.dense(A, inv), du)
+    # the text form, in ascending basis order whatever the order of the
+    # keys, reads back as the element
+    for z in (x, A.add_vec(y, x)):
+        assert A.element_str(z) == _dense_str(A, gen.dense(A, z))
+        assert A.parse_element(A.element_str(z)) == z
+    # no helper changed its arguments
+    assert x == gen.sparse(dx) and y == gen.sparse(dy)
+
+
 def test_parse_rejects_unknown():
     A = a2()
     with pytest.raises(InputError):
@@ -342,7 +436,7 @@ def _ideal_by_row_reduction(B, subset):
             for c in range(B.dim):
                 v = B.mul_vec(left, B.basis_vec(c))
                 if not B.is_zero_vec(v):
-                    gens.append(list(v))
+                    gens.append(gen.dense(B, v))
     ideal = set()
     for row in la.row_space_basis(Mat(f, gens, ncols=B.dim)).rows:
         support = [k for k, x in enumerate(row) if x != f.zero]

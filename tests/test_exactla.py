@@ -330,6 +330,17 @@ def _rref_fraction_oracle(a):
     return a, tuple(pivots)
 
 
+def test_integral_rationals_are_ints():
+    rng = random.Random(4)
+    draws = [QQ.rand(rng) for _ in range(20)]
+    ref = random.Random(4)
+    assert draws == [ref.randrange(-QQ.RAND_MAX, QQ.RAND_MAX + 1) for _ in range(20)]
+    ints = [QQ.zero, QQ.one, QQ.from_int(-7), QQ.inv(1), QQ.inv(-1), QQ.inv(Fraction(-1))]
+    assert all(type(x) is int for x in ints + draws)
+    assert ints == [0, 1, -7, 1, -1, -1]
+    assert type(QQ.inv(-2)) is Fraction and QQ.inv(-2) == Fraction(-1, 2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8),
        st.randoms(use_true_random=False))
@@ -338,15 +349,20 @@ def test_matmul_and_rref_over_q_against_fraction_oracle(m, k, n, rng):
         return [[Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)) for _ in range(nc)]
                 for _ in range(nr)]
     a, b = draw(m, k), draw(k, n)
-    # repr tells an int from a Fraction of the same value
+
+    def exact(rows):
+        # a rational is an int while integral, else a Fraction: never a float
+        return all(type(x) in (int, Fraction) for r in rows for x in r)
+
     prod = [[sum((x * b[j][c] for j, x in enumerate(row)), Fraction(0))
              for c in range(n)] for row in a]
-    assert repr((Mat(QQ, a) @ Mat(QQ, b)).rows) == repr(prod)
+    got = (Mat(QQ, a) @ Mat(QQ, b)).rows
+    assert got == prod and exact(got)
     a_low = a[:max(1, m // 2)] * 2
     for rows in (a, a_low):
         red = la.rref(Mat(QQ, rows))
         reduced, pivots = _rref_fraction_oracle(rows)
-        assert repr(red.reduced.rows) == repr(reduced)
+        assert red.reduced.rows == reduced and exact(red.reduced.rows)
         assert red.pivots == pivots
 
 

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import hypothesis.strategies as st
 import pytest
@@ -6,11 +8,12 @@ from hypothesis import assume, given, settings
 
 import gen
 from smc_kit import recollement as rec
-from smc_kit.algebra import Algebra, global_dimension
+from smc_kit.algebra import Algebra, global_dimension, linear_quiver
 from smc_kit.config import BoundExceeded, InputError
 from smc_kit.exactla import PrimeField, RationalField
 from smc_kit.fixtures import random_monomial_linear_algebra, random_recollement
 from smc_kit.homotopy import (
+    ProjComplex,
     cohomology_dims,
     hom_table,
     is_contractible,
@@ -22,7 +25,7 @@ from smc_kit.homotopy import (
     zero_complex,
 )
 from smc_kit.homotopy.complexes import stalk
-from smc_kit.smc import glue, glue_dual, standard_smc
+from smc_kit.smc import SMC, glue, glue_dual, standard_smc
 
 FP = gen.FP
 A2 = gen.a2_algebra()
@@ -239,10 +242,10 @@ def _cold_spec(spec):
                                rec.RecollementReport(), spec.pd_bound)
 
 
-def _gluing_record(route, spec):
+def _gluing_record(route, spec, deep=True):
     """Representatives, differentials and deep-check verdicts of one route."""
     S, report = route(standard_smc(spec.x_algebra), standard_smc(spec.y_algebra),
-                      spec, deep=True, rng=random.Random(0))
+                      spec, deep=deep, rng=random.Random(0))
 
     def cx(X):
         return dict(X.terms), dict(X.diffs)
@@ -258,14 +261,16 @@ def _gluing_record(route, spec):
 def test_memoized_functors_give_the_cold_gluings(f, rng):
     spec = random_recollement(f, rng, max_vertices=5)
     assume(spec is not None)
-    cold = {route: _gluing_record(route, _cold_spec(spec))
-            for route in (glue, glue_dual)}
+    cold = {(route, deep): _gluing_record(route, _cold_spec(spec), deep)
+            for route in (glue, glue_dual) for deep in (False, True)}
     # spec is warm from its sample checks; a second spec of the same algebra
-    # is warmed by the routes in the other order, and each route runs twice
+    # is warmed by the routes in the other order, and each route runs twice,
+    # first without deep (which keeps its items) and then with it
     again = rec.build_recollement(spec.algebra, spec.subset)
     for warm, order in ((spec, (glue_dual, glue)), (again, (glue, glue_dual))):
         for route in order + order:
-            assert _gluing_record(route, warm) == cold[route]
+            for deep in (False, True):
+                assert _gluing_record(route, warm, deep) == cold[route, deep]
 
 
 def test_functor_values_are_computed_once_per_spec():
@@ -275,6 +280,39 @@ def test_functor_values_are_computed_once_per_spec():
         assert rec.canonical_theta(spec, Y) is rec.canonical_theta(spec, Y)
         assert rec.i_star(spec, X) is rec.i_star(spec, X)
         assert rec.j_lower_star(spec, Y) is rec.j_lower_star_full(spec, Y).cplx
+
+
+@pytest.mark.parametrize("route", [glue, glue_dual])
+def test_plain_gluing_items_are_made_once_per_spec(route):
+    # the corner of A_3 at its ends has two vertices, so its simples make a
+    # collection in either order
+    spec = rec.build_recollement(Algebra.from_quiver(FP, linear_quiver(3)), [0, 2])
+    S_X, S_Y = standard_smc(spec.x_algebra), standard_smc(spec.y_algebra)
+    rng = random.Random(7)
+    state = rng.getstate()
+    first, rep1 = route(S_X, S_Y, spec, rng=rng)
+    assert rng.getstate() == state  # without deep nothing is drawn
+    second, rep2 = route(S_X, S_Y, spec)
+    assert len(rep2.items) == 2
+    assert all(a is b for a, b in zip(first.objects, second.objects))
+    assert all(a is b for a, b in zip(rep1.items, rep2.items))
+    flipped = SMC(S_Y.algebra, S_Y.objects[::-1], S_Y.certificate)
+    _, rep3 = route(S_X, flipped, spec)
+    assert [item.y_index for item in rep3.items] == [0, 1]
+    assert all(a.w is b.w for a, b in zip(rep3.items, rep2.items[::-1]))
+
+
+def test_plain_gluing_item_dies_with_its_corner_object():
+    spec = spec_for(gen.a2_algebra())
+    Y0 = y_simple(spec)
+    Y = ProjComplex(spec.y_algebra, dict(Y0.terms), dict(Y0.diffs))
+    glue(standard_smc(spec.x_algebra), SMC(spec.y_algebra, (Y,)), spec)
+    assert any(isinstance(key, tuple) for key in spec._memo[Y])
+    gc.collect()
+    ref, held = weakref.ref(Y), len(spec._memo)
+    del Y
+    gc.collect()
+    assert ref() is None and len(spec._memo) == held - 1
 
 
 def test_specs_of_one_algebra_share_no_functor_values():
