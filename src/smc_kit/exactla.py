@@ -253,11 +253,12 @@ class Mat:
 def _row_times(row: Sequence[Element], m: Mat, p: int, z) -> List[Element]:
     """row @ m as a combination of m's rows, reduced mod p unless p is 0;
     the zero entries of row, most of them in module actions and kernel
-    rows, add nothing and are skipped."""
+    rows, add nothing and are skipped.  Over Q a Fraction times an int 0
+    is Fraction(0, 1), so zeros are stored back as the int 0."""
     acc = [z] * m.ncols
     for x, mrow in compress(zip(row, m.rows), row):
         acc = [s + x * y for s, y in zip(acc, mrow)]
-    return [s % p for s in acc] if p else acc
+    return [s % p for s in acc] if p else [s or 0 for s in acc]
 
 
 def vec_mat(v: Sequence[Element], m: Mat) -> List[Element]:
@@ -396,14 +397,31 @@ def row_space_basis(m: Mat) -> Mat:
 
 
 def det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix, by fraction-free Bareiss
-    elimination over Python ints: each step's division by the previous
-    pivot is exact, and the last pivot is the determinant up to the sign of
-    the row swaps."""
+    """Determinant of a square integer matrix.  While column 0 has an entry
+    +-1, that row is swapped up and the others are cleared by integer row
+    operations, touching only the rows with a nonzero entry there; the
+    rest, if any, goes through fraction-free Bareiss elimination over
+    Python ints, whose division by the previous pivot at each step is
+    exact and whose last pivot is the determinant up to the sign of the
+    row swaps."""
     a = [list(r) for r in rows]
     if any(len(r) != len(a) for r in a):
         raise InputError("det needs a square matrix")
-    sign, prev = 1, 1
+    sign = 1
+    while a:
+        k = next((i for i, r in enumerate(a) if r[0] in (1, -1)), None)
+        if k is None:
+            break
+        top = a[k]
+        u = top[0]
+        if k:
+            a[k] = a[0]
+            sign = -sign
+        sign *= u
+        # row r minus (r[0] / u) top, where 1 / u = u
+        a = [[x - g * t for x, t in zip(r[1:], top[1:])] if (g := r[0] * u) else r[1:]
+             for r in a[1:]]
+    prev = 1
     while a:
         k = next((i for i, r in enumerate(a) if r[0]), None)
         if k is None:

@@ -103,11 +103,16 @@ class ProjComplex:
         # lowest and highest nonzero degree; None for the zero complex
         self.support: Optional[Tuple[int, int]] = \
             (min(self.terms), max(self.terms)) if self.terms else None
+        # A shift X[n] made by shift() records its unshifted base X and n;
+        # only an unshifted complex fills _shift_cache.
+        self._base: Optional["ProjComplex"] = None
+        self._offset = 0
         self._shift_cache: Dict[int, "ProjComplex"] = {}
         self._minimal_cache = None
         self._module_cache = None
-        # Y -> ({n: dim Hom(X, Y[n])}, {n: rank D^n}), made by the first Hom
-        # query out of X; ints only, so an entry dies with either complex.
+        # Y -> ({n: dim Hom(X, Y[n])}, {n: rank D^n}) for unshifted X and Y,
+        # made by the first Hom query out of X or a shift of it; ints only,
+        # so an entry dies once X or Y is gone with all its shifts.
         self._hom_memo: Optional[weakref.WeakKeyDictionary] = None
         if validate:
             self._validate()
@@ -172,19 +177,25 @@ class ProjComplex:
                 and self.diffs.keys() == other.diffs.keys())
 
     def shift(self, n: int) -> "ProjComplex":
-        """Degrees translated by -n; differential picks up (-1)^n."""
+        """Degrees translated by -n; differential picks up (-1)^n.
+
+        Every shift is made from, and kept by, the unshifted complex it
+        comes from, and holds that base alive, so X.shift(0) is X,
+        X.shift(a).shift(b) is X.shift(a + b), and all shifts of X share
+        the Hom memo of X (see homotopy.homs)."""
         if n == 0:
             return self
-        if n in self._shift_cache:
-            return self._shift_cache[n]
-        A = self.algebra
-        terms = {k - n: v for k, v in self.terms.items()}
-        sign_flip = n % 2 == 1
-        diffs = {}
-        for k, d in self.diffs.items():
-            diffs[k - n] = ent_neg(A, d) if sign_flip else d
-        out = ProjComplex(A, terms, diffs, validate=False)
-        self._shift_cache[n] = out
+        if self._base is not None:
+            return self._base.shift(self._offset + n)
+        out = self._shift_cache.get(n)
+        if out is None:
+            A = self.algebra
+            terms = {k - n: v for k, v in self.terms.items()}
+            sign_flip = n % 2 == 1
+            diffs = {k - n: ent_neg(A, d) if sign_flip else d
+                     for k, d in self.diffs.items()}
+            out = self._shift_cache[n] = ProjComplex(A, terms, diffs, validate=False)
+            out._base, out._offset = self, n
         return out
 
     def __repr__(self):

@@ -4,10 +4,13 @@ Hom(X, Y[n]) is computed as cohomology of the total Hom complex: one
 coordinate block per (degree, target summand, source summand) triple, with
 coordinates running over the corner basis of e_j A e_i.  The differential
 D^n is read straight off the algebra's product table.  A query computes
-only the degrees it asks for.  Each ordered pair of complexes (complexes
-are immutable) memoizes its finished dimensions next to the ranks of the
-D^n behind them, so a repeated query is one dict lookup per degree.  The
-number of degree-n coordinates is counted from the vertices of the terms
+only the degrees it asks for.  Each ordered pair of unshifted complexes
+(complexes are immutable) memoizes its finished dimensions next to the
+ranks of the D^n behind them, and a pair of shifts reads that memo: as
+Hom(X[a], Y[b][n]) = Hom(X, Y[n + b - a]) with the same D up to signs,
+degree n of (X[a], Y[b]) is degree n + b - a of (X, Y).  So a repeated
+query is one dict lookup per degree, whichever shifts it comes through.
+The number of degree-n coordinates is counted from the vertices of the terms
 and the algebra's table of corner dimensions; coordinate blocks are laid
 out, and D^n built and ranked, only when degrees n and n + 1 both have
 coordinates.
@@ -185,26 +188,31 @@ def _rank(X: ProjComplex, Y: ProjComplex, n: int, ranks: Dict[int, int]) -> int:
 
 
 def hom_dims(X: ProjComplex, Y: ProjComplex, degrees: Iterable[int]) -> Dict[int, int]:
-    """dim Hom(X, Y[n]) for each requested n.  Each answer is memoized per
-    ordered pair, so a repeated degree costs one dict lookup; a new one
-    costs the ranks of D^n and D^{n-1}, each eliminated at most once."""
+    """dim Hom(X, Y[n]) for each requested n.  With X = X0[a] and Y = Y0[b]
+    for unshifted X0 and Y0, this is dim Hom(X0, Y0[n + b - a]), memoized
+    for the pair (X0, Y0), so a degree that any shifts of the pair asked
+    before costs one dict lookup; a new one costs the ranks of D^n and
+    D^{n-1} of (X0, Y0), each eliminated at most once."""
     if X.algebra is not Y.algebra:
         raise InputError("Hom requires complexes over the same algebra")
-    if X._hom_memo is None:
-        X._hom_memo = weakref.WeakKeyDictionary()
-    pair = X._hom_memo.get(Y)
+    X0, Y0 = X._base or X, Y._base or Y
+    offset = Y._offset - X._offset
+    if X0._hom_memo is None:
+        X0._hom_memo = weakref.WeakKeyDictionary()
+    pair = X0._hom_memo.get(Y0)
     if pair is None:
-        pair = X._hom_memo[Y] = ({}, {})
+        pair = X0._hom_memo[Y0] = ({}, {})
     dims, ranks = pair
     out: Dict[int, int] = {}
     for n in degrees:
-        h = dims.get(n)
+        m = n + offset
+        h = dims.get(m)
         if h is None:
-            size = _degree_size(X, Y, n)
-            h = size - _rank(X, Y, n, ranks) - _rank(X, Y, n - 1, ranks) if size else 0
+            size = _degree_size(X0, Y0, m)
+            h = size - _rank(X0, Y0, m, ranks) - _rank(X0, Y0, m - 1, ranks) if size else 0
             if h < 0:
                 raise InvariantError(f"negative Hom dimension {h} in degree {n}")
-            dims[n] = h
+            dims[m] = h
         out[n] = h
     return out
 

@@ -343,6 +343,11 @@ def resolved_simple(A, i, degree=0):
     return P
 
 
+def fresh_copy(X: ProjComplex) -> ProjComplex:
+    """A copy of X that shares no Hom memo, shift or minimal model with it."""
+    return ProjComplex(X.algebra, X.terms, X.diffs, validate=False)
+
+
 def random_complex(A, rng: random.Random, steps: int = 2) -> ProjComplex:
     """Iterated cones of random maps between shifted stalks: a cheap source
     of valid complexes (d^2 = 0 by construction)."""

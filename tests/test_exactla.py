@@ -227,6 +227,30 @@ def test_det_matches_fraction_gauss(rows):
         assert la.det([rows[1], rows[0]] + rows[2:]) == -want
 
 
+@pytest.mark.parametrize("rows", [
+    [[2, 4], [6, 5]],                        # no unit pivot at all
+    [[2, 3, 5], [4, 7, 11], [6, 13, 17]],
+    [[0, 2, 3], [2, 1, 1], [-1, 4, 2]],      # the unit pivot needs a swap
+    [[3, 1, 0], [5, 2, 7], [1, 0, 4]],
+    [[-1, 2, 0], [2, 2, 3], [3, 4, 4]],      # units, then Bareiss
+    [[1, 2, 3], [2, 4, 6], [-1, 5, 2]],      # zero determinant
+    [[1, 1, 1], [1, 1, 1], [1, 1, 1]],
+    [[2, 4, 6], [1, 3, 5], [3, 7, 11]],
+])
+def test_det_unit_pivot_cases(rows):
+    assert la.det(rows) == _fraction_det(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from([0, 0, 1, -1, 2, -2, 3]), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_det_unit_heavy_matches_fraction_gauss(rows):
+    # mostly unit entries, so elimination switches from unit pivots to
+    # Bareiss at any column
+    assert la.det(rows) == _fraction_det(rows)
+
+
 def test_matmul_paths_agree():
     rng = random.Random(3)
     a_int = [[rng.randrange(-5, 6) for _ in range(4)] for _ in range(3)]

@@ -69,6 +69,28 @@ def test_shift_identities():
     assert shift(P, 1).terms == {-1: (0,)}
 
 
+def _one_step_shift(X, n):
+    """X[n] built directly from X, without the shift cache."""
+    A = X.algebra
+    return ProjComplex(A, {k - n: v for k, v in X.terms.items()},
+                       {k - n: [[A.neg_vec(e) if n % 2 else e for e in row] for row in d]
+                        for k, d in X.diffs.items()})
+
+
+def test_shifts_of_shifts_are_shifts_of_the_base():
+    X = s1_complex()
+    C, _ = cone(chain_maps_basis(X, shift(gen.resolved_simple(A2, 1), 1))[0])
+    for Z in (X, C, shift(C, 3)):
+        assert any(e for d in Z.diffs.values() for row in d for e in row)
+        for a in range(-2, 3):
+            assert shift(shift(Z, a), -a) is Z
+            for b in range(-2, 3):
+                two_step = shift(shift(Z, a), b)
+                assert two_step is shift(Z, a + b) is shift(shift(Z, b), a)
+                # the terms and differential signs of shifting twice
+                assert two_step.same_shape(_one_step_shift(_one_step_shift(Z, a), b))
+
+
 def test_d_squared_checked():
     # a non-complex is rejected at construction
     a = A2.parse_element("a")
@@ -660,6 +682,7 @@ def test_hom_rank_memo_dies_with_either_complex():
         hom_table(X, Y)
         hom_table(shift(X, 1), Y)
         assert all(X._hom_memo[Y])  # dims and ranks
+        assert len(X._hom_memo) == 1 and shift(X, 1)._hom_memo is None
         ref = weakref.ref(Y if keep_source else X)
         if keep_source:
             del Y
@@ -669,6 +692,50 @@ def test_hom_rank_memo_dies_with_either_complex():
         assert ref() is None
         if keep_source:
             assert len(X._hom_memo) == 0
+
+
+def test_hom_memo_through_shifts_lives_on_the_base_pair():
+    X, Y = s1_complex(), gen.resolved_simple(A2, 1)
+    Xs, Ys, Ys2 = shift(X, 1), shift(Y, -2), shift(Y, 1)
+    dims = hom_table(Xs, Ys).dims
+    assert dims and X._hom_memo is not None and all(X._hom_memo[Y])
+    assert Xs._hom_memo is None and Y._hom_memo is None
+    x_ref, y_ref = weakref.ref(X), weakref.ref(Y)
+    del X, Y
+    gc.collect()
+    # a live shift keeps its base, and the base's entries, alive
+    assert x_ref() is Xs._base and y_ref() is Ys._base
+    assert len(Xs._base._hom_memo) == 1
+    assert hom_table(Xs, Ys2).dims == {n - 3: d for n, d in dims.items()}
+    del Ys
+    gc.collect()
+    assert y_ref() is Ys2._base and len(Xs._base._hom_memo) == 1
+    # the entry dies once Y and every shift of Y are gone
+    del Ys2
+    gc.collect()
+    assert y_ref() is None and len(Xs._base._hom_memo) == 0
+    del Xs
+    gc.collect()
+    assert x_ref() is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([PrimeField(2), gen.FP, RationalField()]),
+       st.randoms(use_true_random=False))
+def test_shifted_hom_dims_read_the_base_pair(field, rng):
+    X, Y = _random_pair(field, rng)
+    dense = {(0, 1): _dense_hom_dims(gen.fresh_copy(X), gen.fresh_copy(Y)),
+             (1, 0): _dense_hom_dims(gen.fresh_copy(Y), gen.fresh_copy(X))}
+    queries = [(order, a, b) for order in dense for a in range(-2, 3) for b in range(-2, 3)]
+    rng.shuffle(queries)
+    for order, a, b in queries:
+        S, T = ((X, Y) if order == (0, 1) else (Y, X))
+        S, T = shift(S, a), shift(T, b)
+        lo, hi = hom_window(S, T)
+        degrees = list(range(lo - 1, hi + 2))
+        rng.shuffle(degrees)
+        got = hom_dims(S, T, degrees)
+        assert got == {n: dense[order].get(n + b - a, 0) for n in degrees}, (order, a, b)
 
 
 def test_complexes_are_read_only():

@@ -562,3 +562,34 @@ def test_warm_hom_queries_build_no_coordinates_and_rank_nothing(monkeypatch):
     # the wrappers do count: a fresh collection lays out and ranks
     validate_smc(mutate(S, 2, "left")[0])
     assert set(calls) == {"build", "rank", "size"}
+
+
+def _walk_answers(walk):
+    """validate_smc, compare with the previous member and the dimensions of
+    the mutation approximations, per step of a walk."""
+    out = []
+    for prev, new in zip(walk, walk[1:]):
+        pairs = [(X, Y) for X in new.objects for Y in new.objects]
+        out.append((validate_smc(new).to_dict(),
+                    compare(prev, new, rng=random.Random(0)),
+                    [len(homs.hom_basis(shift(X, -1), Y, 0)) for X, Y in pairs],
+                    [len(homs.hom_basis(X, shift(Y, 1), 0)) for X, Y in pairs]))
+    return out
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(32003), RationalField()],
+                         ids=str)
+def test_mutation_walk_answers_do_not_depend_on_shared_memos(field):
+    A = Algebra.from_quiver(field, linear_quiver(5), relations=(("a1", "a2", "a3"),))
+    rng = random.Random(44)
+    walk = [standard_smc(A)]
+    while len(walk) <= 16:
+        S = walk[-1]
+        i = rng.randrange(len(S.objects))
+        if smc.is_rigid(S, i):
+            walk.append(mutate(S, i, rng.choice(("left", "right")))[0])
+    # the walk shifts objects, so shifted pairs read their base's memo
+    assert any(o._base is not None for S in walk for o in S.objects)
+    fresh = [SMC(S.algebra, tuple(map(gen.fresh_copy, S.objects)), S.certificate, S.names)
+             for S in walk]
+    assert _walk_answers(walk) == _walk_answers(fresh)
