@@ -183,13 +183,6 @@ class Algebra:
         neg = self.field.neg
         return {i: neg(c) for i, c in x.items()}
 
-    def scale_vec(self, c, x: Vec) -> Vec:
-        mul = self.field.mul
-        return {i: v for i, a in x.items() if (v := mul(c, a))}
-
-    def is_zero_vec(self, x: Vec) -> bool:
-        return not x
-
     def mul_vec(self, x: Vec, y: Vec) -> Vec:
         f = self.field
         acc: Vec = {}
@@ -615,15 +608,17 @@ def _along_prefixes(A: Algebra, b: int, memo: Dict, step):
     return memo[chain[0] if chain else b]
 
 
-def yoneda_map(A: Algebra, i: int, target: Module, v: Sequence) -> ModMap:
-    """The module map P_i -> target sending the generator to v, a vector in
+def yoneda_map(A: Algebra, target: Module, gens: Sequence[Tuple[int, Sequence]]) -> ModMap:
+    """The module map from the sum of the projectives P_i, for (i, v) in
+    gens, to target that sends the generator of each P_i to v, a vector in
     the coordinates of target at vertex i.  The path p * a goes to the image
     of p times the block of a, a row of the block at the target vertex of a."""
-    memo = {i: list(v)}
     rows: List[List] = [[] for _ in range(A.nvert)]
-    for b in A.projective_module(i).basis_in_algebra:
-        rows[A.target[b]].append(
-            _along_prefixes(A, b, memo, lambda r, a: la.vec_mat(r, target.action(a))))
+    for i, v in gens:
+        memo = {i: list(v)}
+        for b in A.projective_module(i).basis_in_algebra:
+            rows[A.target[b]].append(
+                _along_prefixes(A, b, memo, lambda r, a: la.vec_mat(r, target.action(a))))
     return tuple(Mat(A.field, r, ncols=len(p)) for r, p in zip(rows, target.positions))
 
 
@@ -637,17 +632,16 @@ def map_rank(F: ModMap) -> int:
     return sum(la.rank(b) for b in F if b.nrows and b.ncols)
 
 
-def projective_cover(M: Module, rows: Optional[Sequence[Sequence]] = None
-                     ) -> Tuple[List[int], ModMap]:
-    """Projective cover of the submodule of M spanned by rows, or of M itself
-    when rows is None.
+def top_generators(M: Module, rows: Optional[Sequence[Sequence]] = None
+                   ) -> List[Tuple[int, List]]:
+    """The generators of the projective cover of the submodule of M spanned
+    by rows, or of M itself when rows is None, as (vertex, row) pairs.
 
     rows holds, per vertex v, rows in the coordinates of M at v; together
     they must be linearly independent and span a submodule (the blocks of a
-    kernel basis of a module map are both).  Returns the vertices of the
-    cover and the cover map into M.  Its generators are the rows that lift a
-    basis of the top, picked per vertex in ascending order and, within a
-    vertex, in the order of rows (of the identity, for M itself).
+    kernel basis of a module map are both).  The generators are the rows
+    that lift a basis of the top, picked per vertex in ascending order and,
+    within a vertex, in the order of rows (of the identity, for M itself).
 
     Everything happens at one vertex at a time, in the coordinates of that
     vertex.  The radical of the submodule N at a vertex t is spanned by the
@@ -663,7 +657,8 @@ def projective_cover(M: Module, rows: Optional[Sequence[Sequence]] = None
     images: List[List] = [[] for _ in range(A.nvert)]
     for a, block in zip(A.arrow_indices, M.blocks):
         at_s = local[A.source[a]]
-        if at_s and block.ncols:
+        # only a vertex with candidate rows needs its radical
+        if at_s and block.ncols and local[A.target[a]]:
             images[A.target[a]].extend(
                 block.rows if rows is None else (Mat(f, at_s) @ block).rows)
     gens = []
@@ -679,15 +674,28 @@ def projective_cover(M: Module, rows: Optional[Sequence[Sequence]] = None
                                  ncols=len(stacked))).pivots
             picked = [j - len(images[v]) for j in pivots if j >= len(images[v])]
         gens.extend((v, cand[j]) for j in picked)
-    blocks: List[List] = [[] for _ in range(A.nvert)]
-    for i, r in gens:
-        for rows_w, block in zip(blocks, yoneda_map(A, i, M, r)):
-            rows_w.extend(block.rows)
-    cover = tuple(Mat(f, r, ncols=len(p)) for r, p in zip(blocks, M.positions))
-    # the image of the cover at each vertex is all of the submodule there
-    for block, loc in zip(cover, local):
-        if (la.rank(block) if block.nrows else 0) != len(loc):
-            raise InvariantError("cover is not surjective")
+    return gens
+
+
+def cover_kernel_dims(cover: ModMap, dims: Sequence[int]) -> List[int]:
+    """The dimension of the kernel of a cover map at each vertex, after
+    checking that its image there has dimension dims[v], all of the covered
+    submodule."""
+    ranks = [la.rank(b) if b.nrows and b.ncols else 0 for b in cover]
+    if ranks != list(dims):
+        raise InvariantError("cover is not surjective")
+    return [b.nrows - r for b, r in zip(cover, ranks)]
+
+
+def projective_cover(M: Module, rows: Optional[Sequence[Sequence]] = None
+                     ) -> Tuple[List[int], ModMap]:
+    """Projective cover of the submodule of M spanned by rows, or of M itself
+    when rows is None (see top_generators).  Returns the vertices of the
+    cover and the cover map into M."""
+    gens = top_generators(M, rows)
+    cover = yoneda_map(M.algebra, M, gens)
+    cover_kernel_dims(cover, [len(pv) for pv in M.positions] if rows is None
+                      else [len(r) for r in rows])
     return [i for i, _ in gens], cover
 
 

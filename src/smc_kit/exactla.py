@@ -205,10 +205,6 @@ class Mat:
         z, o = field.zero, field.one
         return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)], ncols=n)
 
-    @classmethod
-    def from_int_rows(cls, field, rows, ncols=None):
-        return cls(field, [[field.from_int(x) for x in r] for r in rows], ncols=ncols)
-
     # -- arithmetic --------------------------------------------------------
 
     def __matmul__(self, other: "Mat") -> "Mat":
@@ -306,7 +302,10 @@ class RRef:
 
 def rref(m: Mat) -> RRef:
     """Gauss-Jordan elimination, pivoting on the first nonzero row of each
-    column; over F_p every entry is reduced after each step."""
+    column; over F_p every entry is reduced after each step.  Over Q the
+    eliminated entries come out as Fraction(0, 1), and are stored back as
+    the int 0, as _row_times stores its zeros: every zero of the rows that
+    rref, kernel_basis, solve_matrix and row_space_basis return is the int 0."""
     f = m.field
     p = _modulus(f)
     nr, nc = m.shape
@@ -331,6 +330,8 @@ def rref(m: Mat) -> RRef:
                     else [x - g * y for x, y in zip(a[i], top)])
         pivots.append(c)
         r += 1
+    if not p:
+        a = [[x or 0 for x in row] for row in a]
     return RRef(Mat(f, a, ncols=nc), tuple(pivots))
 
 

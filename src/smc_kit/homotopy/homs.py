@@ -456,7 +456,7 @@ def solve_corner_constrained(src: ProjComplex, tgt: ProjComplex,
             width = len(Wk1.positions[f_vert])
             for q in range(width):
                 unit = [fld.one if c == q else zero for c in range(width)]
-                h_vars.append((k, s_idx, yoneda_map(B, f_vert, Wk1, unit)))
+                h_vars.append((k, s_idx, yoneda_map(B, Wk1, [(f_vert, unit)])))
     nphi = coords_phi.total
     nvars = nphi + len(h_vars)
 

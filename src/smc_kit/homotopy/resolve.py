@@ -11,6 +11,13 @@ comparison map is surjective on cohomology) and liftable boundaries die
 bookkeeping.  Termination below the support is the finiteness of the
 projective dimension of the last syzygy.
 
+Each generator of P^k is a row (m, p) of Z^k at its vertex v: eps sends it
+to the Yoneda image of m, and delta to p, read as an entry column of
+elements of e_j A e_v, so the result's entries are realized once, as its
+module realization.  The rank checking that a cover is onto gives its
+kernel dimension at each vertex; below the support that kernel is the next
+Z^k, so the resolution stops once those ranks show it is zero.
+
 This is the package's one resolver: a module is resolved as its stalk
 complex (resolve_module), and projective and global dimension are read off
 the degrees of the result.
@@ -29,9 +36,11 @@ from ..algebra import (
     compose_maps,
     direct_sum_modules,
     dual_module,
+    cover_kernel_dims,
     map_rank,
-    projective_cover,
     projectives_module,
+    top_generators,
+    yoneda_map,
     zero_module,
 )
 from ..config import DEFAULT_LIMITS, BoundExceeded, InputError, InvariantError, PdBoundExceeded
@@ -169,25 +178,6 @@ def realize_chain_map(g: ChainMap) -> Dict[int, ModMap]:
     return out
 
 
-def entries_from_realized(A: Algebra, src_verts: Sequence[int],
-                          tgt_verts: Sequence[int], F: ModMap) -> Entries:
-    """Recover the entry matrix of a module map between sums of projectives.
-
-    The (t, s) entry is read off the image of the generator e_i of the s-th
-    summand P_i, the first of its rows in the block at i: sliced to the t-th
-    summand P_j, it holds the coefficients of an element of e_j A e_i.
-    """
-    out = [[A.zero_vec() for _ in src_verts] for _ in tgt_verts]
-    for s, (i, off) in enumerate(zip(src_verts, summand_offsets(A, src_verts))):
-        row = F[i].rows[off[i]]
-        c0 = 0
-        for t, j in enumerate(tgt_verts):
-            corner = A.corner_indices(j, i)
-            out[t][s] = {b: val for b, val in zip(corner, row[c0:c0 + len(corner)]) if val}
-            c0 += len(corner)
-    return out
-
-
 def dual_mod_complex(C: ModComplex) -> ModComplex:
     """K-linear dual: degree k becomes -k, over the opposite algebra."""
     opp = C.algebra.op()
@@ -232,18 +222,18 @@ def resolve_complex(C: ModComplex, pd_bound: int = DEFAULT_LIMITS.pd_bound
     lo, hi = sup
     verts: Dict[int, List[int]] = {}
     pmods: Dict[int, Module] = {}
+    entries: Dict[int, Entries] = {}
     eps: Dict[int, ModMap] = {}
     delta: Dict[int, ModMap] = {}
+    covers: Dict[int, ModMap] = {}
     placed, cap = 0, DEFAULT_LIMITS.summand_cap
     k = hi
     while True:
-        Mk, Pk1 = C.terms.get(k), pmods.get(k + 1)
-        M1, P2 = C.terms.get(k + 1), pmods.get(k + 2)
+        Mk, Pk1, M1 = C.terms.get(k), pmods.get(k + 1), C.terms.get(k + 1)
         parts = [m for m in (Mk, Pk1) if m is not None]
         zrows = None  # no condition: all of M^k (+) P^{k+1} is compatible
-        if parts and (M1 is not None or P2 is not None):
-            zrows = _cycle_rows(A, Mk, Pk1, M1, P2, C.diff(k), eps.get(k + 1),
-                                delta.get(k + 1))
+        if parts and (M1 is not None or k + 2 in pmods):
+            zrows = _cycle_rows(A, Mk, M1, C.diff(k), covers.get(k + 1))
         if not parts or (zrows is not None and not any(zrows)):
             if k <= lo:
                 break
@@ -252,30 +242,34 @@ def resolve_complex(C: ModComplex, pd_bound: int = DEFAULT_LIMITS.pd_bound
         if k < lo - pd_bound:
             raise PdBoundExceeded(
                 f"hyperprojective resolution exceeds pd bound {pd_bound}")
-        # P_k -> Z^k inside M_k (+) P_{k+1}: the coordinates of M_k come
+        # P^k -> Z^k inside M^k (+) P^{k+1}, whose coordinates of M^k come
         # first at each vertex
-        vlist, into_sum = projective_cover(direct_sum_modules(A, parts), zrows)
-        if Pk1 is None:
-            eps[k] = into_sum
-        elif Mk is None:
-            delta[k] = into_sum
-        else:
-            eps[k] = tuple(b.columns(0, len(p)) for b, p in zip(into_sum, Mk.positions))
-            delta[k] = tuple(b.columns(len(p), b.ncols)
-                             for b, p in zip(into_sum, Mk.positions))
+        total = direct_sum_modules(A, parts)
+        gens = top_generators(total, zrows)
+        vlist = [i for i, _ in gens]
         placed += len(vlist)
         if placed > cap:
             raise BoundExceeded(
                 f"hyperprojective resolution exceeds the summand cap of {cap} "
                 f"projective summands (reached degree {k})")
+        if Mk is not None:
+            eps[k] = yoneda_map(A, Mk, [(i, r[:len(Mk.positions[i])]) for i, r in gens])
+        if Pk1 is not None:
+            entries[k] = _entry_columns(A, gens, Mk, verts[k + 1])
+            delta[k] = realize_entry_matrix(A, vlist, verts[k + 1], entries[k])
+        maps = [m[k] for m in (eps, delta) if k in m]
+        covers[k] = maps[0] if len(maps) == 1 else tuple(map(la.hstack, zip(*maps)))
+        kernel = cover_kernel_dims(covers[k], [len(p) for p in total.positions]
+                                   if zrows is None else map(len, zrows))
         verts[k] = vlist
         pmods[k] = projectives_module(A, vlist)
+        # below C, Z^{k-1} is the kernel of the cover
+        if k <= lo and not any(kernel):
+            break
         k -= 1
 
-    entries: Dict[int, Entries] = {}
-    for deg, dmap in delta.items():
-        entries[deg] = entries_from_realized(A, verts[deg], verts[deg + 1], dmap)
-    P = ProjComplex(A, {d: tuple(v) for d, v in verts.items()}, entries)
+    P = ProjComplex(A, verts, entries)
+    P._module_cache = ModComplex(A, pmods, delta, validate=False)
     _assert_quasi_iso(P, C, eps)
     if lo == hi:
         # Covers of the syzygies of one module: the differentials already
@@ -293,33 +287,45 @@ def resolve_complex(C: ModComplex, pd_bound: int = DEFAULT_LIMITS.pd_bound
     return Pmin, aug_min
 
 
-def _cycle_rows(A: Algebra, Mk: Optional[Module], Pk1: Optional[Module],
-                M1: Optional[Module], P2: Optional[Module], dM: Optional[ModMap],
-                eps: Optional[ModMap], delta: Optional[ModMap]) -> List[List]:
+def _entry_columns(A: Algebra, gens: Sequence[Tuple[int, List]], Mk: Optional[Module],
+                   tgt_verts: Sequence[int]) -> Entries:
+    """The entry matrix of the map into P^{k+1} sending each generator
+    (i, row) to the P^{k+1} part of row: past the coordinates of M^k at i,
+    summand P_j of P^{k+1} holds the coefficients of an element of e_j A e_i
+    at summand_offsets."""
+    off = summand_offsets(A, tgt_verts)
+    skip = [len(p) for p in Mk.positions] if Mk is not None else [0] * A.nvert
+    return [[{b: x for b, x in zip(A.corner_indices(j, i),
+                                   row[skip[i] + off[t][i]:skip[i] + off[t + 1][i]]) if x}
+             for i, row in gens] for t, j in enumerate(tgt_verts)]
+
+
+def _cycle_rows(A: Algebra, Mk: Optional[Module], M1: Optional[Module],
+                dM: Optional[ModMap], cover: Optional[ModMap]) -> List[List]:
     """A basis of Z^k, the rows (m, p) of M^k (+) P^{k+1} with m d_M = p eps
     and p delta = 0, per vertex in the coordinates of the sum there (those
-    of M^k first).
+    of M^k first).  cover is (eps, delta), the map P^{k+1} -> M^{k+1} (+)
+    P^{k+2} made one step before; a missing map is zero.
 
-    The condition is a module map into M^{k+1} (+) P^{k+2}, so Z^k is
-    solved one vertex at a time; a missing map is zero."""
+    Z^k is the left kernel of [[d_M, 0], [-eps, delta]] at each vertex, as
+    of [[-d_M, 0], [eps, delta]], whose columns of M^{k+1} are negated; the
+    rows of one summand need neither the sign nor the zero columns."""
     f = A.field
-    z = f.zero
     out = []
     for v in range(A.nvert):
         dm = len(Mk.positions[v]) if Mk is not None else 0
-        dp = len(Pk1.positions[v]) if Pk1 is not None else 0
         wm = len(M1.positions[v]) if M1 is not None else 0
-        wp = len(P2.positions[v]) if P2 is not None else 0
-        if not dm + dp or not wm + wp:  # no rows, or no condition at v
-            out.append(Mat.identity(f, dm + dp).rows if dm + dp else [])
-            continue
-        zero_m, zero_p = [z] * wm, [z] * wp
-        to_m = (dM[v].rows if dM is not None else [zero_m] * dm) + \
-            ([[f.neg(x) for x in r] for r in eps[v].rows] if eps is not None
-             else [zero_m] * dp)
-        to_p = [zero_p] * dm + (delta[v].rows if delta is not None else [zero_p] * dp)
-        cond = [a + b for a, b in zip(to_m, to_p)]
-        out.append(la.left_kernel_basis(Mat(f, cond, ncols=wm + wp)))
+        at_m = dM[v].rows if dM is not None else [[f.zero] * wm] * dm
+        if cover is None or not cover[v].nrows:
+            cond = Mat(f, at_m, ncols=wm)
+        elif not dm:
+            cond = cover[v]
+        else:
+            pad = [f.zero] * (cover[v].ncols - wm)
+            cond = Mat(f, [[f.neg(x) for x in r] + pad for r in at_m] + cover[v].rows,
+                       ncols=cover[v].ncols)
+        out.append(la.left_kernel_basis(cond) if cond.ncols else
+                   Mat.identity(f, cond.nrows).rows)
     return out
 
 

@@ -18,6 +18,7 @@ from smc_kit.algebra import (
 )
 from smc_kit.exactla import Mat, PrimeField
 from smc_kit.homotopy import (
+    ChainMap,
     ProjComplex,
     cohomology_dims,
     cone,
@@ -53,6 +54,11 @@ def random_matrix(field, m, n, rng):
     return Mat(field, [[field.rand(rng) for _ in range(n)] for _ in range(m)], ncols=n)
 
 
+def int_mat(field, rows, ncols=None):
+    """The matrix of the integers rows, read in field."""
+    return Mat(field, [[field.from_int(x) for x in r] for r in rows], ncols=ncols)
+
+
 def mat_copy(m):
     """A copy of m whose rows can be written without touching m."""
     return Mat(m.field, [list(r) for r in m.rows], ncols=m.ncols)
@@ -62,6 +68,16 @@ def mat_scale(m, c):
     """The matrix c * m."""
     f = m.field
     return Mat(f, [[f.mul(c, a) for a in r] for r in m.rows], ncols=m.ncols)
+
+
+def scale_map(g, c):
+    """The chain map c * g."""
+    A = g.source.algebra
+    mul = A.field.mul
+    return ChainMap(g.source, g.target,
+                    {k: [[{b: v for b, a in e.items() if (v := mul(c, a))} for e in row]
+                         for row in m] for k, m in g.comps.items()},
+                    validate=False)
 
 
 def sum_prod(f, xs, ys):
@@ -283,7 +299,7 @@ def random_representation(A, rng):
     for _ in range(rng.randint(1, 4)):
         i = rng.choice(N.weights)
         v = [f.rand(rng) for _ in N.positions[i]]
-        for rows_w, block in zip(rows, yoneda_map(A, i, N, v)):
+        for rows_w, block in zip(rows, yoneda_map(A, N, [(i, v)])):
             rows_w.extend(block.rows)
     return row_span_module(N, rows)
 

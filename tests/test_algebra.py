@@ -22,6 +22,7 @@ from smc_kit.homotopy import (
     module_realization,
     resolve_module,
 )
+from smc_kit.homotopy.resolve import realize_entry_matrix
 from smc_kit.recollement import _quotient_module_over_middle
 
 FP = PrimeField(32003)
@@ -91,7 +92,7 @@ def test_multiplication_convention():
     beta = A.parse_element("beta")
     alpha = A.parse_element("alpha")
     # beta then alpha is the killed cycle at vertex 1
-    assert A.is_zero_vec(A.mul_vec(beta, alpha))
+    assert A.mul_vec(beta, alpha) == {}
     # alpha then beta survives as the cycle at vertex 2
     assert A.element_str(A.mul_vec(alpha, beta)) == "alpha*beta"
 
@@ -222,8 +223,25 @@ def test_projective_dimension_against_kernel_cover_reference(field, bound, rng):
                 P = resolve_module(M, bound)
                 assert P.is_minimal()
                 assert cohomology_dims(P) == {0: M.dim}
+                # the realization the resolver kept is the one of P's entries
+                real = module_realization(P)
+                assert real.diffs == {k: realize_entry_matrix(B, P.term(k), P.term(k + 1), d)
+                                      for k, d in P.diffs.items()}
+                assert {k: m.weights for k, m in real.terms.items()} == \
+                    {k: alg.projectives_module(B, v).weights for k, v in P.terms.items()}
                 assert {-k: sorted(v) for k, v in P.terms.items()} == \
                     {n: sorted(v) for n, v in enumerate(want)}
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), FP, QQ], ids=str)
+def test_simples_of_linear_quivers_have_pd_one(field):
+    # A_n = k(1 -> 2 -> ... -> n): the simple at the sink is projective, and
+    # every other simple S_i has the resolution 0 -> P_{i+1} -> P_i -> S_i
+    for n in range(2, 8):
+        A = alg.Algebra.from_quiver(field, alg.linear_quiver(n))
+        pds = [alg.projective_dimension(A.simple_module(i)) for i in range(n)]
+        assert sorted(pds) == [0] + [1] * (n - 1)
+        assert alg.global_dimension(A) == 1
 
 
 def test_opposite_involution():
@@ -231,7 +249,7 @@ def test_opposite_involution():
     assert A.op().op() is A
     B = A.op()
     x = B.mul_vec(B.parse_element("alpha"), B.parse_element("beta"))
-    assert B.is_zero_vec(x)  # beta*alpha = 0 in A means alpha o op beta = 0
+    assert x == {}  # beta*alpha = 0 in A means alpha o op beta = 0
 
 
 def test_corner_inverse():
@@ -297,11 +315,10 @@ def test_element_helpers_match_dense_coordinates(f, rng):
     # y cancels some coordinates of x, so sums must drop zeros
     dy = [f.neg(a) if rng.random() < 0.3 else
           (_coeff(f, rng) if rng.random() < 0.5 else f.zero) for a in dx]
-    x, y, c = gen.sparse(dx), gen.sparse(dy), _coeff(f, rng)
+    x, y = gen.sparse(dx), gen.sparse(dy)
     results = [(A.add_vec(x, y), [f.add(a, b) for a, b in zip(dx, dy)]),
                (A.sub_vec(x, y), [f.sub(a, b) for a, b in zip(dx, dy)]),
                (A.neg_vec(x), [f.neg(a) for a in dx]),
-               (A.scale_vec(c, x), [f.mul(c, a) for a in dx]),
                (A.mul_vec(x, y), _dense_mul(A, dx, dy)),
                (A.mul_vec(y, x), _dense_mul(A, dy, dx)),
                (A.zero_vec(), [f.zero] * A.dim)]
@@ -315,7 +332,7 @@ def test_element_helpers_match_dense_coordinates(f, rng):
     for got, want in results:
         assert all(got.values())  # no zero coefficient is stored
         assert gen.dense(A, got) == want
-    assert A.is_zero_vec(x) == (not any(dx))
+    assert (x == {}) == (not any(dx))
     assert A.is_radical_vec(x) == (not any(dx[:A.nvert]))
     # products: the coordinates of x*b (left) or b*x (right) inside pos
     basis = rng.sample(range(A.dim), rng.randint(0, A.dim))
@@ -435,7 +452,7 @@ def _ideal_by_row_reduction(B, subset):
             left = B.mul_vec(B.basis_vec(b), B.basis_vec(i))
             for c in range(B.dim):
                 v = B.mul_vec(left, B.basis_vec(c))
-                if not B.is_zero_vec(v):
+                if v:
                     gens.append(gen.dense(B, v))
     ideal = set()
     for row in la.row_space_basis(Mat(f, gens, ncols=B.dim)).rows:
@@ -551,7 +568,7 @@ def _assert_cover_matches_reference(M, rows):
     _assert_identical(
         [gen.dense_map(alg.projectives_module(A, verts), M, cover)],
         [la.vstack([gen.dense_map(A.projective_module(i), M, alg.yoneda_map(
-            A, i, M, [v[c] for c in M.positions[i]])) for i, v in gens])])
+            A, M, [(i, [v[c] for c in M.positions[i]])])) for i, v in gens])])
     return sub
 
 
@@ -571,7 +588,7 @@ def _random_map_from_projectives(A, rng, verts, N):
     rows = [[] for _ in range(A.nvert)]
     for i in verts:
         v = [f.rand(rng) for _ in N.positions[i]]
-        for rows_w, block in zip(rows, alg.yoneda_map(A, i, N, v)):
+        for rows_w, block in zip(rows, alg.yoneda_map(A, N, [(i, v)])):
             rows_w.extend(block.rows)
     return tuple(Mat(f, r, ncols=len(p)) for r, p in zip(rows, N.positions))
 
@@ -636,9 +653,24 @@ def test_stacked_module_solves_against_reference(rationals, rng):
     _check_stacked_module_solves(rationals, rng)
 
 
-# At these seeds a direct sum over Q once held Fraction(0, 1) in its path
-# actions where the block-diagonal reference holds 0; pinned so that every
-# run draws them.
+# At seeds 50 and 58 a direct sum over Q once held Fraction(0, 1) in its
+# path actions where the block-diagonal reference holds 0; at seeds 9 and 13
+# the cover's rows, straight from rref, held it where the reference, a
+# product, holds 0.  Pinned so that every run draws them.
+@seed(9)
+@settings(max_examples=30, deadline=None)
+@given(*_STACKED_CASES)
+def test_stacked_module_solves_at_seed_9(rationals, rng):
+    _check_stacked_module_solves(rationals, rng)
+
+
+@seed(13)
+@settings(max_examples=30, deadline=None)
+@given(*_STACKED_CASES)
+def test_stacked_module_solves_at_seed_13(rationals, rng):
+    _check_stacked_module_solves(rationals, rng)
+
+
 @seed(50)
 @settings(max_examples=30, deadline=None)
 @given(*_STACKED_CASES)
@@ -713,7 +745,7 @@ def _assert_derived_actions(M, ref, rng):
         v = [f.rand(rng) for _ in range(M.dim)]
         want = [(Mat(f, [v], ncols=M.dim) @ ref[b]).rows[0]
                 for b in B.projective_module(i).basis_in_algebra]
-        got = alg.yoneda_map(B, i, M, [v[c] for c in M.positions[i]])
+        got = alg.yoneda_map(B, M, [(i, [v[c] for c in M.positions[i]])])
         _assert_identical([gen.dense_map(B.projective_module(i), M, got)],
                           [Mat(f, want, ncols=M.dim)])
 

@@ -35,7 +35,7 @@ def test_rank_identity_and_zero():
 
 def test_rank_dependent_rows_over_q():
     # [[1,2],[2,4]] row-reduces to a single pivot
-    m = Mat.from_int_rows(QQ, [[1, 2], [2, 4]])
+    m = gen.int_mat(QQ, [[1, 2], [2, 4]])
     assert la.rank(m) == 1
 
 
@@ -48,7 +48,7 @@ def test_kernel_identity_zero():
 def test_kernel_of_sum_row():
     # [[1,1]] has kernel spanned by (1,-1) up to scale
     for f in FIELDS:
-        m = Mat.from_int_rows(f, [[1, 1]])
+        m = gen.int_mat(f, [[1, 1]])
         ker = la.kernel_basis(m)
         assert len(ker) == 1
         v = ker[0]
@@ -67,7 +67,7 @@ def test_solve_identity_and_inconsistent():
 
 def test_solve_underdetermined():
     for f in FIELDS:
-        m = Mat.from_int_rows(f, [[1, 1]])
+        m = gen.int_mat(f, [[1, 1]])
         res = la.solve(m, [f.from_int(2)])
         assert res is not None
         x = res
@@ -133,16 +133,16 @@ def test_solve_matrix_exact_or_none(f, m, n, k, r, bad, rng):
 
 @pytest.mark.parametrize("f", SOLVE_FIELDS, ids=str)
 def test_solve_matrix_one_inconsistent_column_and_empty_shapes(f):
-    mat = Mat.from_int_rows(f, [[1, 2], [0, 0]])
-    good = Mat.from_int_rows(f, [[3], [0]])
+    mat = gen.int_mat(f, [[1, 2], [0, 0]])
+    good = gen.int_mat(f, [[3], [0]])
     assert mat @ la.solve_matrix(mat, good) == good
     # the second column needs a nonzero second row of mat @ X
-    assert la.solve_matrix(mat, Mat.from_int_rows(f, [[3, 1], [0, 1]])) is None
+    assert la.solve_matrix(mat, gen.int_mat(f, [[3, 1], [0, 1]])) is None
     assert la.solve(mat, [f.one, f.one]) is None
     assert la.solve_matrix(mat, Mat.zeros(f, 2, 0)).shape == (2, 0)
     assert la.solve_matrix(Mat.zeros(f, 0, 3), Mat.zeros(f, 0, 2)) == Mat.zeros(f, 3, 2)
     assert la.solve_matrix(Mat.zeros(f, 2, 0), Mat.zeros(f, 2, 1)).shape == (0, 1)
-    assert la.solve_matrix(Mat.zeros(f, 2, 0), Mat.from_int_rows(f, [[0], [1]])) is None
+    assert la.solve_matrix(Mat.zeros(f, 2, 0), gen.int_mat(f, [[0], [1]])) is None
     assert la.solve(Mat.zeros(f, 0, 2), []) == [f.zero, f.zero]
 
 
@@ -152,8 +152,8 @@ def test_prime_and_generic_rref_agree(m, n, rng):
     mat_int = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(m)]
     p = 32003
     f = PrimeField(p)
-    mp = Mat.from_int_rows(f, mat_int, ncols=n)
-    mq = Mat.from_int_rows(QQ, mat_int, ncols=n)
+    mp = gen.int_mat(f, mat_int, ncols=n)
+    mq = gen.int_mat(QQ, mat_int, ncols=n)
     rp, rq = la.rref(mp), la.rref(mq)
     assert rp.pivots == rq.pivots
     # reduced matrices agree after reducing fractions mod p
@@ -257,8 +257,8 @@ def test_matmul_paths_agree():
     b_int = [[rng.randrange(-5, 6) for _ in range(2)] for _ in range(4)]
     p = 101
     f = PrimeField(p)
-    ap, bp = Mat.from_int_rows(f, a_int), Mat.from_int_rows(f, b_int)
-    aq, bq = Mat.from_int_rows(QQ, a_int), Mat.from_int_rows(QQ, b_int)
+    ap, bp = gen.int_mat(f, a_int), gen.int_mat(f, b_int)
+    aq, bq = gen.int_mat(QQ, a_int), gen.int_mat(QQ, b_int)
     cp = ap @ bp
     cq = aq @ bq
     for i in range(3):
@@ -388,6 +388,40 @@ def test_matmul_and_rref_over_q_against_fraction_oracle(m, k, n, rng):
         reduced, pivots = _rref_fraction_oracle(rows)
         assert red.reduced.rows == reduced and exact(red.reduced.rows)
         assert red.pivots == pivots
+
+
+def _zeros_are_ints(rows):
+    return all(type(x) is int for r in rows for x in r if x == 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 4),
+       st.randoms(use_true_random=False))
+def test_zeros_over_q_are_ints(m, n, k, rng):
+    """The zero rule over Q: given matrices whose zeros are the int 0, every
+    zero that rref, kernel_basis, solve_matrix, row_space_basis, @ and
+    vstack return is the int 0 too, never Fraction(0, 1).  Nonintegral
+    entries make elimination cancel through Fraction arithmetic."""
+    def draw(nr, nc):
+        return Mat(QQ, [[rng.choice([0, rng.randrange(-3, 4),
+                                     Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)) or 0])
+                         for _ in range(nc)] for _ in range(nr)], ncols=nc)
+    a, b, c = draw(m, n), draw(n, k), draw(m, k)
+    # a dependent row makes a row cancel to zero in the elimination
+    dep = Mat(QQ, a.rows + [[x * Fraction(2, 3) or 0 for x in a.rows[0]]], ncols=n)
+    for x in (a, b, c, dep):
+        assert _zeros_are_ints(x.rows)
+    for x in (a, dep):
+        assert _zeros_are_ints(la.rref(x).reduced.rows)
+        assert _zeros_are_ints(la.kernel_basis(x))
+        assert _zeros_are_ints(la.row_space_basis(x).rows)
+    for rhs in (c, a @ b):
+        sol = la.solve_matrix(a, rhs)
+        assert sol is not None or rhs is c
+        assert sol is None or _zeros_are_ints(sol.rows)
+    assert _zeros_are_ints((a @ b).rows)
+    assert _zeros_are_ints((dep @ b).rows)
+    assert _zeros_are_ints(la.vstack([a, dep, la.rref(dep).reduced]).rows)
 
 
 @pytest.mark.parametrize("f", SOLVE_FIELDS, ids=str)

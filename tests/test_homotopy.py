@@ -491,7 +491,7 @@ def _dense_differential(X, Y, n, dom, cod):
         if dY is not None:
             for tp in range(len(Y.term(k + n + 1))):
                 ent = dY[tp][t]
-                if not A.is_zero_vec(ent) and (k, tp, s) in cod_index:
+                if ent and (k, tp, s) in cod_index:
                     coff, ccorner = cod_index[(k, tp, s)]
                     _dense_block(mat, gen.submatrix(gen.lrow(A, ent), corner, ccorner),
                                  coff, off, fld.add)
@@ -499,7 +499,7 @@ def _dense_differential(X, Y, n, dom, cod):
         if dX is not None:
             for sp in range(len(X.term(k - 1))):
                 ent = dX[s][sp]
-                if not A.is_zero_vec(ent) and (k - 1, t, sp) in cod_index:
+                if ent and (k - 1, t, sp) in cod_index:
                     coff, ccorner = cod_index[(k - 1, t, sp)]
                     _dense_block(mat, gen.submatrix(gen.rrow(A, ent), corner, ccorner),
                                  coff, off, lambda a, c: fld.sub(a, fld.mul(sign, c)))
@@ -522,7 +522,7 @@ def _dense_compose(coords_in, coords_out, f, left):
         else:
             pairs = [((k, t, sp), fc[s][sp]) for sp in range(len(fc[s]))]
         for key, ent in pairs:
-            if not A.is_zero_vec(ent) and key in out_index:
+            if ent and key in out_index:
                 coff, ccorner = out_index[key]
                 mult = gen.lrow(A, ent) if left else gen.rrow(A, ent)
                 _dense_block(out, gen.submatrix(mult, corner, ccorner), coff, off, A.field.add)
@@ -573,9 +573,9 @@ def _random_pair(field, rng):
             x, y = rng.choice(pool), rng.choice(pool)
             basis = chain_maps_basis(x, y.shift(rng.randrange(-1, 2)))
             if basis:
-                f = basis[0].scale(field.rand(rng))
+                f = gen.scale_map(basis[0], field.rand(rng))
                 for g in basis[1:]:
-                    f = f + g.scale(field.rand(rng))
+                    f = f + gen.scale_map(g, field.rand(rng))
                 c, _ = cone(f)
                 if c.total_terms() <= 7:
                     pool.append(c)

@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -271,6 +272,33 @@ def test_memoized_functors_give_the_cold_gluings(f, rng):
         for route in order + order:
             for deep in (False, True):
                 assert _gluing_record(route, warm, deep) == cold[route, deep]
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from([PrimeField(2), FP, RationalField()]),
+       st.randoms(use_true_random=False))
+def test_functor_resolutions_keep_cohomology_and_are_minimal(f, rng):
+    # every complex that i_*, j^! and j_* resolve for the simples of the
+    # outer algebras: its resolution has its cohomology and is minimal
+    spec = random_recollement(f, rng, max_vertices=4)
+    assume(spec is not None)
+    spec = _cold_spec(spec)
+    seen = []
+
+    def recording(C, **kw):
+        P, aug = resolve_complex(C, **kw)
+        seen.append((C, P))
+        return P, aug
+
+    with mock.patch.object(rec, "resolve_complex", recording):
+        for i in range(spec.x_algebra.nvert):
+            rec.j_upper_shriek(spec, rec.i_star(spec, x_simple(spec, i)))
+        for i in range(spec.y_algebra.nvert):
+            rec.j_upper_shriek(spec, rec.j_lower_star(spec, y_simple(spec, i)))
+    assert seen
+    for C, P in seen:
+        assert cohomology_dims(P) == C.cohomology_dims()
+        assert P.is_minimal()
 
 
 def test_functor_values_are_computed_once_per_spec():

@@ -108,7 +108,7 @@ def _random_map(X, Y, rng):
     f = X.algebra.field
     out = ChainMap(X, Y, {})
     for b in chain_maps_basis(X, Y):
-        out = out + b.scale(f.rand(rng))
+        out = out + gen.scale_map(b, f.rand(rng))
     return out
 
 
