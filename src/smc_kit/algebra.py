@@ -106,7 +106,7 @@ class Algebra:
         self._op: Optional[Algebra] = None
         self._arrows: Optional[Tuple[int, ...]] = None
         self._factors: Optional[Tuple[Optional[Tuple[int, int]], ...]] = None
-        self._module_cache: Dict[Tuple, "Module"] = {}
+        self._module_cache: Dict[Tuple, object] = {}  # modules, layouts
         if validate:
             self.validate()
 
@@ -233,19 +233,21 @@ class Algebra:
         return all(i >= self.nvert for i in x)
 
     def invert_in_corner(self, x: Vec, vertex: int) -> Vec:
-        """Inverse of x in the local algebra e_v A e_v; x must be a unit."""
+        """Inverse of x in the local algebra e_v A e_v; x must be a unit.
+        A unit is lam*(e_v + r) with lam nonzero and r radical, hence
+        nilpotent, so its inverse is the finite series lam^-1 sum_i (-r)^i."""
         f = self.field
-        idx = self.corner_indices(vertex, vertex)
-        # y*x = e_v reads y @ M = e with M[i][j] the coefficient of idx[j]
-        # in idx[i]*x; solve its transpose M^T y^T = e^T
-        mt = Mat.zeros(f, len(idx), len(idx))
-        for i, j, c in self.products(x, idx, {b: p for p, b in enumerate(idx)}, False):
-            mt.rows[j][i] = f.add(mt.rows[j][i], c)
-        sol = la.solve(mt, [f.one if b == vertex else f.zero for b in idx])
-        if sol is None:
+        lam = x.get(vertex)
+        if not lam:
             raise InputError("element is not invertible in its corner")
-        y = {b: c for b, c in zip(idx, sol) if c}
-        if self.mul_vec(x, y).get(vertex) != f.one:
+        y = term = {vertex: f.inv(lam)}
+        neg_r = {b: f.neg(f.mul(c, y[vertex])) for b, c in x.items() if b != vertex}
+        for _ in range(self.dim):  # r^dim = 0
+            term = self.mul_vec(term, neg_r)
+            if not term:
+                break
+            y = self.add_vec(y, term)
+        if self.mul_vec(x, y) != {vertex: f.one}:
             raise InvariantError("corner inverse does not invert")
         return y
 
@@ -497,6 +499,19 @@ class Algebra:
                                              blocks, basis_in_algebra=tuple(idx))
         return self._module_cache[key]
 
+    def projective_layout(self, i: int) -> Tuple[Tuple[int, ...], List[int], Dict]:
+        """(basis, rows, place) for P_i = e_i A: its paths, the row of each
+        within the block at the vertex where it ends, and place[path] =
+        (that vertex, that row)."""
+        key = ("layout", i)
+        if key not in self._module_cache:
+            P = self.projective_module(i)
+            basis = P.basis_in_algebra
+            place = {basis[r]: (v, n)
+                     for v, pv in enumerate(P.positions) for n, r in enumerate(pv)}
+            self._module_cache[key] = (basis, [place[b][1] for b in basis], place)
+        return self._module_cache[key]
+
     def simple_module(self, i: int) -> "Module":
         key = ("simple", i)
         if key not in self._module_cache:
@@ -632,16 +647,18 @@ def map_rank(F: ModMap) -> int:
     return sum(la.rank(b) for b in F if b.nrows and b.ncols)
 
 
-def top_generators(M: Module, rows: Optional[Sequence[Sequence]] = None
-                   ) -> List[Tuple[int, List]]:
-    """The generators of the projective cover of the submodule of M spanned
-    by rows, or of M itself when rows is None, as (vertex, row) pairs.
+def top_generators(M: Module, rows: Optional[Sequence[Sequence]] = None,
+                   known: Optional[Sequence[Sequence]] = None) -> List[Tuple[int, List]]:
+    """The generators of the projective cover of the submodule N of M
+    spanned by rows, or of M itself when rows is None, modulo the submodule
+    spanned by the known rows, as (vertex, row) pairs.
 
-    rows holds, per vertex v, rows in the coordinates of M at v; together
-    they must be linearly independent and span a submodule (the blocks of a
-    kernel basis of a module map are both).  The generators are the rows
-    that lift a basis of the top, picked per vertex in ascending order and,
-    within a vertex, in the order of rows (of the identity, for M itself).
+    rows and known hold, per vertex v, rows in the coordinates of M at v.
+    rows must be linearly independent and span a submodule (the blocks of a
+    kernel basis of a module map are both); known spans one inside N.  The
+    generators are the rows that lift a basis of the top modulo known,
+    picked per vertex in ascending order and, within a vertex, in the order
+    of rows (of the identity, for M itself).
 
     Everything happens at one vertex at a time, in the coordinates of that
     vertex.  The radical of the submodule N at a vertex t is spanned by the
@@ -663,40 +680,33 @@ def top_generators(M: Module, rows: Optional[Sequence[Sequence]] = None
                 block.rows if rows is None else (Mat(f, at_s) @ block).rows)
     gens = []
     for v, cand in enumerate(local):
-        # A row is picked iff it is outside the span of the radical and the
-        # rows picked before it, i.e. iff its column is a pivot column of
-        # [radical, candidates] at v, taken as columns.  With no radical at
-        # v that is every row, as the rows are independent.
+        # A row is picked iff it is outside the span of the radical, the
+        # known rows and the rows picked before it, i.e. iff its column is a
+        # pivot column of [radical, known, candidates] at v, taken as
+        # columns: every row when neither is there, as the rows are independent.
         picked = range(len(cand))
-        if cand and images[v]:
-            stacked = images[v] + list(cand)
+        before = images[v] + list(known[v]) if known else images[v]
+        if cand and before:
+            stacked = before + list(cand)
             pivots = la.rref(Mat(f, [list(col) for col in zip(*stacked)],
                                  ncols=len(stacked))).pivots
-            picked = [j - len(images[v]) for j in pivots if j >= len(images[v])]
+            picked = [j - len(before) for j in pivots if j >= len(before)]
         gens.extend((v, cand[j]) for j in picked)
     return gens
 
 
-def cover_kernel_dims(cover: ModMap, dims: Sequence[int]) -> List[int]:
+def cover_kernel_dims(cover: ModMap, dims: Sequence[int],
+                      known: Optional[Sequence[Sequence]] = None) -> List[int]:
     """The dimension of the kernel of a cover map at each vertex, after
-    checking that its image there has dimension dims[v], all of the covered
-    submodule."""
+    checking that its image there, with the known rows at v (see
+    top_generators) appended to its rows, spans dims[v] dimensions: all of
+    the covered submodule."""
+    if known:
+        cover = [Mat(b.field, b.rows + list(kn), ncols=b.ncols) for b, kn in zip(cover, known)]
     ranks = [la.rank(b) if b.nrows and b.ncols else 0 for b in cover]
     if ranks != list(dims):
-        raise InvariantError("cover is not surjective")
+        raise InvariantError("cover and known rows do not span the covered submodule")
     return [b.nrows - r for b, r in zip(cover, ranks)]
-
-
-def projective_cover(M: Module, rows: Optional[Sequence[Sequence]] = None
-                     ) -> Tuple[List[int], ModMap]:
-    """Projective cover of the submodule of M spanned by rows, or of M itself
-    when rows is None (see top_generators).  Returns the vertices of the
-    cover and the cover map into M."""
-    gens = top_generators(M, rows)
-    cover = yoneda_map(M.algebra, M, gens)
-    cover_kernel_dims(cover, [len(pv) for pv in M.positions] if rows is None
-                      else [len(r) for r in rows])
-    return [i for i, _ in gens], cover
 
 
 def zero_module(A: Algebra) -> Module:

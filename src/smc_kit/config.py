@@ -42,7 +42,8 @@ class Limits:
 
     pd_bound: length of a projective resolution (--pd-bound).
     strip_cap: layers one truncation may strip (truncate --strip-cap).
-    summand_cap: projective summands one resolution may place.  It has no
+    summand_cap: projective summands one resolution may place, which are
+    those of its minimal result (none is built to be cancelled).  It has no
     flag: it keeps a resolution whose syzygies grow exponentially from
     exhausting memory before pd_bound is reached.
     """

@@ -1,22 +1,27 @@
-"""Complexes of modules and their replacement by complexes of projectives.
+"""Complexes of modules and their replacement by minimal complexes of
+projectives.
 
 The resolver works down from the top degree, covering at each step the
-pullback of "cycles compatible with the part already built":
+pullback of "cycles compatible with the part already built",
 
-    Z^k = {(m, p) in M^k (+) P^{k+1} : m d_M = p eps,  p delta = 0}
+    Z^k = {(m, p) in M^k (+) P^{k+1} : m d_M = p eps,  p delta = 0},
 
-with P^k a projective cover of Z^k.  Cycles of M lift through Z (so the
-comparison map is surjective on cohomology) and liftable boundaries die
-(injective), giving a quasi-isomorphism without any higher-homotopy
-bookkeeping.  Termination below the support is the finiteness of the
-projective dimension of the last syzygy.
+modulo the boundaries B^k = {(d m, 0) : m in M^{k-1}} of C: a row of Z^k at
+a vertex is a generator of P^k iff it is outside the span of the radical
+of Z^k, the rows of B^k and the rows picked before it.  Z^k and B^k +
+(eps, delta)(P^k) are the cycles and boundaries in degree k of the cone of
+eps: P -> C; the picks make the boundaries span Z^k modulo its radical, so
+by Nakayama they are all of it, and eps is a quasi-isomorphism without any
+higher-homotopy bookkeeping.  The result is minimal: entries between
+distinct vertices are radical, and a unit entry would put a combination of
+rows picked for P^{k+1} at one vertex, nonzero on the last of them, in
+B^{k+1} + rad Z^{k+1}, against the rule that picked that row.  Below C
+there are no boundaries, Z^k is the kernel of the cover, and the
+resolution stops once that is zero (pd of the last syzygy).
 
 Each generator of P^k is a row (m, p) of Z^k at its vertex v: eps sends it
 to the Yoneda image of m, and delta to p, read as an entry column of
-elements of e_j A e_v, so the result's entries are realized once, as its
-module realization.  The rank checking that a cover is onto gives its
-kernel dimension at each vertex; below the support that kernel is the next
-Z^k, so the resolution stops once those ranks show it is zero.
+elements of e_j A e_v, realized once as the result's module realization.
 
 This is the package's one resolver: a module is resolved as its stalk
 complex (resolve_module), and projective and global dimension are read off
@@ -45,14 +50,7 @@ from ..algebra import (
 )
 from ..config import DEFAULT_LIMITS, BoundExceeded, InputError, InvariantError, PdBoundExceeded
 from ..exactla import Mat
-from .complexes import (
-    ChainMap,
-    Entries,
-    ProjComplex,
-    identity_map,
-    minimalize,
-    zero_complex,
-)
+from .complexes import ChainMap, Entries, ProjComplex, identity_map, zero_complex
 
 
 class ModComplex:
@@ -91,9 +89,6 @@ class ModComplex:
         if not self.terms:
             return None
         return (min(self.terms), max(self.terms))
-
-    def dim(self, k: int) -> int:
-        return self.terms[k].dim if k in self.terms else 0
 
     def module(self, k: int) -> Module:
         return self.terms.get(k) or zero_module(self.algebra)
@@ -142,31 +137,22 @@ def realize_entry_matrix(A: Algebra, src_verts: Sequence[int],
     block at v has a row per path ending at v of each source summand and a
     column per such path of each target summand, summand after summand."""
     f = A.field
+    add = f.add
     src_off, tgt_off = summand_offsets(A, src_verts), summand_offsets(A, tgt_verts)
-    out = [Mat.zeros(f, r, c) for r, c in zip(src_off[-1], tgt_off[-1])]
-    # the column of each path of each target summand, within its block
-    tgt_cols = []
-    for j, off in zip(tgt_verts, tgt_off):
-        P = A.projective_module(j)
-        tgt_cols.append({P.basis_in_algebra[r]: off[v] + n
-                         for v, pv in enumerate(P.positions) for n, r in enumerate(pv)})
-    for s, (i, off) in enumerate(zip(src_verts, src_off)):
-        # the entry itself, not any(entry): the key 0 (e_0) is falsy
-        nonzero = [(cols, entries[t][s]) for t, cols in enumerate(tgt_cols)
-                   if entries[t][s]]
-        if not nonzero:
-            continue
-        P = A.projective_module(i)
-        # left multiplication keeps the end vertex: the block and row of each path
-        place = [None] * P.dim
-        for v, pv in enumerate(P.positions):
-            for n, r in enumerate(pv):
-                place[r] = (out[v].rows, off[v] + n)
-        for cols, e in nonzero:
-            for r, c, x in A.products(e, P.basis_in_algebra, cols, True):
-                block, row = place[r]
-                block[row][c] = f.add(block[row][c], x)
-    return tuple(out)
+    out = [[[f.zero] * c for _ in range(r)] for r, c in zip(src_off[-1], tgt_off[-1])]
+    tgt_place = [A.projective_layout(j)[2] for j in tgt_verts]
+    for s, (i, soff) in enumerate(zip(src_verts, src_off)):
+        basis, rows, _ = A.projective_layout(i)
+        for t, (place, toff) in enumerate(zip(tgt_place, tgt_off)):
+            # the entry itself, not any(entry): the key 0 (e_0) is falsy
+            if not entries[t][s]:
+                continue
+            # left multiplication keeps the end vertex v of each path
+            for r, (v, n), x in A.products(entries[t][s], basis, place, True):
+                row = out[v][soff[v] + rows[r]]
+                c = toff[v] + n
+                row[c] = add(row[c], x)
+    return tuple(Mat(f, rs, ncols=c) for rs, c in zip(out, tgt_off[-1]))
 
 
 def realize_chain_map(g: ChainMap) -> Dict[int, ModMap]:
@@ -207,13 +193,15 @@ def cohomology_dims(X: ProjComplex) -> Dict[int, int]:
 def resolve_complex(C: ModComplex, pd_bound: int = DEFAULT_LIMITS.pd_bound
                     ) -> Tuple[ProjComplex, Dict[int, ModMap]]:
     """Minimal complex of projectives quasi-isomorphic to C, plus the
-    comparison map.
+    comparison map eps, built minimal (see the module docstring).
 
-    The second component maps the realization of the result onto C degreewise
-    (a surjection onto cycles-and-lifts, quasi-iso overall).  Raises
+    eps maps the realization of the result to C degreewise; with the
+    boundaries of C its image spans the cycles-and-lifts Z^k.  Raises
     PdBoundExceeded when a term would be needed below degree lo - pd_bound,
-    lo the lowest degree of C, and BoundExceeded once the terms hold more
-    than DEFAULT_LIMITS.summand_cap projective summands.
+    lo the lowest degree of C, BoundExceeded once the terms hold more than
+    DEFAULT_LIMITS.summand_cap projective summands, and InvariantError when
+    a check fails: the span of each cover, the quasi-isomorphism and the
+    minimality of the result.
     """
     A = C.algebra
     sup = C.support
@@ -243,9 +231,13 @@ def resolve_complex(C: ModComplex, pd_bound: int = DEFAULT_LIMITS.pd_bound
             raise PdBoundExceeded(
                 f"hyperprojective resolution exceeds pd bound {pd_bound}")
         # P^k -> Z^k inside M^k (+) P^{k+1}, whose coordinates of M^k come
-        # first at each vertex
+        # first at each vertex; generators are picked modulo the boundaries
+        # (d m, 0) of C, the rows of d^{k-1} padded with zeros
         total = direct_sum_modules(A, parts)
-        gens = top_generators(total, zrows)
+        dC, z = C.diff(k - 1), A.field.zero
+        known = dC and [[r + [z] * (len(p) - b.ncols) for r in b.rows if any(r)]
+                        for b, p in zip(dC, total.positions)]
+        gens = top_generators(total, zrows, known)
         vlist = [i for i, _ in gens]
         placed += len(vlist)
         if placed > cap:
@@ -260,9 +252,12 @@ def resolve_complex(C: ModComplex, pd_bound: int = DEFAULT_LIMITS.pd_bound
         maps = [m[k] for m in (eps, delta) if k in m]
         covers[k] = maps[0] if len(maps) == 1 else tuple(map(la.hstack, zip(*maps)))
         kernel = cover_kernel_dims(covers[k], [len(p) for p in total.positions]
-                                   if zrows is None else map(len, zrows))
-        verts[k] = vlist
-        pmods[k] = projectives_module(A, vlist)
+                                   if zrows is None else map(len, zrows), known)
+        if vlist:
+            verts[k], pmods[k] = vlist, projectives_module(A, vlist)
+        else:  # the boundaries of C span Z^k: P^k = 0
+            for m in (eps, entries, delta, covers):
+                m.pop(k, None)
         # below C, Z^{k-1} is the kernel of the cover
         if k <= lo and not any(kernel):
             break
@@ -271,20 +266,10 @@ def resolve_complex(C: ModComplex, pd_bound: int = DEFAULT_LIMITS.pd_bound
     P = ProjComplex(A, verts, entries)
     P._module_cache = ModComplex(A, pmods, delta, validate=False)
     _assert_quasi_iso(P, C, eps)
-    if lo == hi:
-        # Covers of the syzygies of one module: the differentials already
-        # land in the radical.
-        if not P.is_minimal():
-            raise InvariantError("resolution of a module is not minimal")
-        P._minimal_cache = (P, identity_map(P))
-        return P, eps
-    Pmin, from_min = minimalize(P)
-    real_from = realize_chain_map(from_min)
-    aug_min = {}
-    for d in Pmin.terms:
-        if d in eps and d in real_from:
-            aug_min[d] = compose_maps(real_from[d], eps[d])
-    return Pmin, aug_min
+    if not P.is_minimal():
+        raise InvariantError("resolution is not minimal")
+    P._minimal_cache = (P, identity_map(P))
+    return P, eps
 
 
 def _entry_columns(A: Algebra, gens: Sequence[Tuple[int, List]], Mk: Optional[Module],

@@ -10,10 +10,11 @@ from smc_kit.algebra import (
     Algebra,
     Module,
     Quiver,
+    cover_kernel_dims,
     direct_sum_modules,
     module_hom_space,
-    projective_cover,
     projectives_module,
+    top_generators,
     yoneda_map,
 )
 from smc_kit.exactla import Mat, PrimeField
@@ -304,6 +305,17 @@ def random_representation(A, rng):
     return row_span_module(N, rows)
 
 
+def projective_cover(M, rows=None):
+    """Projective cover of the submodule of M spanned by rows, or of M itself
+    when rows is None (see top_generators): the vertices of the cover and
+    the cover map into M, checked onto."""
+    gens = top_generators(M, rows)
+    cover = yoneda_map(M.algebra, M, gens)
+    cover_kernel_dims(cover, [len(pv) for pv in M.positions] if rows is None
+                      else [len(r) for r in rows])
+    return [i for i, _ in gens], cover
+
+
 def assert_cover_oracle(M, rows=None):
     """projective_cover(M, rows) against the dense path matrices of M: the
     submodule N spanned by rows (M itself for None) gets d_i - dim(N rad)_i
@@ -384,6 +396,24 @@ def random_complex(A, rng: random.Random, steps: int = 2) -> ProjComplex:
             pool.append(stalk(A, rng.randrange(A.nvert), rng.randrange(-2, 3)))
     out = pool[-1]
     return out
+
+
+def random_minimal_complex(A, rng: random.Random, steps: int = 3) -> ProjComplex:
+    """The minimal model of iterated cones of random chain maps between
+    shifted resolutions of simples, A of finite global dimension: minimal
+    complexes that spread over several degrees, where random_complex mostly
+    returns a stalk."""
+    pool = [resolved_simple(A, rng.randrange(A.nvert), rng.randrange(-1, 2))
+            for _ in range(2)]
+    for _ in range(steps):
+        x, y = rng.choice(pool), rng.choice(pool).shift(rng.randrange(-1, 2))
+        basis = chain_maps_basis(x, y)
+        if basis:
+            f = basis[rng.randrange(len(basis))] + basis[rng.randrange(len(basis))]
+            cm, _ = minimalize(cone(f)[0])
+            if not cm.is_zero() and cm.total_terms() <= 10:
+                pool.append(cm)
+    return pool[-1]
 
 
 def assert_iso_witness(r, X: ProjComplex, Y: ProjComplex):

@@ -12,7 +12,7 @@ import gen
 from smc_kit import algebra as alg
 from smc_kit import exactla as la
 from smc_kit.cli import main
-from smc_kit.config import BoundExceeded, InputError
+from smc_kit.config import BoundExceeded, InputError, InvariantError
 from smc_kit.exactla import Mat, PrimeField, RationalField
 from smc_kit.fixtures import random_monomial_linear_algebra
 from smc_kit.homotopy import (
@@ -260,6 +260,37 @@ def test_corner_inverse():
     y = A.invert_in_corner(x, 1)
     assert A.mul_vec(x, y) == A.basis_vec(1)
     assert A.mul_vec(y, x) == A.basis_vec(1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([PrimeField(2), FP, QQ]), st.randoms(use_true_random=False))
+def test_corner_inverse_of_random_units(f, rng):
+    """Random units of local corners with a radical part invert on both
+    sides, inside the corner; a non-unit is refused."""
+    # a loop x with x^3 = 0 at vertex 1, and the cycle alpha*beta at 2
+    loop = alg.Quiver(("1", "2"), (("x", "1", "1"), ("a", "1", "2")))
+    A = rng.choice([lambda: two_cycle(f), lambda: alg.Algebra.from_quiver(
+        f, loop, relations=[("x", "x", "x")])])()
+    A = rng.choice([A, A.op()])
+    for v in range(A.nvert):
+        corner = A.corner_indices(v, v)
+        x = gen.sparse([gen.rand_nonzero(f, rng) if b == v else
+                        (_coeff(f, rng) if b in corner else f.zero) for b in range(A.dim)])
+        y = A.invert_in_corner(x, v)
+        assert set(y) <= set(corner)
+        assert A.mul_vec(x, y) == A.mul_vec(y, x) == A.basis_vec(v)
+        with pytest.raises(InputError, match="not invertible"):
+            A.invert_in_corner({b: c for b, c in x.items() if b != v}, v)
+
+
+def test_corner_inverse_checks_the_whole_product(monkeypatch):
+    """An inverse with a wrong radical part still has the right e_v
+    coefficient in x*y; the check compares the whole product."""
+    A = two_cycle()
+    x = A.add_vec(A.basis_vec(1), A.parse_element("alpha*beta"))
+    monkeypatch.setattr(A, "add_vec", lambda y, term: y)  # drops the series' terms
+    with pytest.raises(InvariantError, match="does not invert"):
+        A.invert_in_corner(x, 1)
 
 
 def test_parse_element():
@@ -563,7 +594,7 @@ def _assert_cover_matches_reference(M, rows):
     sub.validate()
     gens = [(i, (Mat(A.field, [v], ncols=sub.dim) @ dense).rows[0])
             for i, v in _top_generators_reference(sub)]
-    verts, cover = alg.projective_cover(M, rows)
+    verts, cover = gen.projective_cover(M, rows)
     assert verts == [i for i, _ in gens]
     _assert_identical(
         [gen.dense_map(alg.projectives_module(A, verts), M, cover)],
@@ -631,15 +662,15 @@ def _check_stacked_module_solves(rationals, rng):
         assert isinstance(M.blocks, tuple)
         identity = [Mat.identity(f, len(p)).rows for p in M.positions]
         _assert_cover_matches_reference(M, identity)
-        verts, cover = alg.projective_cover(M, identity)
-        assert alg.projective_cover(M) == (verts, cover)
+        verts, cover = gen.projective_cover(M, identity)
+        assert gen.projective_cover(M) == (verts, cover)
     picked = rng.sample(mods, 3)
     for summands in (picked, picked[:1]):
         total = alg.direct_sum_modules(A, summands)
         _assert_identical(gen.dense_actions(total),
                           gen.direct_sum_actions(A, [_actions(m) for m in summands]))
     # no rows: the zero cover
-    verts, cover = alg.projective_cover(P[0], [[] for _ in range(nv)])
+    verts, cover = gen.projective_cover(P[0], [[] for _ in range(nv)])
     assert verts == [] and [b.shape for b in cover] == \
         [(0, len(p)) for p in P[0].positions]
 

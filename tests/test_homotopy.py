@@ -13,6 +13,7 @@ from hypothesis import given, settings
 import gen
 from smc_kit import exactla as la
 from smc_kit.algebra import Algebra, Quiver, module_hom_space
+from smc_kit.config import InvariantError
 from smc_kit.exactla import Mat, PrimeField, RationalField
 from smc_kit.fixtures import random_monomial_linear_algebra
 from smc_kit.homotopy import (
@@ -23,6 +24,7 @@ from smc_kit.homotopy import (
     cone,
     compose,
     direct_sum,
+    dual_mod_complex,
     hom_basis,
     hom_dims,
     hom_table,
@@ -35,6 +37,7 @@ from smc_kit.homotopy import (
     minimalize,
     module_realization,
     resolve_complex,
+    resolve_module,
     shift,
     stalk_complex,
     zero_complex,
@@ -430,6 +433,70 @@ def test_resolve_complex_of_two_terms():
     C = ModComplex(A, {0: S2, 1: P1}, {0: homs[0]})
     P, aug = resolve_complex(C)
     assert module_realization(P).cohomology_dims() == C.cohomology_dims()
+
+
+RESOLVER_FIELDS = [PrimeField(2), PrimeField(32003), RationalField()]
+
+
+def _resolver_algebra(f, rng, finite_gldim):
+    makers = [gen.two_cycle_algebra,
+              lambda f: random_monomial_linear_algebra(f, rng, max_vertices=5)]
+    if not finite_gldim:
+        makers.append(gen.self_injective_cycle_algebra)
+    A = rng.choice(makers)(f)
+    return rng.choice([A, A.op()])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(RESOLVER_FIELDS), st.randoms(use_true_random=False))
+def test_resolving_a_minimal_complex_gives_a_minimal_copy(f, rng):
+    """A minimal complex of projectives is its own minimal model, so the
+    resolution of its realization is minimal, has its terms and is
+    isomorphic to it.  So is the resolution of its sum with a contractible
+    pair P_i -> P_i, whose boundaries reach the pair's generators."""
+    if rng.random() < 0.8:
+        X = gen.random_minimal_complex(_resolver_algebra(f, rng, finite_gldim=True), rng)
+    else:
+        X = gen.random_complex(_resolver_algebra(f, rng, finite_gldim=False), rng)
+    assert X.is_minimal()
+    pair = cone(identity_map(stalk(X.algebra, rng.randrange(X.algebra.nvert),
+                                   rng.randrange(-2, 2))))[0]
+    for Y in (X, direct_sum([X, pair])[0]):
+        P, eps = resolve_complex(module_realization(Y))
+        assert P.is_minimal() and P.term_profile() == X.term_profile()
+        assert set(eps) <= set(P.terms)
+        assert is_iso(P, X)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(RESOLVER_FIELDS), st.randoms(use_true_random=False))
+def test_resolving_the_dual_of_a_resolved_simple(f, rng):
+    """The j_* step: the dual of the resolution of S_i over B is an
+    injective coresolution of the simple S_i over B^op, so its resolution
+    has the terms of the minimal resolution of that simple."""
+    B = _resolver_algebra(f, rng, finite_gldim=True)
+    for i in range(B.nvert):
+        Y = gen.resolved_simple(B, i)
+        P, _ = resolve_complex(dual_mod_complex(module_realization(Y)))
+        assert P.algebra is B.op() and P.is_minimal()
+        assert P.term_profile() == resolve_module(B.op().simple_module(i)).term_profile()
+
+
+def test_resolver_spanning_check_catches_a_missed_cycle(monkeypatch):
+    """A cover that misses a cycle above the support's bottom degree, where
+    the boundaries of C join the cover, fails the spanning check."""
+    from smc_kit.homotopy import resolve
+    S2, P1 = TC.simple_module(1), TC.projective_module(0)
+    C = resolve.ModComplex(TC, {0: S2, 1: P1}, {0: module_hom_space(S2, P1)[0]})
+    real = resolve.top_generators
+
+    def drop_last(M, rows, known):
+        gens = real(M, rows, known)
+        return gens[:-1] if known else gens
+
+    monkeypatch.setattr(resolve, "top_generators", drop_last)
+    with pytest.raises(InvariantError, match="do not span"):
+        resolve_complex(C)
 
 
 _BREACH = """
