@@ -258,18 +258,21 @@ class Algebra:
         text = text.strip()
         if text in ("0", ""):
             return acc
-        # split into signed terms
+        # split into signed terms; consecutive signs multiply, and every
+        # sign needs a term after it
         terms = []
         cur, sign = "", 1
         for ch in text:
             if ch in "+-":
                 if cur.strip():
                     terms.append((sign, cur.strip()))
-                cur, sign = "", (1 if ch == "+" else -1)
+                    cur, sign = "", 1
+                sign = sign if ch == "+" else -sign
             else:
                 cur += ch
-        if cur.strip():
-            terms.append((sign, cur.strip()))
+        if not cur.strip():
+            raise InputError(f"sign without a term in {text!r}")
+        terms.append((sign, cur.strip()))
         for sign, term in terms:
             parts = [p.strip() for p in term.split("*")]
             coeff = f.from_int(sign)
@@ -742,43 +745,6 @@ def dual_module(M: Module) -> Module:
     opposite has the same arrows, each reversed and acting by the transpose
     of its block."""
     return Module(M.algebra.op(), M.weights, [m.transpose() for m in M.blocks])
-
-
-def module_hom_space(M: Module, N: Module) -> List[ModMap]:
-    """Basis of Hom_A(M, N): the module maps F, one block F_v from the
-    coordinates of M at v to those of N at v per vertex, with
-    block(a) @ F_t = F_s @ block(a) for every arrow a: s -> t."""
-    A, f = M.algebra, M.algebra.field
-    if N.algebra is not A:
-        raise InputError("modules over different algebras")
-    # the unknowns F_v[i][j], numbered in the row-major order of M's basis;
-    # var[v][i][j] is the unknown of the i-th row and j-th column at v
-    var: List[List[List[int]]] = [[] for _ in range(A.nvert)]
-    nvars = 0
-    for w in M.weights:
-        width = len(N.positions[w])
-        var[w].append(list(range(nvars, nvars + width)))
-        nvars += width
-    if nvars == 0:
-        return []
-    rows = []
-    for a, bm, bn in zip(A.arrow_indices, M.blocks, N.blocks):
-        vs, vt = var[A.source[a]], var[A.target[a]]
-        # equation (bm @ F_t - F_s @ bn)[i][j] = 0
-        for i in range(bm.nrows):
-            for j in range(bn.ncols):
-                coeff = [f.zero] * nvars
-                for k, x in enumerate(bm.rows[i]):
-                    if x:
-                        coeff[vt[k][j]] = f.add(coeff[vt[k][j]], x)
-                for k, brow in enumerate(bn.rows):
-                    if brow[j]:
-                        coeff[vs[i][k]] = f.sub(coeff[vs[i][k]], brow[j])
-                rows.append(coeff)
-    sys = Mat(f, rows, ncols=nvars) if rows else Mat.zeros(f, 0, nvars)
-    return [tuple(Mat(f, [[x[c] for c in cells] for cells in var_v], ncols=len(pv))
-                  for var_v, pv in zip(var, N.positions))
-            for x in la.kernel_basis(sys)]
 
 
 def projective_dimension(M: Module, bound: int = DEFAULT_LIMITS.pd_bound) -> Optional[int]:

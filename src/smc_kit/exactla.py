@@ -305,7 +305,7 @@ def rref(m: Mat) -> RRef:
     column; over F_p every entry is reduced after each step.  Over Q the
     eliminated entries come out as Fraction(0, 1), and are stored back as
     the int 0, as _row_times stores its zeros: every zero of the rows that
-    rref, kernel_basis, solve_matrix and row_space_basis return is the int 0."""
+    rref, kernel_basis and solve_matrix return is the int 0."""
     f = m.field
     p = _modulus(f)
     nr, nc = m.shape
@@ -389,12 +389,6 @@ def solve_matrix(m: Mat, b: Mat) -> Optional[Mat]:
     for i, pc in enumerate(red.pivots):
         out.rows[pc] = red.reduced.rows[i][m.ncols:]
     return out
-
-
-def row_space_basis(m: Mat) -> Mat:
-    red = rref(m)
-    return Mat(m.field, [red.reduced.rows[i] for i in range(len(red.pivots))],
-               ncols=m.ncols)
 
 
 def det(rows: Sequence[Sequence[int]]) -> int:

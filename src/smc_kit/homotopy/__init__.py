@@ -23,9 +23,7 @@ from .homs import (
     hom_dims,
     hom_table,
     hom_window,
-    homotopic,
     is_iso,
-    is_nullhomotopic,
     lift_through,
 )
 from .resolve import (

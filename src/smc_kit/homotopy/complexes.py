@@ -53,10 +53,6 @@ def ent_matmul(A: Algebra, left: Entries, right: Entries) -> Entries:
     return out
 
 
-def ent_add(A: Algebra, x: Entries, y: Entries) -> Entries:
-    return [[A.add_vec(a, b) for a, b in zip(r, s)] for r, s in zip(x, y)]
-
-
 def ent_neg(A: Algebra, x: Entries) -> Entries:
     return [[A.neg_vec(a) for a in r] for r in x]
 
@@ -254,22 +250,6 @@ class ChainMap:
     def is_zero(self) -> bool:
         return not self.comps
 
-    def __add__(self, other: "ChainMap") -> "ChainMap":
-        A = self.source.algebra
-        comps = dict(self.comps)
-        for k, m in other.comps.items():
-            comps[k] = ent_add(A, self.component(k), m) if k in comps else m
-        return ChainMap(self.source, self.target, comps, validate=False)
-
-    def __sub__(self, other: "ChainMap") -> "ChainMap":
-        return self + (-other)
-
-    def __neg__(self) -> "ChainMap":
-        A = self.source.algebra
-        return ChainMap(self.source, self.target,
-                        {k: ent_neg(A, m) for k, m in self.comps.items()},
-                        validate=False)
-
     def __repr__(self):
         return f"ChainMap({self.source!r} -> {self.target!r})"
 
@@ -359,8 +339,8 @@ def cocone(f: ChainMap) -> Tuple[ProjComplex, ChainMap]:
     return C, ChainMap(C, X, p_comps, validate=False)
 
 
-def direct_sum(complexes: Sequence[ProjComplex]) -> Tuple[ProjComplex, List[ChainMap], List[ChainMap]]:
-    """Sum with injections and projections."""
+def direct_sum(complexes: Sequence[ProjComplex]) -> ProjComplex:
+    """The direct sum, its summands' terms in order in each degree."""
     complexes = list(complexes)
     A = complexes[0].algebra
     terms: Dict[int, List[int]] = {}
@@ -385,21 +365,7 @@ def direct_sum(complexes: Sequence[ProjComplex]) -> Tuple[ProjComplex, List[Chai
                 for s, e in enumerate(row):
                     d[r0 + t][c0 + s] = e
         diffs[k] = d
-    S = ProjComplex(A, terms, diffs, validate=False)
-    injs, projs = [], []
-    for Xi, offs in zip(complexes, offsets):
-        inj_comps, proj_comps = {}, {}
-        for k, v in Xi.terms.items():
-            m = ent_zeros(A, len(S.term(k)), len(v))
-            q = ent_zeros(A, len(v), len(S.term(k)))
-            for i, vert in enumerate(v):
-                m[offs[k] + i][i] = A.basis_vec(vert)
-                q[i][offs[k] + i] = A.basis_vec(vert)
-            inj_comps[k] = m
-            proj_comps[k] = q
-        injs.append(ChainMap(Xi, S, inj_comps, validate=False))
-        projs.append(ChainMap(S, Xi, proj_comps, validate=False))
-    return S, injs, projs
+    return ProjComplex(A, terms, diffs, validate=False)
 
 
 def minimalize(X: ProjComplex) -> Tuple[ProjComplex, ChainMap]:

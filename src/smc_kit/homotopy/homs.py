@@ -15,10 +15,10 @@ and the algebra's table of corner dimensions; coordinate blocks are laid
 out, and D^n built and ranked, only when degrees n and n + 1 both have
 coordinates.
 
-The same coordinate bookkeeping powers the solvers: null-homotopy tests,
-factorization of maps through triangles, and chain maps constrained at the
-level of the idempotent corner (used by the recollement unit/counit).  Each
-solver assembles its whole system as one dense ``Mat`` and solves it once.
+The same coordinate bookkeeping powers the solvers: factorization of maps
+through triangles, and chain maps constrained at the level of the
+idempotent corner (used by the recollement unit/counit).  Each solver
+assembles its whole system as one dense ``Mat`` and solves it once.
 
 ``is_iso`` decides isomorphism from the same chain-map coordinates.  Its YES
 carries the invertible chain map it found between the two minimal models;
@@ -254,26 +254,6 @@ def chain_maps_basis(X: ProjComplex, Y: ProjComplex, n: int = 0) -> List[ChainMa
     for v in la.kernel_basis(d):
         out.append(ChainMap(X, target, coords_n.to_entries(X, Y, n, v)))
     return out
-
-
-def is_nullhomotopic(f: ChainMap) -> Optional[Dict[int, Entries]]:
-    """Homotopy h with f = d_Y h + h d_X, or None."""
-    X, Y = f.source, f.target
-    A = X.algebra
-    if X.is_zero() or Y.is_zero() or f.is_zero():
-        return {}
-    coords_h = _MapCoords.build(X, Y, -1)
-    coords_f = _MapCoords.build(X, Y, 0)
-    d = _hom_differential(X, Y, -1, coords_h, coords_f)
-    rhs = coords_f.from_map(f, 0)
-    sol = la.solve(d, rhs)
-    if sol is None:
-        return None
-    return coords_h.to_entries(X, Y, -1, sol)
-
-
-def homotopic(f: ChainMap, g: ChainMap) -> bool:
-    return is_nullhomotopic(f - g) is not None
 
 
 def lift_through(p: ChainMap, g: ChainMap) -> Optional[ChainMap]:

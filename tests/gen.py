@@ -1,6 +1,7 @@
 """Shared builders for the test suite: small algebras, random matrices and
-complexes, and independent oracles for graded Hom dimensions and minimal
-projective resolutions."""
+complexes, independent oracles for graded Hom dimensions, module Hom spaces
+and minimal projective resolutions, and the chain-map arithmetic and
+injections the library itself does without."""
 
 import random
 from fractions import Fraction
@@ -12,24 +13,26 @@ from smc_kit.algebra import (
     Quiver,
     cover_kernel_dims,
     direct_sum_modules,
-    module_hom_space,
     projectives_module,
     top_generators,
     yoneda_map,
 )
+from smc_kit.config import InputError
 from smc_kit.exactla import Mat, PrimeField
 from smc_kit.homotopy import (
     ChainMap,
     ProjComplex,
     cohomology_dims,
+    compose,
     cone,
+    direct_sum,
     minimalize,
     module_realization,
     resolve_complex,
     stalk_complex,
 )
-from smc_kit.homotopy.complexes import stalk
-from smc_kit.homotopy.homs import chain_maps_basis
+from smc_kit.homotopy.complexes import ent_zeros, stalk
+from smc_kit.homotopy.homs import _hom_differential, _MapCoords, chain_maps_basis
 
 FP = PrimeField(32003)
 
@@ -79,6 +82,71 @@ def scale_map(g, c):
                     {k: [[{b: v for b, a in e.items() if (v := mul(c, a))} for e in row]
                          for row in m] for k, m in g.comps.items()},
                     validate=False)
+
+
+def add_maps(f, g):
+    """The chain map f + g, for f and g with the same source and target."""
+    A = f.source.algebra
+    comps = dict(f.comps)
+    for k, m in g.comps.items():
+        comps[k] = [[A.add_vec(a, b) for a, b in zip(r, s)]
+                    for r, s in zip(f.component(k), m)] if k in comps else m
+    return ChainMap(f.source, f.target, comps, validate=False)
+
+
+def is_nullhomotopic(f):
+    """Entries of a homotopy h with f = d_Y h + h d_X, or None."""
+    X, Y = f.source, f.target
+    if X.is_zero() or Y.is_zero() or f.is_zero():
+        return {}
+    coords_h = _MapCoords.build(X, Y, -1)
+    coords_f = _MapCoords.build(X, Y, 0)
+    d = _hom_differential(X, Y, -1, coords_h, coords_f)
+    sol = la.solve(d, coords_f.from_map(f, 0))
+    if sol is None:
+        return None
+    return coords_h.to_entries(X, Y, -1, sol)
+
+
+def homotopic(f, g):
+    """Whether the chain maps f and g are homotopic."""
+    fld = f.source.algebra.field
+    return is_nullhomotopic(add_maps(f, scale_map(g, fld.neg(fld.one)))) is not None
+
+
+def direct_sum_maps(complexes):
+    """direct_sum(complexes) with its injections and projections."""
+    S = direct_sum(complexes)
+    A = S.algebra
+    injs, projs = [], []
+    offs = {}  # degree -> terms of the summands before this one
+    for Xi in complexes:
+        inj_comps, proj_comps = {}, {}
+        for k, v in Xi.terms.items():
+            o = offs.get(k, 0)
+            m = ent_zeros(A, len(S.term(k)), len(v))
+            q = ent_zeros(A, len(v), len(S.term(k)))
+            for i, vert in enumerate(v):
+                m[o + i][i] = A.basis_vec(vert)
+                q[i][o + i] = A.basis_vec(vert)
+            inj_comps[k], proj_comps[k] = m, q
+            offs[k] = o + len(v)
+        injs.append(ChainMap(Xi, S, inj_comps, validate=False))
+        projs.append(ChainMap(S, Xi, proj_comps, validate=False))
+    return S, injs, projs
+
+
+def injection_approximation(basis, S_i, left):
+    """The approximation S_l[-1] -> S_i^d (left) or S_i^d -> S_l[1] (right)
+    of the d maps in basis, as the sum of each map composed with its
+    summand's injection (left) or projection (right)."""
+    _, injs, projs = direct_sum_maps([S_i] * len(basis))
+    parts = [compose(f, inj) if left else compose(proj, f)
+             for f, inj, proj in zip(basis, injs, projs)]
+    out = parts[0]
+    for part in parts[1:]:
+        out = add_maps(out, part)
+    return out
 
 
 def sum_prod(f, xs, ys):
@@ -274,7 +342,7 @@ def row_span_module(N, rows):
     bases = []
     for pv, rows_v in zip(N.positions, rows):
         at_v = [r for r in rows_v if any(r)]
-        bases.append(la.row_space_basis(Mat(f, at_v)) if at_v
+        bases.append(row_space_basis(Mat(f, at_v)) if at_v
                      else Mat.zeros(f, 0, len(pv)))
     blocks = []
     for a, block in zip(A.arrow_indices, N.blocks):
@@ -303,6 +371,51 @@ def random_representation(A, rng):
         for rows_w, block in zip(rows, yoneda_map(A, N, [(i, v)])):
             rows_w.extend(block.rows)
     return row_span_module(N, rows)
+
+
+def row_space_basis(m):
+    """The nonzero rows of the reduced row echelon form of m."""
+    red = la.rref(m)
+    return Mat(m.field, [red.reduced.rows[i] for i in range(len(red.pivots))],
+               ncols=m.ncols)
+
+
+def module_hom_space(M, N):
+    """Basis of Hom_A(M, N): the module maps F, one block F_v from the
+    coordinates of M at v to those of N at v per vertex, with
+    block(a) @ F_t = F_s @ block(a) for every arrow a: s -> t.  A module
+    linear system, independent of the homotopy-category Hom engine."""
+    A, f = M.algebra, M.algebra.field
+    if N.algebra is not A:
+        raise InputError("modules over different algebras")
+    # the unknowns F_v[i][j], numbered in the row-major order of M's basis;
+    # var[v][i][j] is the unknown of the i-th row and j-th column at v
+    var = [[] for _ in range(A.nvert)]
+    nvars = 0
+    for w in M.weights:
+        width = len(N.positions[w])
+        var[w].append(list(range(nvars, nvars + width)))
+        nvars += width
+    if nvars == 0:
+        return []
+    rows = []
+    for a, bm, bn in zip(A.arrow_indices, M.blocks, N.blocks):
+        vs, vt = var[A.source[a]], var[A.target[a]]
+        # equation (bm @ F_t - F_s @ bn)[i][j] = 0
+        for i in range(bm.nrows):
+            for j in range(bn.ncols):
+                coeff = [f.zero] * nvars
+                for k, x in enumerate(bm.rows[i]):
+                    if x:
+                        coeff[vt[k][j]] = f.add(coeff[vt[k][j]], x)
+                for k, brow in enumerate(bn.rows):
+                    if brow[j]:
+                        coeff[vs[i][k]] = f.sub(coeff[vs[i][k]], brow[j])
+                rows.append(coeff)
+    system = Mat(f, rows, ncols=nvars) if rows else Mat.zeros(f, 0, nvars)
+    return [tuple(Mat(f, [[x[c] for c in cells] for cells in var_v], ncols=len(pv))
+                  for var_v, pv in zip(var, N.positions))
+            for x in la.kernel_basis(system)]
 
 
 def projective_cover(M, rows=None):
@@ -409,7 +522,8 @@ def random_minimal_complex(A, rng: random.Random, steps: int = 3) -> ProjComplex
         x, y = rng.choice(pool), rng.choice(pool).shift(rng.randrange(-1, 2))
         basis = chain_maps_basis(x, y)
         if basis:
-            f = basis[rng.randrange(len(basis))] + basis[rng.randrange(len(basis))]
+            f = add_maps(basis[rng.randrange(len(basis))],
+                         basis[rng.randrange(len(basis))])
             cm, _ = minimalize(cone(f)[0])
             if not cm.is_zero() and cm.total_terms() <= 10:
                 pool.append(cm)

@@ -136,6 +136,27 @@ def test_invariant_error_exits_4(monkeypatch, capsys):
     assert "forced breach" in capsys.readouterr().err
 
 
+def test_order_of_non_collections_is_a_check_failure(tmp_path, capsys):
+    # [S1] and [S2] over A_2 dominate each other without being isomorphic:
+    # mutual dominance forces isomorphism only between collections, so this
+    # says an input is not one, and is no internal bug
+    doc = json.loads(Path(A2_WS).read_text())
+    doc["smcs"].update({
+        "t1": {"algebra": "A", "objects": ["simple:1"]},
+        "t2": {"algebra": "A", "objects": ["simple:2"]},
+        "t11": {"algebra": "A", "objects": ["simple:1", "simple:1"]},
+        "t22": {"algebra": "A", "objects": ["simple:2", "simple:2"]},
+    })
+    p = tmp_path / "ws.json"
+    p.write_text(json.dumps(doc))
+    for a, b in (("t1", "t2"), ("t11", "t22")):
+        assert main(["order", str(p), a, b]) == 1
+        err = capsys.readouterr().err
+        assert "not a simple-minded collection" in err and "a bug" not in err
+    assert main(["--json", "order", A2_WS, "standard", "glued_order"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"relation": "equal"}
+
+
 def test_mutate_command(capsys):
     assert main(["--json", "mutate", A2_WS, "glued_order", "0", "left"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -399,9 +399,10 @@ def _zeros_are_ints(rows):
        st.randoms(use_true_random=False))
 def test_zeros_over_q_are_ints(m, n, k, rng):
     """The zero rule over Q: given matrices whose zeros are the int 0, every
-    zero that rref, kernel_basis, solve_matrix, row_space_basis, @ and
-    vstack return is the int 0 too, never Fraction(0, 1).  Nonintegral
-    entries make elimination cancel through Fraction arithmetic."""
+    zero that rref, kernel_basis, solve_matrix, @ and vstack return, and
+    so every zero of gen.row_space_basis, is the int 0 too, never
+    Fraction(0, 1).  Nonintegral entries make elimination cancel through
+    Fraction arithmetic."""
     def draw(nr, nc):
         return Mat(QQ, [[rng.choice([0, rng.randrange(-3, 4),
                                      Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)) or 0])
@@ -414,7 +415,7 @@ def test_zeros_over_q_are_ints(m, n, k, rng):
     for x in (a, dep):
         assert _zeros_are_ints(la.rref(x).reduced.rows)
         assert _zeros_are_ints(la.kernel_basis(x))
-        assert _zeros_are_ints(la.row_space_basis(x).rows)
+        assert _zeros_are_ints(gen.row_space_basis(x).rows)
     for rhs in (c, a @ b):
         sol = la.solve_matrix(a, rhs)
         assert sol is not None or rhs is c

@@ -2,23 +2,22 @@
 side carries two simples, exercising multi-object gluing, the generator
 checks, and both branches of the commutation condition."""
 
+from claims import (
+    check_first_m_terms,
+    check_mutation_order_chain,
+    glued_t_structure_checks,
+)
 from smc_kit.algebra import Algebra, linear_quiver
 from smc_kit.exactla import PrimeField
 from smc_kit.recollement import build_recollement
 from smc_kit.smc import (
     glue,
     glue_dual,
-    glued_t_structure_checks,
     smc_iso,
     standard_smc,
     validate_smc,
 )
-from smc_kit.verify import (
-    check_first_m_terms,
-    check_glue_mutation_commute,
-    check_intermediate_order,
-    check_mutation_order_chain,
-)
+from smc_kit.verify import check_glue_mutation_commute, check_intermediate_order
 
 A = Algebra.from_quiver(PrimeField(32003), linear_quiver(3))
 SPEC = build_recollement(A, [0, 2])

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 
 import gen
+from claims import glued_t_structure_checks
 from smc_kit import exactla as la
 from smc_kit import smc
-from smc_kit.algebra import Algebra, linear_quiver
+from smc_kit.algebra import Algebra, Quiver, linear_quiver
 from smc_kit.cli import main
-from smc_kit.config import InputError, NotRigidError
+from smc_kit.config import InputError, InvariantError, NotRigidError, SmcKitError
 from smc_kit.exactla import PrimeField, RationalField
 from smc_kit.fixtures import a2_fixture, random_recollement, two_cycle_fixture
 from smc_kit.homotopy import homs, is_iso, shift
@@ -23,11 +24,9 @@ from smc_kit.smc import (
     dominates,
     glue,
     glue_dual,
-    glued_t_structure_checks,
     is_glued_type_candidate,
-    member_aisle,
-    member_coaisle,
     member_filt_geq,
+    member_filt_leq,
     mutate,
     smc_iso,
     standard_smc,
@@ -83,11 +82,11 @@ def test_shifted_projective_and_simple_is_smc():
 def test_membership_basics():
     std = A2.standard
     for obj in std.objects:
-        assert member_aisle(obj, std)
-        assert member_coaisle(obj, std)
-        assert member_aisle(shift(obj, 1), std)
-        assert not member_coaisle(shift(obj, 1), std)
-        assert not member_aisle(shift(obj, -1), std)
+        assert member_filt_geq(obj, std.objects, 0)
+        assert member_filt_leq(obj, std.objects, 0)
+        assert member_filt_geq(shift(obj, 1), std.objects, 0)
+        assert not member_filt_leq(shift(obj, 1), std.objects, 0)
+        assert not member_filt_geq(shift(obj, -1), std.objects, 0)
     S2 = A2.complexes["S2"]
     assert not member_filt_geq(S2, [shift(S2, 1)], 0)
     assert member_filt_geq(shift(S2, 1), [shift(S2, 1)], 0)
@@ -240,7 +239,7 @@ def test_mutation_rigidity_guard():
     S1 = A2.complexes["S1"]
     S2 = A2.complexes["S2"]
     from smc_kit.homotopy import direct_sum
-    nonrigid, _, _ = direct_sum([S1, shift(S1, -1)])
+    nonrigid = direct_sum([S1, shift(S1, -1)])
     S = user_smc(A2, nonrigid)
     with pytest.raises(NotRigidError):
         mutate(S, 0, "left")
@@ -261,7 +260,7 @@ def test_mutate_is_theorem_backed_only_at_rigid_objects_of_collections():
     # label says
     S1, S2 = A2.standard.objects
     from smc_kit.homotopy import direct_sum
-    nonrigid, _, _ = direct_sum([S1, shift(S1, -1)])
+    nonrigid = direct_sum([S1, shift(S1, -1)])
     S = SMC(A2.algebra, (nonrigid, S2), A2.standard.certificate)
     out, _ = mutate(S, 0, "left", force=True)
     assert not out.certificate.theorem_backed
@@ -300,12 +299,21 @@ def test_compare_and_order_chain():
         assert compare(std, std.shifted(-1)) == "leq"
 
 
-def test_compare_errors():
+def test_compare_errors(monkeypatch):
     with pytest.raises(InputError):
         compare(A2.standard, TC.standard)
     one = user_smc(A2, A2.complexes["S1"])
     with pytest.raises(InputError):
         compare(A2.standard, one)
+    # mutually dominating, not isomorphic: an input is not a collection
+    with pytest.raises(SmcKitError, match="not a simple-minded collection"):
+        compare(one, user_smc(A2, A2.complexes["S2"]))
+    # between theorem-backed collections the same outcome is a bug
+    monkeypatch.setattr(smc, "smc_iso", lambda S, T, rng=None: False)
+    with pytest.raises(InvariantError, match="must be isomorphic"):
+        compare(A2.standard, A2.standard)
+    with pytest.raises(SmcKitError, match="not a simple-minded collection"):
+        compare(A2.standard, user_smc(A2, *A2.standard.objects))
 
 
 def test_smc_iso_permutation():
@@ -353,6 +361,47 @@ def test_glued_t_structure_generator_checks():
     out, _ = glue(A2.x_smc, A2.y_smc, A2.spec)
     checks = glued_t_structure_checks(out, A2.x_smc, A2.y_smc, A2.spec)
     assert checks and all(ok for _, ok in checks)
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(32003), RationalField()],
+                         ids=str)
+def test_stacked_approximation_matches_the_injection_route(field):
+    """mutate's approximation, the basis maps' components stacked, against
+    the sum of the basis maps composed with the injections (left) or
+    projections (right) of the direct sum: both cones, or cocones, are
+    built entry for entry alike."""
+    from smc_kit.homotopy import cocone, cone, hom_basis
+    from smc_kit.recollement import build_recollement
+    a2, tc = a2_fixture(field), two_cycle_fixture(field)
+    kronecker = Algebra.from_quiver(
+        field, Quiver(("1", "2"), (("a", "1", "2"), ("b", "1", "2"))))
+    a3 = build_recollement(Algebra.from_quiver(field, linear_quiver(3)), [0, 2])
+    colls = [a2.standard, tc.standard, standard_smc(kronecker),
+             glue(a2.x_smc, a2.y_smc, a2.spec)[0],
+             glue_dual(tc.x_smc, tc.y_smc, tc.spec)[0],
+             glue(standard_smc(a3.x_algebra), standard_smc(a3.y_algebra), a3)[0]]
+    colls += [mutate(S, i, d)[0] for S in colls[:3] for i in range(len(S))
+              for d in ("left", "right") if smc.is_rigid(S, i)]
+    widths = set()
+    for S in colls:
+        for i, S_i in enumerate(S.objects):
+            if not smc.is_rigid(S, i):
+                continue
+            for l, S_l in enumerate(S.objects):
+                for left in (True, False):
+                    basis = (hom_basis(shift(S_l, -1), S_i, 0) if left
+                             else hom_basis(S_i, shift(S_l, 1), 0))
+                    if l == i or not basis:
+                        continue
+                    widths.add(len(basis))
+                    new = smc._approximation(basis, S_i, left)
+                    ref = gen.injection_approximation(basis, S_i, left)
+                    new._validate()
+                    assert new.source.same_shape(ref.source)
+                    assert new.target.same_shape(ref.target)
+                    pick = cone if left else cocone
+                    assert pick(new)[0].same_shape(pick(ref)[0])
+    assert widths >= {1, 2}
 
 
 def test_single_object_smc_mutation_degenerates():

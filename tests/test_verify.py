@@ -1,5 +1,8 @@
 import random
 
+import pytest
+
+import claims
 from smc_kit import verify
 from smc_kit.fixtures import a2_fixture, random_recollement, two_cycle_fixture
 from smc_kit.exactla import PrimeField
@@ -14,6 +17,16 @@ def test_run_paper_examples_all_pass():
     for r in reports:
         print(r.line())
     assert all(r.passed for r in reports), [r.line() for r in reports if not r.passed]
+
+
+@pytest.mark.parametrize("field", [2, 32003, "Q"])
+def test_first_paper_example_reads_its_hom_dimensions(field):
+    # Hom(S2, eA) and Hom(I1, S2) over the two-cycle algebra, each read as
+    # the degree-0 Hom between resolutions
+    first = verify.run_paper_examples(field)[0]
+    assert first.name == "naive corner images are not a collection"
+    assert first.passed
+    assert first.witness.startswith("dim Hom(S2,eA)=1, dim Hom(I1,S2)=1;")
 
 
 def test_order_preservation_trivial_and_mutated():
@@ -41,29 +54,29 @@ def test_mutation_order_chain():
     for fix in (A2, TC):
         std = fix.standard
         for i in range(len(std)):
-            assert verify.check_mutation_order_chain(std, i).passed
+            assert claims.check_mutation_order_chain(std, i).passed
     # degenerate one-object collection
     one = standard_smc(A2.spec.y_algebra)
-    assert verify.check_mutation_order_chain(one, 0).passed
+    assert claims.check_mutation_order_chain(one, 0).passed
 
 
 def test_conditional_order():
     std = A2.standard
-    r = verify.check_conditional_order(std, std, 0, 0)
+    r = claims.check_conditional_order(std, std, 0, 0)
     assert r.status in ("pass", "hypothesis-failed")
     plus, _ = mutate(std, 0, "left")
-    r = verify.check_conditional_order(std, plus, 0, 0)
+    r = claims.check_conditional_order(std, plus, 0, 0)
     assert r.status in ("pass", "hypothesis-failed")
-    r = verify.check_conditional_order(std, plus, 1, 1)
+    r = claims.check_conditional_order(std, plus, 1, 1)
     assert r.status in ("pass", "hypothesis-failed")
 
 
 def test_first_m_terms_examples():
     # condition true on the diagram (2) data, false on diagram (3)
-    r = verify.check_first_m_terms(A2.x_smc.shifted(1), A2.y_smc.shifted(1),
+    r = claims.check_first_m_terms(A2.x_smc.shifted(1), A2.y_smc.shifted(1),
                                    A2.spec, 0, "left")
     assert r.passed
-    r = verify.check_first_m_terms(A2.x_smc.shifted(1), A2.y_smc, A2.spec,
+    r = claims.check_first_m_terms(A2.x_smc.shifted(1), A2.y_smc, A2.spec,
                                    0, "left")
     assert r.passed
 
